@@ -1,18 +1,29 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 build + test pass, then the same test suite
-# under AddressSanitizer + UndefinedBehaviorSanitizer, then the threaded
-# runner tests under ThreadSanitizer (separate build dir per sanitizer —
-# sanitized objects are not ABI-compatible with each other or the plain
-# build; TSan in particular excludes ASan).
+# Full verification: a layering check on the serving code, the tier-1
+# build + test pass, then the same test suite under AddressSanitizer +
+# UndefinedBehaviorSanitizer, then the threaded runner tests under
+# ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
+# not ABI-compatible with each other or the plain build; TSan in particular
+# excludes ASan).
 #
-#   scripts/check.sh            # tier-1 + ASan/UBSan + TSan
-#   scripts/check.sh --fast     # tier-1 only
+#   scripts/check.sh            # layering + tier-1 + ASan/UBSan + TSan
+#   scripts/check.sh --fast     # layering + tier-1 only
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
+
+echo "=== layering: no simulator in the serving layers ==="
+# src/server/ and src/net/ run inside the live daemon h2pushd; of the
+# simulator they may use only its time type.
+if grep -rnE '#include[[:space:]]*"sim/' src/server src/net |
+    grep -v '"sim/time.h"'; then
+  echo "src/server/ or src/net/ includes a sim/ header other than sim/time.h" >&2
+  exit 1
+fi
+echo "layering OK"
 
 echo "=== tier-1: configure + build + ctest (build/) ==="
 cmake -B build -S . >/dev/null

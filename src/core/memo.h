@@ -45,11 +45,11 @@
 
 namespace h2push::core {
 
-/// Bump whenever the key derivation, a pinned canonicalization default, or
-/// the LoadResult serialization changes; old on-disk entries then never
-/// match (the version participates in the key) and old files never parse
-/// (it is also in the file header).
-inline constexpr std::uint32_t kCacheFormatVersion = 1;
+/// Bump whenever the key derivation, a pinned canonicalization default, the
+/// LoadResult serialization, or the simulated result for some key changes;
+/// old on-disk entries then never match (the version participates in the
+/// key) and old files never parse (it is also in the file header).
+inline constexpr std::uint32_t kCacheFormatVersion = 2;
 
 enum class CacheVerify : std::uint8_t {
   kOff,

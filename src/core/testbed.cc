@@ -18,18 +18,20 @@ namespace {
 using sim::TcpConnection;
 
 /// One client↔server TCP session: the browser-facing ClientTransport plus
-/// the server-side H2 endpoint it terminates at.
+/// the server endpoint it terminates at — a ReplayServer (HTTP/2) or an
+/// H1ReplayServer (the HTTP/1.1 baseline arm).
+template <typename Server>
 class SimTransport final : public browser::ClientTransport {
  public:
   SimTransport(sim::Simulator& sim, sim::TcpConfig tcp_config,
                sim::Route up, sim::Route down,
-               server::ReplayServer::Config server_config, util::Rng rng,
+               typename Server::Config server_config,
+               trace::TraceRecorder* trace, std::uint32_t trace_track,
                sim::Time connect_stagger)
-      : sim_(sim), server_(sim, server_config, rng),
+      : sim_(sim), server_(std::move(server_config)),
         connect_stagger_(connect_stagger) {
     TcpConnection::Callbacks callbacks;
     callbacks.on_connected = [this] {
-      connected_ = true;
       if (on_connected_) on_connected_();
     };
     callbacks.on_accepted = [this] { pump_server(); };
@@ -51,9 +53,9 @@ class SimTransport final : public browser::ClientTransport {
     };
     tcp_ = std::make_unique<TcpConnection>(sim_, tcp_config, up, down,
                                            std::move(callbacks));
-    if (server_config.trace != nullptr) {
+    if (trace != nullptr) {
       // TCP counters share the server session's track: cwnd next to frames.
-      tcp_->set_trace(server_config.trace, server_config.trace_track);
+      tcp_->set_trace(trace, trace_track);
     }
     server_.set_write_ready([this] { pump_server(); });
   }
@@ -87,7 +89,6 @@ class SimTransport final : public browser::ClientTransport {
     return tcp_->connect_end_time();
   }
 
-  server::ReplayServer& server() { return server_; }
   const TcpConnection& tcp() const { return *tcp_; }
 
  private:
@@ -102,89 +103,7 @@ class SimTransport final : public browser::ClientTransport {
   }
 
   sim::Simulator& sim_;
-  server::ReplayServer server_;
-  std::unique_ptr<TcpConnection> tcp_;
-  sim::Time connect_stagger_ = 0;
-  bool connected_ = false;
-  std::function<void()> on_connected_;
-  std::function<void(std::span<const std::uint8_t>)> receiver_;
-  std::function<void()> writable_cb_;
-};
-
-/// Same glue for the HTTP/1.1 baseline arm: the server side terminates in
-/// an H1ReplayServer instead of the H2 endpoint.
-class H1SimTransport final : public browser::ClientTransport {
- public:
-  H1SimTransport(sim::Simulator& sim, sim::TcpConfig tcp_config,
-                 sim::Route up, sim::Route down,
-                 server::H1ReplayServer::Config server_config, util::Rng rng,
-                 sim::Time connect_stagger)
-      : sim_(sim), server_(sim, server_config, rng),
-        connect_stagger_(connect_stagger) {
-    TcpConnection::Callbacks callbacks;
-    callbacks.on_connected = [this] {
-      if (on_connected_) on_connected_();
-    };
-    callbacks.on_receive = [this](TcpConnection::Side side,
-                                  std::span<const std::uint8_t> bytes) {
-      if (side == TcpConnection::Side::kServer) {
-        server_.connection().receive(bytes);
-        pump_server();
-      } else if (receiver_) {
-        receiver_(bytes);
-      }
-    };
-    callbacks.on_writable = [this](TcpConnection::Side side) {
-      if (side == TcpConnection::Side::kServer) {
-        pump_server();
-      } else if (writable_cb_) {
-        writable_cb_();
-      }
-    };
-    tcp_ = std::make_unique<TcpConnection>(sim_, tcp_config, up, down,
-                                           std::move(callbacks));
-    server_.set_write_ready([this] { pump_server(); });
-  }
-
-  void connect(std::function<void()> on_connected) override {
-    on_connected_ = std::move(on_connected);
-    if (connect_stagger_ > 0) {
-      sim_.schedule_in(connect_stagger_, [this] { tcp_->connect(); });
-    } else {
-      tcp_->connect();
-    }
-  }
-  void send(std::span<const std::uint8_t> bytes) override {
-    tcp_->send(TcpConnection::Side::kClient, bytes);
-  }
-  bool writable() const override {
-    return tcp_->writable(TcpConnection::Side::kClient);
-  }
-  std::size_t write_chunk() const override { return 2 * 1460; }
-  void set_receiver(
-      std::function<void(std::span<const std::uint8_t>)> receiver) override {
-    receiver_ = std::move(receiver);
-  }
-  void set_writable_callback(std::function<void()> cb) override {
-    writable_cb_ = std::move(cb);
-  }
-  sim::Time connect_end_time() const override {
-    return tcp_->connect_end_time();
-  }
-
- private:
-  void pump_server() {
-    auto& conn = server_.connection();
-    while (tcp_->writable(TcpConnection::Side::kServer) &&
-           conn.want_write()) {
-      auto bytes = conn.produce(write_chunk());
-      if (bytes.empty()) break;
-      tcp_->send(TcpConnection::Side::kServer, bytes);
-    }
-  }
-
-  sim::Simulator& sim_;
-  server::H1ReplayServer server_;
+  Server server_;
   std::unique_ptr<TcpConnection> tcp_;
   sim::Time connect_stagger_ = 0;
   std::function<void()> on_connected_;
@@ -243,13 +162,12 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
 
   util::Rng rtt_rng = master.fork("rtt");
   util::Rng think_rng = master.fork("think");
-  std::vector<const SimTransport*> transports;
+  std::vector<const TcpConnection*> tcps;
 
   const bool use_http1 = config.browser.use_http1;
   browser::TransportFactory factory =
       [&sim, &site, &policy, &sample, &downlink, &uplink, primary_ip,
-       &rtt_rng, &think_rng, &transports, use_http1, tr](
-          const std::string& host)
+       &rtt_rng, &think_rng, &tcps, use_http1, tr](const std::string& host)
       -> std::unique_ptr<browser::ClientTransport> {
     const std::string ip = site.origins.ip_of(host);
     sim::Time rtt = sample.origin_rtt(rtt_rng);
@@ -264,32 +182,44 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
     sim::Route up{uplink.get(), extra};
     sim::Route down{downlink.get(), extra};
 
-    server::ReplayServer::Config sc;
-    sc.store = site.store.get();
-    sc.origins = &site.origins;
-    sc.think_time_mean = sample.server_think_mean;
-    if (ip == primary_ip && !policy.empty()) sc.policy = policy;
-    if (tr != nullptr) {
-      sc.trace = tr;
-      sc.trace_track = tr->register_track("server." + host);
+    // Server think time: an exponential delay before every response,
+    // drawn from a per-host stream.
+    std::function<void(std::function<void()>)> defer;
+    if (sample.server_think_mean > 0) {
+      defer = [&sim, rng = think_rng.fork(host),
+               mean = static_cast<double>(sample.server_think_mean)](
+                  std::function<void()> respond) mutable {
+        sim.schedule_in(static_cast<sim::Time>(rng.exponential(mean)),
+                        std::move(respond));
+      };
     }
+    const std::uint32_t track =
+        tr != nullptr ? tr->register_track("server." + host) : 0;
 
     sim::TcpConfig tcp_config;  // defaults: IW10, MSS 1460, TLS 1.2
     const auto stagger =
         sim::from_ms(rtt_rng.uniform(0.5, 12.0));  // DNS + socket setup
+    const auto keep = [&tcps](auto transport)
+        -> std::unique_ptr<browser::ClientTransport> {
+      tcps.push_back(&transport->tcp());
+      return transport;
+    };
     if (use_http1) {
       server::H1ReplayServer::Config h1c;
       h1c.store = site.store.get();
-      h1c.think_time_mean = sample.server_think_mean;
-      return std::make_unique<H1SimTransport>(sim, tcp_config, up, down, h1c,
-                                              think_rng.fork(host), stagger);
+      h1c.defer = std::move(defer);
+      return keep(std::make_unique<SimTransport<server::H1ReplayServer>>(
+          sim, tcp_config, up, down, std::move(h1c), tr, track, stagger));
     }
-    auto transport = std::make_unique<SimTransport>(sim, tcp_config, up,
-                                                    down, sc,
-                                                    think_rng.fork(host),
-                                                    stagger);
-    transports.push_back(transport.get());
-    return transport;
+    server::ReplayServer::Config sc;
+    sc.store = site.store.get();
+    sc.origins = &site.origins;
+    sc.defer = std::move(defer);
+    if (ip == primary_ip && !policy.empty()) sc.policy = policy;
+    sc.trace = tr;
+    sc.trace_track = track;
+    return keep(std::make_unique<SimTransport<server::ReplayServer>>(
+        sim, tcp_config, up, down, std::move(sc), tr, track, stagger));
   };
 
   browser::BrowserConfig bc = config.browser;
@@ -304,9 +234,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
   auto result = load.result();
   result.packets_dropped =
       downlink->dropped_packets() + uplink->dropped_packets();
-  for (const auto* t : transports) {
-    result.retransmissions += t->tcp().retransmissions();
-  }
+  for (const auto* tcp : tcps) result.retransmissions += tcp->retransmissions();
   if (tr != nullptr) {
     // Finalize the roll-up and stamp the derived marks at their true times;
     // the exporter orders by timestamp, so tracks stay monotonic.

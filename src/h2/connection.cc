@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "trace/trace.h"
 
@@ -274,6 +275,63 @@ bool Connection::want_write() const {
   return false;
 }
 
+std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
+                                              std::size_t max_payload) {
+  const std::uint32_t id =
+      scheduler_->pick([this](std::uint32_t sid) { return data_ready(sid); });
+  if (id == 0) return 0;
+  if (trace_ && id != last_data_stream_) {
+    // The scheduler moved to a different stream: the switch points are
+    // what make interleaving visible in a trace (paper Fig. 5a).
+    trace_->instant(trace_track_, "h2", "data.switch",
+                    {{"from", last_data_stream_}, {"to", id}});
+    last_data_stream_ = id;
+  }
+  Stream& s = streams_.at(id);
+  const std::size_t remaining = s.body->size() - s.body_offset;
+  std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
+  n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
+  n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
+  n = std::min<std::size_t>(n, scheduler_->max_bytes_for(id));
+  n = std::min<std::size_t>(n, max_payload);
+  // data_ready() guarantees n > 0 for every setting this connection can
+  // reach, but an unvalidated limit reaching 0 here would emit empty
+  // DATA frames forever (the NDEBUG builds used to rely on a compiled-out
+  // assert). Stall instead of spinning.
+  assert(n > 0);
+  if (n == 0) return 0;
+  const bool end_stream = (n == remaining);
+  const auto* base =
+      reinterpret_cast<const std::uint8_t*>(s.body->data()) + s.body_offset;
+  // Serialized straight into the output buffer: no DataFrame temp, no
+  // per-frame payload copy + re-copy.
+  append_data_frame(out, id, end_stream, {base, n});
+  s.body_offset += n;
+  s.send_window -= static_cast<std::int64_t>(n);
+  send_window_ -= static_cast<std::int64_t>(n);
+  s.data_sent += n;
+  total_data_sent_ += n;
+  scheduler_->on_data_sent(id, n);
+  if (trace_) {
+    trace_->instant(trace_track_, "h2", "send DATA",
+                    {{"stream", id},
+                     {"bytes", n},
+                     {"end_stream", end_stream ? 1 : 0}});
+    ++trace_->summary().frames_sent["DATA"];
+    trace_->counter(trace_track_, "h2", "conn_send_window",
+                    static_cast<double>(send_window_));
+  }
+  if (end_stream) {
+    s.body_pending = false;
+    s.local_done = true;
+    s.end_queued = true;
+    s.body.reset();
+    scheduler_->on_stream_finished(id);
+    maybe_close(id);
+  }
+  return n;
+}
+
 std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
   std::vector<std::uint8_t> out;
   out.reserve(max_bytes);
@@ -286,59 +344,9 @@ std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
     control_offset_ = 0;
     control_queue_.pop_front();
   }
-  // 2. Scheduler-chosen DATA frames.
+  // 2. Scheduler-chosen DATA frames, each as large as the windows allow.
   while (out.size() < max_bytes) {
-    const std::uint32_t id =
-        scheduler_->pick([this](std::uint32_t sid) { return data_ready(sid); });
-    if (id == 0) break;
-    if (trace_ && id != last_data_stream_) {
-      // The scheduler moved to a different stream: the switch points are
-      // what make interleaving visible in a trace (paper Fig. 5a).
-      trace_->instant(trace_track_, "h2", "data.switch",
-                      {{"from", last_data_stream_}, {"to", id}});
-      last_data_stream_ = id;
-    }
-    Stream& s = streams_.at(id);
-    const std::size_t remaining = s.body->size() - s.body_offset;
-    std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
-    n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
-    n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
-    n = std::min<std::size_t>(n, scheduler_->max_bytes_for(id));
-    // data_ready() guarantees n > 0 for every setting this connection can
-    // reach, but an unvalidated limit reaching 0 here would emit empty
-    // DATA frames forever (the NDEBUG builds used to rely on a compiled-out
-    // assert). Stall instead of spinning.
-    assert(n > 0);
-    if (n == 0) break;
-    const bool end_stream = (n == remaining);
-    const auto* base =
-        reinterpret_cast<const std::uint8_t*>(s.body->data()) + s.body_offset;
-    // Serialized straight into the output buffer: no DataFrame temp, no
-    // per-frame payload copy + re-copy.
-    append_data_frame(out, id, end_stream, {base, n});
-    s.body_offset += n;
-    s.send_window -= static_cast<std::int64_t>(n);
-    send_window_ -= static_cast<std::int64_t>(n);
-    s.data_sent += n;
-    total_data_sent_ += n;
-    scheduler_->on_data_sent(id, n);
-    if (trace_) {
-      trace_->instant(trace_track_, "h2", "send DATA",
-                      {{"stream", id},
-                       {"bytes", n},
-                       {"end_stream", end_stream ? 1 : 0}});
-      ++trace_->summary().frames_sent["DATA"];
-      trace_->counter(trace_track_, "h2", "conn_send_window",
-                      static_cast<double>(send_window_));
-    }
-    if (end_stream) {
-      s.body_pending = false;
-      s.local_done = true;
-      s.end_queued = true;
-      s.body.reset();
-      scheduler_->on_stream_finished(id);
-      maybe_close(id);
-    }
+    if (append_next_data_frame(out, SIZE_MAX) == 0) break;
   }
   return out;
 }
@@ -368,51 +376,10 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
   // frame needs its 9-byte header plus at least one payload byte to be
   // worth emitting; below that we stop and wait for the buffer to drain.
   while (budget > kFrameHeaderSize) {
-    const std::uint32_t id =
-        scheduler_->pick([this](std::uint32_t sid) { return data_ready(sid); });
-    if (id == 0) break;
-    if (trace_ && id != last_data_stream_) {
-      trace_->instant(trace_track_, "h2", "data.switch",
-                      {{"from", last_data_stream_}, {"to", id}});
-      last_data_stream_ = id;
-    }
-    Stream& s = streams_.at(id);
-    const std::size_t remaining = s.body->size() - s.body_offset;
-    std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
-    n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
-    n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
-    n = std::min<std::size_t>(n, scheduler_->max_bytes_for(id));
-    n = std::min<std::size_t>(n, budget - kFrameHeaderSize);
-    assert(n > 0);
+    const std::size_t n =
+        append_next_data_frame(out, budget - kFrameHeaderSize);
     if (n == 0) break;
-    const bool end_stream = (n == remaining);
-    const auto* base =
-        reinterpret_cast<const std::uint8_t*>(s.body->data()) + s.body_offset;
-    append_data_frame(out, id, end_stream, {base, n});
     budget -= kFrameHeaderSize + n;
-    s.body_offset += n;
-    s.send_window -= static_cast<std::int64_t>(n);
-    send_window_ -= static_cast<std::int64_t>(n);
-    s.data_sent += n;
-    total_data_sent_ += n;
-    scheduler_->on_data_sent(id, n);
-    if (trace_) {
-      trace_->instant(trace_track_, "h2", "send DATA",
-                      {{"stream", id},
-                       {"bytes", n},
-                       {"end_stream", end_stream ? 1 : 0}});
-      ++trace_->summary().frames_sent["DATA"];
-      trace_->counter(trace_track_, "h2", "conn_send_window",
-                      static_cast<double>(send_window_));
-    }
-    if (end_stream) {
-      s.body_pending = false;
-      s.local_done = true;
-      s.end_queued = true;
-      s.body.reset();
-      scheduler_->on_stream_finished(id);
-      maybe_close(id);
-    }
   }
   return out.size() - start;
 }

@@ -126,8 +126,17 @@ class Connection {
   /// even flow-control-blocked data want_write() would not report. The
   /// drain-safe close condition for the live daemon.
   bool send_quiescent() const;
+  // Two write entry points over one DATA emitter, because the simulator
+  // and the live daemon need different size limits. The simulated TCP
+  // model accepts whole frames that overshoot its write chunk; forcing it
+  // onto the strict cap splits frames differently and moves results (the
+  // fig2b --quick median PLT shifts from 1288.063 to 1266.563 ms). A real
+  // socket buffer has a fixed high watermark, so the live path needs the
+  // hard cap of produce_into().
+
   /// Produce up to ~max_bytes of wire bytes (may overshoot by one frame so
-  /// frames are never split across scheduling decisions).
+  /// frames are never split across scheduling decisions). The simulator's
+  /// write path.
   std::vector<std::uint8_t> produce(std::size_t max_bytes);
   /// Partial-write variant for bounded socket buffers (src/net/): appends
   /// at most `max_bytes` bytes to `out` — a hard cap, never an overshoot.
@@ -204,6 +213,11 @@ class Connection {
   Stream& ensure_stream(std::uint32_t id);
   void maybe_close(std::uint32_t id);
   bool data_ready(std::uint32_t id) const;
+  /// Append the scheduler's next DATA frame, its payload capped at
+  /// `max_payload` and by the flow-control windows, and do the stream
+  /// bookkeeping. Returns the payload size; 0 when no stream is ready.
+  std::size_t append_next_data_frame(std::vector<std::uint8_t>& out,
+                                     std::size_t max_payload);
   void signal_write();
 
   Config config_;

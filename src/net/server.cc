@@ -17,9 +17,6 @@ struct Server::Worker {
   int index = 0;
   EventLoop loop;
   std::unique_ptr<Listener> listener;
-  /// Think-time clock for ReplayServer; never stepped (live serving uses
-  /// zero think time), shared by every session on this thread.
-  sim::Simulator sim;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions;
   std::uint64_t next_session_id = 1;
   bool draining = false;
@@ -59,11 +56,9 @@ class Server::Session {
     sc.policies = cfg.policies;
     sc.interleaving = cfg.scheduler == SchedulerKind::kInterleaving;
     sc.default_authority = cfg.default_authority;
-    sc.think_time_mean = 0;
     sc.trace = trace_.get();
     sc.trace_track = track_;
-    replay_ = std::make_unique<server::ReplayServer>(worker_.sim, sc,
-                                                     util::Rng(id));
+    replay_ = std::make_unique<server::ReplayServer>(std::move(sc));
     replay_->set_write_ready([this] { pump(); });
 
     Transport::Config tc;

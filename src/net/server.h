@@ -28,7 +28,6 @@
 #include "net/listener.h"
 #include "net/transport.h"
 #include "server/replay_server.h"
-#include "sim/simulator.h"
 
 namespace h2push::net {
 

@@ -2,9 +2,7 @@
 
 namespace h2push::server {
 
-H1ReplayServer::H1ReplayServer(sim::Simulator& sim, Config config,
-                               util::Rng rng)
-    : sim_(sim), config_(config), rng_(rng) {
+H1ReplayServer::H1ReplayServer(Config config) : config_(std::move(config)) {
   http1::ServerConnection::Callbacks cbs;
   cbs.on_request = [this](const http1::MessageParser::Message& request) {
     on_request(request);
@@ -29,10 +27,8 @@ void H1ReplayServer::on_request(
     }
     if (write_ready_) write_ready_();
   };
-  if (config_.think_time_mean > 0) {
-    const auto think = static_cast<sim::Time>(
-        rng_.exponential(static_cast<double>(config_.think_time_mean)));
-    sim_.schedule_in(think, respond);
+  if (config_.defer) {
+    config_.defer(respond);
   } else {
     respond();
   }

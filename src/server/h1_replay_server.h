@@ -9,8 +9,6 @@
 
 #include "http1/connection.h"
 #include "replay/record.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
 
 namespace h2push::server {
 
@@ -18,10 +16,11 @@ class H1ReplayServer {
  public:
   struct Config {
     const replay::RecordStore* store = nullptr;
-    sim::Time think_time_mean = 0;
+    /// Optional deferral of every response, as ReplayServer::Config::defer.
+    std::function<void(std::function<void()>)> defer;
   };
 
-  H1ReplayServer(sim::Simulator& sim, Config config, util::Rng rng);
+  explicit H1ReplayServer(Config config);
 
   http1::ServerConnection& connection() { return *conn_; }
   void set_write_ready(std::function<void()> cb) {
@@ -31,9 +30,7 @@ class H1ReplayServer {
  private:
   void on_request(const http1::MessageParser::Message& request);
 
-  sim::Simulator& sim_;
   Config config_;
-  util::Rng rng_;
   std::unique_ptr<http1::ServerConnection> conn_;
   std::function<void()> write_ready_;
 };

@@ -5,8 +5,7 @@
 
 namespace h2push::server {
 
-ReplayServer::ReplayServer(sim::Simulator& sim, Config config, util::Rng rng)
-    : sim_(sim), config_(config), rng_(rng) {
+ReplayServer::ReplayServer(Config config) : config_(std::move(config)) {
   h2::Connection::Config cc;
   cc.role = h2::Role::kServer;
   h2::Connection::Callbacks cbs;
@@ -96,10 +95,8 @@ void ReplayServer::on_request(std::uint32_t stream,
     corked_ = false;
     if (write_ready_) write_ready_();
   };
-  if (config_.think_time_mean > 0) {
-    const auto think = static_cast<sim::Time>(
-        rng_.exponential(static_cast<double>(config_.think_time_mean)));
-    sim_.schedule_in(think, respond_now);
+  if (config_.defer) {
+    config_.defer(respond_now);
   } else {
     respond_now();
   }

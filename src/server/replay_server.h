@@ -22,8 +22,6 @@
 #include "replay/origin.h"
 #include "replay/record.h"
 #include "server/interleaving.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
 
 namespace h2push::server {
 
@@ -74,15 +72,17 @@ class ReplayServer {
     /// off-the-shelf clients (nghttp, curl) that send "127.0.0.1:port" as
     /// authority reach a recorded site. Empty = strict matching.
     std::string default_authority;
-    /// Per-response server think time (0 in the deterministic testbed).
-    sim::Time think_time_mean = 0;
+    /// Optional deferral of every response (the testbed's server think
+    /// time): receives the response continuation and must run it exactly
+    /// once, later. Unset = respond immediately.
+    std::function<void(std::function<void()>)> defer;
     /// Optional trace recorder shared with the whole run; events land on
     /// `trace_track` (one track per server session).
     trace::TraceRecorder* trace = nullptr;
     std::uint32_t trace_track = 0;
   };
 
-  ReplayServer(sim::Simulator& sim, Config config, util::Rng rng);
+  explicit ReplayServer(Config config);
 
   /// The server-side H2 endpoint; the testbed wires its produce()/receive()
   /// to the TCP model.
@@ -114,9 +114,7 @@ class ReplayServer {
   void apply_push_policy(std::uint32_t parent_stream,
                          const PushPolicy& policy);
 
-  sim::Simulator& sim_;
   Config config_;
-  util::Rng rng_;
   std::unique_ptr<h2::Connection> conn_;
   InterleavingScheduler* interleaver_ = nullptr;  // owned by conn_ if set
   std::function<void()> write_ready_;

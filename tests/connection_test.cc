@@ -338,10 +338,11 @@ TEST(Connection, GarbageInputRaisesConnectionError) {
 // --- produce_into: the bounded-buffer variant used by src/net/ ---
 //
 // The simulator's testbed calls produce(); the live daemon calls
-// produce_into(). These regression tests pin down that (a) produce() is
-// bit-exact unchanged, (b) produce_into never exceeds its byte budget, and
-// (c) a connection drained through arbitrarily small budgets still delivers
-// exactly the same bodies.
+// produce_into(). Both emit DATA through one shared frame emitter and
+// differ only in their size limit. These tests pin down that (a) with an
+// unbounded budget both write the same wire bytes, (b) produce_into never
+// exceeds its byte budget, and (c) a connection drained through
+// arbitrarily small budgets still delivers exactly the same bodies.
 
 namespace {
 /// Drive one request/response exchange, draining the server through

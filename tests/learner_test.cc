@@ -1,7 +1,6 @@
-// Tests for the §6 strategy learner and the JSON/CSV exporters.
+// Tests for the §6 strategy learner.
 #include <gtest/gtest.h>
 
-#include "core/export.h"
 #include "core/learner.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
@@ -78,46 +77,6 @@ TEST(Learner, LeaderboardIsSortedBySpeedIndex) {
   for (std::size_t i = 1; i < output.all.size(); ++i) {
     EXPECT_LE(output.all[i - 1].si_ms, output.all[i].si_ms);
   }
-}
-
-// ------------------------------------------------------------------ export
-
-TEST(Export, JsonEscaping) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(Export, JsonContainsAllSections) {
-  const auto site = blocking_site();
-  RunConfig cfg;
-  const auto result = run_page_load(site, no_push(), cfg);
-  const auto json = to_json(result, "label-x");
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"label\":\"label-x\""), std::string::npos);
-  EXPECT_NE(json.find("\"plt_ms\":"), std::string::npos);
-  EXPECT_NE(json.find("\"resources\":["), std::string::npos);
-  EXPECT_NE(json.find("\"vc_curve\":["), std::string::npos);
-  EXPECT_NE(json.find("main.css"), std::string::npos);
-  // Balanced braces/brackets (cheap well-formedness check).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
-}
-
-TEST(Export, CsvHasHeaderAndOneRowPerRun) {
-  const auto site = blocking_site();
-  RunConfig cfg;
-  const auto runs = run_repeated(site, no_push(), cfg, 4);
-  const auto csv = to_csv(runs, "arm1");
-  const auto lines = std::count(csv.begin(), csv.end(), '\n');
-  EXPECT_EQ(lines, 5);  // header + 4 rows
-  EXPECT_NE(csv.find("plt_ms"), std::string::npos);
-  EXPECT_NE(csv.find("arm1,0,1,"), std::string::npos);
 }
 
 }  // namespace

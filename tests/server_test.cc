@@ -40,8 +40,13 @@ struct ServerHarness {
     config.store = &store;
     config.origins = &origins;
     config.policy = std::move(policy);
-    config.think_time_mean = think;
-    server = std::make_unique<ReplayServer>(sim, config, util::Rng(1));
+    if (think > 0) {
+      // Server think time through the deferral hook, on the harness clock.
+      config.defer = [this, think](std::function<void()> respond) {
+        sim.schedule_in(think, std::move(respond));
+      };
+    }
+    server = std::make_unique<ReplayServer>(std::move(config));
 
     h2::Connection::Config cc;
     cc.role = h2::Role::kClient;

@@ -180,27 +180,47 @@ TEST(ChromeTraceExport, EventsFromAllLayersAndPairedAsyncSpans) {
   EXPECT_TRUE(names.count("mark.connectEnd"));
 }
 
+// The roll-up fields every arm reports identically in both places.
+void expect_summary_matches(const trace::TraceSummary& s,
+                            const browser::PageLoadResult& result) {
+  EXPECT_EQ(s.bytes_pushed, result.bytes_pushed);
+  EXPECT_EQ(s.bytes_total, result.bytes_total);
+  EXPECT_EQ(s.pushes_cancelled, result.pushes_cancelled);
+  EXPECT_EQ(s.packets_dropped, result.packets_dropped);
+  EXPECT_EQ(s.retransmissions, result.retransmissions);
+  EXPECT_GT(s.packets_delivered, 0u);
+  EXPECT_GT(s.run_span, 0);
+  EXPECT_EQ(s.downlink_busy + s.downlink_idle, s.run_span);
+  EXPECT_EQ(s.uplink_busy + s.uplink_idle, s.run_span);
+}
+
 TEST(TraceSummary, AgreesWithPageLoadResult) {
   trace::TraceRecorder rec;
   const auto result = run_traced(&rec, /*interleaving=*/false);
   ASSERT_TRUE(result.complete);
 
   const auto& s = rec.summary();
-  EXPECT_EQ(s.bytes_pushed, result.bytes_pushed);
-  EXPECT_EQ(s.bytes_total, result.bytes_total);
-  EXPECT_EQ(s.pushes_cancelled, result.pushes_cancelled);
-  EXPECT_EQ(s.packets_dropped, result.packets_dropped);
-  EXPECT_EQ(s.retransmissions, result.retransmissions);
+  expect_summary_matches(s, result);
   EXPECT_GT(s.push_promises, 0u);
-  EXPECT_GT(s.packets_delivered, 0u);
   EXPECT_GT(s.frames_sent.at("DATA"), 0u);
   EXPECT_GT(s.frames_sent.at("PUSH_PROMISE"), 0u);
   EXPECT_GT(s.frames_received.at("HEADERS"), 0u);
-  EXPECT_GT(s.run_span, 0);
-  EXPECT_EQ(s.downlink_busy + s.downlink_idle, s.run_span);
-  EXPECT_EQ(s.uplink_busy + s.uplink_idle, s.run_span);
   EXPECT_FALSE(json_balanced("{"));  // sanity of the checker itself
   EXPECT_TRUE(json_balanced(trace::summary_to_json(s)));
+
+  // The HTTP/1.1 arm under loss: its TCP sessions must report their
+  // retransmissions to both the result and the trace.
+  trace::TraceRecorder h1_rec;
+  const auto site = web::make_synthetic_site(1);
+  core::RunConfig cfg;
+  cfg.net = sim::NetworkConditions::internet();
+  cfg.seed = 3;
+  cfg.browser.use_http1 = true;
+  cfg.trace = &h1_rec;
+  const auto h1 = core::run_page_load(site, core::no_push(), cfg);
+  ASSERT_TRUE(h1.complete);
+  EXPECT_GT(h1.retransmissions, 0u);
+  expect_summary_matches(h1_rec.summary(), h1);
 }
 
 TEST(Trace, SameSeedProducesByteIdenticalExport) {
