@@ -1,13 +1,17 @@
 // Micro-benchmarks for the protocol substrate (google-benchmark): HPACK
 // encode/decode, Huffman coding, frame serialization/parsing, priority-tree
-// scheduling, and end-to-end simulated page loads. These guard the
-// simulator's throughput (the figure harnesses run tens of thousands of
-// page loads).
+// scheduling, the CSS parser, the TCP model, and end-to-end simulated page
+// loads. These guard the simulator's throughput (the figure harnesses run
+// tens of thousands of page loads). BM_CssParse reports time_per_kb and
+// BM_TcpTransfer time_per_segment, both in seconds (SI-prefixed).
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "browser/css.h"
 #include "core/memo.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
@@ -15,7 +19,12 @@
 #include "h2/hpack.h"
 #include "h2/hpack_huffman.h"
 #include "h2/priority.h"
+#include "sim/conditions.h"
+#include "sim/link.h"
+#include "sim/simulator.h"
+#include "sim/tcp.h"
 #include "web/corpus.h"
+#include "web/profiles.h"
 
 namespace {
 
@@ -109,6 +118,73 @@ void BM_PriorityTreePick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriorityTreePick)->Arg(16)->Arg(128);
+
+/// Seconds per unit of `units` summed over all iterations.
+benchmark::Counter time_per(double units) {
+  return benchmark::Counter(
+      units, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_CssParse(benchmark::State& state) {
+  std::vector<std::string> sheets;
+  for (int w = 1; w <= 20; ++w) {
+    const web::Site site = web::make_w_site(w).site;
+    for (const auto& e : site.store->all()) {
+      if (e.response.type == http::ResourceType::kCss) {
+        sheets.push_back(*e.body);
+      }
+    }
+  }
+  double kb = 0;
+  for (auto _ : state) {
+    for (const auto& sheet : sheets) {
+      benchmark::DoNotOptimize(browser::parse_css(sheet));
+      kb += static_cast<double>(sheet.size()) / 1024.0;
+    }
+  }
+  state.counters["time_per_kb"] = time_per(kb);
+}
+BENCHMARK(BM_CssParse)->Unit(benchmark::kMillisecond);
+
+void BM_TcpTransfer(benchmark::State& state) {
+  // One connection on the testbed access link (16/1 Mbit/s, 50 ms RTT)
+  // carrying 1 MB server → client, handshake included.
+  const auto net = sim::NetworkConditions::testbed();
+  const sim::Time extra_prop = net.base_rtt / 2 - sim::from_ms(2);
+  const std::vector<std::uint8_t> payload(1 << 20, 0x5a);
+  double segments = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim::LinkConfig down_cfg;
+    down_cfg.rate_bps = net.down_bps;
+    down_cfg.prop_delay = sim::from_ms(2);
+    down_cfg.queue_capacity = net.queue_capacity;
+    sim::LinkConfig up_cfg = down_cfg;
+    up_cfg.rate_bps = net.up_bps;
+    sim::Link down(sim, down_cfg, util::Rng(1));
+    sim::Link up(sim, up_cfg, util::Rng(2));
+    std::size_t received = 0;
+    sim::TcpConnection* conn_ptr = nullptr;
+    sim::TcpConnection::Callbacks cbs;
+    cbs.on_connected = [&] {
+      conn_ptr->send(sim::TcpConnection::Side::kServer, payload);
+    };
+    cbs.on_receive = [&](sim::TcpConnection::Side,
+                         std::span<const std::uint8_t> bytes) {
+      received += bytes.size();
+    };
+    sim::TcpConnection conn(sim, sim::TcpConfig{},
+                            sim::Route{&up, extra_prop},
+                            sim::Route{&down, extra_prop}, std::move(cbs));
+    conn_ptr = &conn;
+    conn.connect();
+    sim.run();
+    if (received != payload.size()) state.SkipWithError("tcp lost bytes");
+    segments += static_cast<double>(down.delivered_packets());
+  }
+  state.counters["time_per_segment"] = time_per(segments);
+}
+BENCHMARK(BM_TcpTransfer)->Unit(benchmark::kMillisecond);
 
 void BM_PageLoad(benchmark::State& state) {
   const auto profile = web::PopulationProfile::random100();

@@ -1,6 +1,6 @@
 #include "browser/css.h"
 
-#include <cctype>
+#include <algorithm>
 
 #include "util/strings.h"
 
@@ -9,20 +9,36 @@ namespace {
 
 std::string_view strip(std::string_view s) { return util::trim(s); }
 
+/// Call `fn` on each `delim`-separated piece of `s`, empty pieces included
+/// (util::split without the vector).
+template <typename Fn>
+void for_each_piece(std::string_view s, char delim, Fn&& fn) {
+  while (true) {
+    const std::size_t pos = s.find(delim);
+    fn(s.substr(0, pos));
+    if (pos == std::string_view::npos) return;
+    s.remove_prefix(pos + 1);
+  }
+}
+
+std::size_t count_pieces(std::string_view s, char delim) {
+  return static_cast<std::size_t>(std::count(s.begin(), s.end(), delim)) + 1;
+}
+
 CompoundSelector parse_compound(std::string_view s) {
   CompoundSelector out;
   std::size_t i = 0;
   auto take_name = [&]() {
     const std::size_t start = i;
-    while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) ||
-                            s[i] == '-' || s[i] == '_'))
+    while (i < s.size() &&
+           (util::is_alnum(s[i]) || s[i] == '-' || s[i] == '_'))
       ++i;
-    return std::string(s.substr(start, i - start));
+    return s.substr(start, i - start);
   };
   while (i < s.size()) {
     if (s[i] == '.') {
       ++i;
-      out.classes.push_back(take_name());
+      out.classes.emplace_back(take_name());
     } else if (s[i] == '#') {
       ++i;
       out.id = take_name();
@@ -38,26 +54,46 @@ CompoundSelector parse_compound(std::string_view s) {
 
 Selector parse_selector(std::string_view s) {
   Selector sel;
-  sel.text = std::string(strip(s));
-  for (auto part : util::split(sel.text, ' ')) {
+  s = strip(s);
+  sel.text = s;
+  sel.parts.reserve(count_pieces(s, ' '));
+  for_each_piece(s, ' ', [&](std::string_view part) {
     part = strip(part);
-    if (part.empty() || part == ">") continue;  // treat child as descendant
+    if (part.empty() || part == ">") return;  // treat child as descendant
     sel.parts.push_back(parse_compound(part));
-  }
+  });
   return sel;
+}
+
+/// Call `fn(property, value)` for each `property: value` piece of `body`,
+/// both stripped; `property` is not yet lowercased.
+template <typename Fn>
+void for_each_declaration(std::string_view body, Fn&& fn) {
+  for_each_piece(body, ';', [&](std::string_view decl) {
+    const std::size_t colon = decl.find(':');
+    if (colon == std::string_view::npos) return;
+    fn(strip(decl.substr(0, colon)), strip(decl.substr(colon + 1)));
+  });
 }
 
 std::vector<Declaration> parse_declarations(std::string_view body) {
   std::vector<Declaration> out;
-  for (auto decl : util::split(body, ';')) {
-    const std::size_t colon = decl.find(':');
-    if (colon == std::string_view::npos) continue;
-    Declaration d;
-    d.property = util::to_lower(strip(decl.substr(0, colon)));
-    d.value = std::string(strip(decl.substr(colon + 1)));
-    if (!d.property.empty()) out.push_back(std::move(d));
-  }
+  out.reserve(count_pieces(body, ';'));
+  for_each_declaration(body, [&](std::string_view property,
+                                 std::string_view value) {
+    if (!property.empty()) {
+      out.push_back(Declaration{util::to_lower(property), std::string(value)});
+    }
+  });
   return out;
+}
+
+std::string_view unquote_family(std::string_view f) {
+  if (!f.empty() && (f.front() == '"' || f.front() == '\'')) {
+    f.remove_prefix(1);
+    if (!f.empty()) f.remove_suffix(1);
+  }
+  return f;
 }
 
 std::vector<std::string> extract_urls(std::string_view value) {
@@ -81,20 +117,89 @@ std::vector<std::string> extract_urls(std::string_view value) {
   return out;
 }
 
+/// Append the rules and font faces of `text` to `sheet`. An @media block
+/// recurses into the same sheet; all media apply (the viewport model has no
+/// media distinctions).
+void parse_into(std::string_view text, Stylesheet& sheet) {
+  std::size_t i = 0;
+  while (i < text.size()) {
+    // Skip whitespace and comments.
+    if (util::is_space(text[i])) {
+      ++i;
+      continue;
+    }
+    if (text.compare(i, 2, "/*") == 0) {
+      const std::size_t close = text.find("*/", i + 2);
+      if (close == std::string_view::npos) break;
+      i = close + 2;
+      continue;
+    }
+    const std::size_t open = text.find('{', i);
+    if (open == std::string_view::npos) break;
+    const std::string_view prelude = strip(text.substr(i, open - i));
+    const bool media = util::starts_with(prelude, "@media");
+    std::size_t close;
+    if (media) {
+      // Nested block: find the matching close brace by depth.
+      int depth = 1;
+      close = open + 1;
+      while (close < text.size() && depth > 0) {
+        if (text[close] == '{') ++depth;
+        if (text[close] == '}') --depth;
+        if (depth == 0) break;
+        ++close;
+      }
+      if (close >= text.size()) break;
+    } else {
+      close = text.find('}', open + 1);
+      if (close == std::string_view::npos) break;
+    }
+    const std::string_view body = text.substr(open + 1, close - open - 1);
+    const std::string_view rule_text = strip(text.substr(i, close - i + 1));
+
+    if (util::starts_with(prelude, "@font-face")) {
+      FontFace face;
+      face.text = rule_text;
+      for_each_declaration(body, [&](std::string_view name,
+                                     std::string_view value) {
+        const std::string property = util::to_lower(name);
+        if (property == "font-family") {
+          face.family = unquote_family(value);
+        } else if (property == "src") {
+          auto urls = extract_urls(value);
+          if (!urls.empty()) face.url = std::move(urls.front());
+        }
+      });
+      sheet.font_faces.push_back(std::move(face));
+    } else if (media) {
+      parse_into(body, sheet);
+    } else if (!prelude.empty() && prelude.front() == '@') {
+      // Other at-rules ignored.
+    } else {
+      CssRule rule;
+      rule.selectors.reserve(count_pieces(prelude, ','));
+      for_each_piece(prelude, ',', [&](std::string_view sel) {
+        auto parsed = parse_selector(sel);
+        if (!parsed.parts.empty()) rule.selectors.push_back(std::move(parsed));
+      });
+      if (!rule.selectors.empty()) {
+        rule.declarations = parse_declarations(body);
+        rule.text = rule_text;
+        sheet.rules.push_back(std::move(rule));
+      }
+    }
+    i = close + 1;
+  }
+}
+
 }  // namespace
 
 std::string CssRule::font_family() const {
   for (const auto& d : declarations) {
     if (d.property == "font-family") {
       // First family in the list, unquoted.
-      auto fams = util::split(d.value, ',');
-      if (fams.empty()) return {};
-      std::string_view f = strip(fams.front());
-      if (!f.empty() && (f.front() == '"' || f.front() == '\'')) {
-        f.remove_prefix(1);
-        if (!f.empty()) f.remove_suffix(1);
-      }
-      return std::string(f);
+      const std::string_view v = d.value;
+      return std::string(unquote_family(strip(v.substr(0, v.find(',')))));
     }
   }
   return {};
@@ -129,79 +234,7 @@ std::optional<std::string> Stylesheet::font_url(
 
 Stylesheet parse_css(std::string_view text) {
   Stylesheet sheet;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    // Skip whitespace and comments.
-    if (std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-      continue;
-    }
-    if (text.compare(i, 2, "/*") == 0) {
-      const std::size_t close = text.find("*/", i + 2);
-      if (close == std::string_view::npos) break;
-      i = close + 2;
-      continue;
-    }
-    const std::size_t open = text.find('{', i);
-    if (open == std::string_view::npos) break;
-    const std::string_view prelude_probe = strip(text.substr(i, open - i));
-    std::size_t close;
-    if (util::starts_with(prelude_probe, "@media")) {
-      // Nested block: find the matching close brace by depth.
-      int depth = 1;
-      close = open + 1;
-      while (close < text.size() && depth > 0) {
-        if (text[close] == '{') ++depth;
-        if (text[close] == '}') --depth;
-        if (depth == 0) break;
-        ++close;
-      }
-      if (close >= text.size()) break;
-    } else {
-      close = text.find('}', open + 1);
-      if (close == std::string_view::npos) break;
-    }
-    const std::string_view prelude = strip(text.substr(i, open - i));
-    const std::string_view body = text.substr(open + 1, close - open - 1);
-    const std::string rule_text(strip(text.substr(i, close - i + 1)));
-
-    if (util::starts_with(prelude, "@font-face")) {
-      FontFace face;
-      face.text = rule_text;
-      for (const auto& d : parse_declarations(body)) {
-        if (d.property == "font-family") {
-          std::string_view f = strip(d.value);
-          if (!f.empty() && (f.front() == '"' || f.front() == '\'')) {
-            f.remove_prefix(1);
-            if (!f.empty()) f.remove_suffix(1);
-          }
-          face.family = std::string(f);
-        } else if (d.property == "src") {
-          auto urls = extract_urls(d.value);
-          if (!urls.empty()) face.url = urls.front();
-        }
-      }
-      sheet.font_faces.push_back(std::move(face));
-    } else if (util::starts_with(prelude, "@media")) {
-      // Parse inner rules recursively; treat all media as applying (our
-      // viewport model has no media distinctions).
-      auto inner = parse_css(body);
-      for (auto& r : inner.rules) sheet.rules.push_back(std::move(r));
-      for (auto& f : inner.font_faces) sheet.font_faces.push_back(std::move(f));
-    } else if (!prelude.empty() && prelude.front() == '@') {
-      // Other at-rules ignored.
-    } else {
-      CssRule rule;
-      rule.text = rule_text;
-      for (auto sel : util::split(prelude, ',')) {
-        auto parsed = parse_selector(sel);
-        if (!parsed.parts.empty()) rule.selectors.push_back(std::move(parsed));
-      }
-      rule.declarations = parse_declarations(body);
-      if (!rule.selectors.empty()) sheet.rules.push_back(std::move(rule));
-    }
-    i = close + 1;
-  }
+  parse_into(text, sheet);
   return sheet;
 }
 

@@ -11,6 +11,8 @@
 //   - font-family declarations linking elements to web fonts.
 // Selector matching against an element ancestor chain powers the critical
 // CSS extraction (the paper's penthouse step) in core/critical_css.
+// Characters are classified with ASCII tests (util/strings.h) that match
+// <cctype> in the "C" locale; bytes >= 0x80 are never space, name or case.
 #pragma once
 
 #include <optional>

@@ -257,8 +257,8 @@ void Renderer::add_stylesheet(const http::Url& url) {
   sub.on_complete = [this, index](const Fetch& fetch) {
     const double cost = static_cast<double>(fetch.body().size()) /
                         config_.css_parse_rate_bytes_per_ms;
-    main_.post(cost, [this, index, body = fetch.body()] {
-      on_sheet_loaded(index, body);
+    main_.post(cost, [this, index] {
+      on_sheet_loaded(index, sheets_[index].fetch->body());
     });
   };
   sheets_[index].fetch->subscribe(std::move(sub));

@@ -79,7 +79,13 @@ void EventLoop::modify_fd(int fd, std::uint32_t interest) {
 
 void EventLoop::remove_fd(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  handlers_.erase(fd);
+  const auto it = handlers_.find(fd);
+  if (it == handlers_.end()) return;
+  if (it->second.generation == dispatching_) {
+    retired_ = handlers_.extract(it);  // running: destroy after it returns
+  } else {
+    handlers_.erase(it);
+  }
 }
 
 TimerWheel::TimerId EventLoop::schedule(std::uint64_t delay_ms,
@@ -145,7 +151,10 @@ void EventLoop::run() {
       if (it == handlers_.end() || it->second.generation > batch_generation) {
         continue;
       }
+      dispatching_ = it->second.generation;
       it->second.handler(from_epoll(events[i].events));
+      dispatching_ = 0;
+      if (retired_) retired_ = {};
     }
     drain_posted();
   }

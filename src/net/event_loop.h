@@ -87,6 +87,11 @@ class EventLoop {
   };
   std::unordered_map<int, Registration> handlers_;
   std::uint64_t generation_ = 0;
+  // The registration whose handler is running (0 outside fd dispatch). A
+  // handler that removes its own fd is destroyed only after it returns: its
+  // node waits in retired_, so a re-added fd keeps its new handler.
+  std::uint64_t dispatching_ = 0;
+  std::unordered_map<int, Registration>::node_type retired_;
 
   std::mutex posted_mu_;
   std::vector<Task> posted_;

@@ -9,8 +9,7 @@ namespace h2push::sim {
 Link::Link(Simulator& sim, LinkConfig config, util::Rng loss_rng)
     : sim_(sim), config_(config), loss_rng_(loss_rng) {}
 
-bool Link::transmit(std::size_t bytes, Time extra_delay,
-                    std::function<void()> on_delivered) {
+Time Link::enqueue(std::size_t bytes, Time extra_delay) {
   if (queued_bytes_ + bytes > config_.queue_capacity ||
       queued_packets_ >= config_.queue_packets) {
     ++dropped_;
@@ -19,7 +18,7 @@ bool Link::transmit(std::size_t bytes, Time extra_delay,
       trace_->instant(track_, "sim", "drop.queue_full", {{"bytes", bytes}});
       ++trace_->summary().packets_dropped;
     }
-    return false;
+    return kQueueFull;
   }
   if (config_.random_loss > 0 && loss_rng_.bernoulli(config_.random_loss)) {
     ++dropped_;
@@ -28,7 +27,7 @@ bool Link::transmit(std::size_t bytes, Time extra_delay,
       trace_->instant(track_, "sim", "drop.random_loss", {{"bytes", bytes}});
       ++trace_->summary().packets_dropped;
     }
-    return true;  // consumed by the network, silently lost
+    return kRandomLoss;  // consumed by the network, silently lost
   }
   queued_bytes_ += bytes;
   accepted_bytes_ += bytes;
@@ -58,14 +57,13 @@ bool Link::transmit(std::size_t bytes, Time extra_delay,
     }
   });
   // ...and arrive after propagation.
-  sim_.schedule_at(depart + config_.prop_delay + extra_delay,
-                   [this, bytes, cb = std::move(on_delivered)] {
-                     ++delivered_;
-                     delivered_bytes_ += bytes;
-                     if (trace_) ++trace_->summary().packets_delivered;
-                     cb();
-                   });
-  return true;
+  return depart + config_.prop_delay + extra_delay;
+}
+
+void Link::note_delivered(std::size_t bytes) {
+  ++delivered_;
+  delivered_bytes_ += bytes;
+  if (trace_) ++trace_->summary().packets_delivered;
 }
 
 }  // namespace h2push::sim

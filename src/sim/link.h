@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <utility>
 
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -38,9 +38,24 @@ class Link {
 
   /// Enqueue a packet of `bytes` (incl. headers). `on_delivered` fires after
   /// queueing + serialization + propagation (+ extra_delay). Returns false
-  /// if the packet was dropped (queue overflow or random loss).
-  bool transmit(std::size_t bytes, Time extra_delay,
-                std::function<void()> on_delivered);
+  /// if the queue dropped the packet; a packet lost at random returns true
+  /// and never fires. The delivery closure lives in the simulator's pooled
+  /// event node, so a packet costs no heap allocation.
+  template <typename F>
+  bool transmit(std::size_t bytes, Time extra_delay, F&& on_delivered) {
+    const Time arrival = enqueue(bytes, extra_delay);
+    if (arrival == kQueueFull) return false;
+    if (arrival == kRandomLoss) return true;  // consumed by the network
+    auto deliver = [this, bytes,
+                    cb = std::forward<F>(on_delivered)]() mutable {
+      note_delivered(bytes);
+      cb();
+    };
+    static_assert(sizeof(deliver) <= detail::EventFn::kInlineSize,
+                  "a packet's delivery closure must fit an event node");
+    sim_.schedule_at(arrival, std::move(deliver));
+    return true;
+  }
 
   std::size_t queued_bytes() const noexcept { return queued_bytes_; }
   std::size_t queued_packets() const noexcept { return queued_packets_; }
@@ -67,6 +82,14 @@ class Link {
   }
 
  private:
+  static constexpr Time kQueueFull = -1;
+  static constexpr Time kRandomLoss = -2;
+
+  /// Queue accounting for one packet: its arrival time, or kQueueFull /
+  /// kRandomLoss. Schedules the packet's departure from the queue.
+  Time enqueue(std::size_t bytes, Time extra_delay);
+  void note_delivered(std::size_t bytes);
+
   Simulator& sim_;
   LinkConfig config_;
   util::Rng loss_rng_;
@@ -89,8 +112,9 @@ struct Route {
   Link* link = nullptr;
   Time extra_prop = 0;
 
-  bool transmit(std::size_t bytes, std::function<void()> on_delivered) const {
-    return link->transmit(bytes, extra_prop, std::move(on_delivered));
+  template <typename F>
+  bool transmit(std::size_t bytes, F&& on_delivered) const {
+    return link->transmit(bytes, extra_prop, std::forward<F>(on_delivered));
   }
 };
 

@@ -148,11 +148,6 @@ void TcpConnection::try_send(Side sender) {
 void TcpConnection::transmit_segment(Side sender, std::uint64_t seq,
                                      std::size_t len, bool is_retransmit) {
   Half& h = half(sender);
-  assert(seq >= h.base_seq);
-  const std::size_t off = static_cast<std::size_t>(seq - h.base_seq);
-  assert(off + len <= h.buffer.size());
-  std::vector<std::uint8_t> payload(h.buffer.begin() + off,
-                                    h.buffer.begin() + off + len);
   if (is_retransmit) {
     ++h.retransmissions;
     if (trace_) {
@@ -169,51 +164,45 @@ void TcpConnection::transmit_segment(Side sender, std::uint64_t seq,
   } else if (is_retransmit && seq < h.sample_seq) {
     h.sample_sent_at = -1;  // invalidate sample spanning a retransmit
   }
-  h.data_route.transmit(
-      len + config_.header_bytes,
-      [this, sender, seq, payload = std::move(payload)]() mutable {
-        on_segment(sender, seq, std::move(payload));
-      });
+  h.data_route.transmit(len + config_.header_bytes,
+                        [this, sender, seq, len] {
+                          on_segment(sender, seq, len);
+                        });
   arm_rto(sender);
 }
 
 void TcpConnection::on_segment(Side sender, std::uint64_t seq,
-                               std::vector<std::uint8_t> payload) {
+                               std::size_t len) {
   Half& h = half(sender);
-  const std::uint64_t end = seq + payload.size();
+  const std::uint64_t end = seq + len;
   if (end <= h.rcv_nxt) {
     send_ack(sender);  // duplicate of already-received data
     return;
   }
   if (seq > h.rcv_nxt) {
-    h.ooo.emplace(seq, std::move(payload));  // hole: buffer out of order
+    h.ooo.emplace(seq, end);  // hole: buffer out of order
     send_ack(sender);
     return;
   }
-  // In-order (possibly partially duplicate) segment: deliver.
-  std::vector<std::uint8_t> deliverable(
-      payload.begin() + static_cast<std::ptrdiff_t>(h.rcv_nxt - seq),
-      payload.end());
+  // In-order (possibly partially duplicate) segment: deliver from rcv_nxt,
+  // through any out-of-order segments that are now contiguous.
+  const std::uint64_t from = h.rcv_nxt;
   h.rcv_nxt = end;
-  // Drain any out-of-order segments that are now contiguous.
   while (!h.ooo.empty()) {
     auto it = h.ooo.begin();
     if (it->first > h.rcv_nxt) break;
-    const std::uint64_t seg_end = it->first + it->second.size();
-    if (seg_end > h.rcv_nxt) {
-      deliverable.insert(
-          deliverable.end(),
-          it->second.begin() +
-              static_cast<std::ptrdiff_t>(h.rcv_nxt - it->first),
-          it->second.end());
-      h.rcv_nxt = seg_end;
-    }
+    h.rcv_nxt = std::max(h.rcv_nxt, it->second);
     h.ooo.erase(it);
   }
-  h.delivered += deliverable.size();
+  const auto delivered = static_cast<std::size_t>(h.rcv_nxt - from);
+  h.delivered += delivered;
   send_ack(sender);
   if (callbacks_.on_receive) {
-    callbacks_.on_receive(receiver_of(sender), deliverable);
+    assert(from >= h.base_seq &&
+           h.rcv_nxt - h.base_seq <= h.buffer.size());
+    callbacks_.on_receive(
+        receiver_of(sender),
+        {h.buffer.data() + (from - h.base_seq), delivered});
   }
 }
 
@@ -275,9 +264,10 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
         h.cwnd += acked_segments / h.cwnd;  // congestion avoidance
       }
     }
-    // Trim acknowledged bytes from the retransmission buffer.
+    // Trim acknowledged bytes from the retransmission buffer once they are
+    // at least half of it, so each byte is moved O(1) times on average.
     const std::size_t trim = static_cast<std::size_t>(h.snd_una - h.base_seq);
-    if (trim > 64 * 1024 || trim == h.buffer.size()) {
+    if (trim > 0 && 2 * trim >= h.buffer.size()) {
       h.buffer.erase(h.buffer.begin(),
                      h.buffer.begin() + static_cast<std::ptrdiff_t>(trim));
       h.base_seq = h.snd_una;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <span>
@@ -51,7 +50,10 @@ class TcpConnection {
     std::function<void()> on_connected;
     /// Fires on the server half an RTT earlier (when its handshake ends).
     std::function<void()> on_accepted;
-    /// In-order application bytes arriving at `side`.
+    /// In-order application bytes arriving at `side`. The span aliases the
+    /// sending half's retransmission buffer (segments carry sequence ranges,
+    /// not bytes), so it is valid only during the callback: copy what must
+    /// outlive it.
     std::function<void(Side side, std::span<const std::uint8_t>)> on_receive;
     /// `side` may write again (unsent buffer below watermark).
     std::function<void(Side side)> on_writable;
@@ -93,7 +95,11 @@ class TcpConnection {
     Route data_route;   // carries data segments
     Route ack_route;    // carries ACKs back to the sender
     // --- sender state ---
-    std::vector<std::uint8_t> buffer;  // bytes [base_seq, app_end)
+    // Bytes [base_seq, app_end). Segments in flight carry only (seq, len);
+    // the receiver reads delivered bytes from here. Only bytes below
+    // snd_una are trimmed, and snd_una never passes the receiver's rcv_nxt,
+    // so every byte not yet delivered is still here.
+    std::vector<std::uint8_t> buffer;
     std::uint64_t base_seq = 0;
     std::uint64_t snd_una = 0;
     std::uint64_t snd_nxt = 0;
@@ -115,7 +121,7 @@ class TcpConnection {
     Time sample_sent_at = -1;
     // --- receiver state ---
     std::uint64_t rcv_nxt = 0;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> ooo;
+    std::map<std::uint64_t, std::uint64_t> ooo;  // out-of-order seq → end
     std::uint64_t delivered = 0;
     std::uint64_t last_ack_sent = 0;
   };
@@ -135,8 +141,7 @@ class TcpConnection {
   void try_send(Side sender);
   void transmit_segment(Side sender, std::uint64_t seq, std::size_t len,
                         bool is_retransmit);
-  void on_segment(Side sender, std::uint64_t seq,
-                  std::vector<std::uint8_t> payload);
+  void on_segment(Side sender, std::uint64_t seq, std::size_t len);
   void send_ack(Side data_sender);
   void on_ack(Side sender, std::uint64_t ack);
   void arm_rto(Side sender);

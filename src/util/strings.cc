@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace h2push::util {
@@ -21,8 +20,7 @@ std::vector<std::string_view> split(std::string_view s, char delim) {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = to_lower(c);
   return out;
 }
 
@@ -36,10 +34,8 @@ bool ends_with(std::string_view s, std::string_view suffix) noexcept {
 }
 
 std::string_view trim(std::string_view s) noexcept {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())))
-    s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
-    s.remove_suffix(1);
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 

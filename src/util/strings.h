@@ -7,6 +7,19 @@
 
 namespace h2push::util {
 
+/// ASCII character classes. They match <cctype> in the "C" locale, which
+/// the program never changes, without the locale lookup.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+constexpr bool is_alnum(char c) noexcept {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
+}
+constexpr char to_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Split on a delimiter; empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char delim);
 

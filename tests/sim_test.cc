@@ -15,10 +15,12 @@
 
 // Counting global allocator: SteadyStateSchedulesWithoutHeapAllocation
 // asserts the schedule/fire hot path stops touching the heap once the event
-// pool and queue are warm. Only the plain forms are replaced; the sized
-// deletes forward here per the standard. GCC flags free() on a pointer it
-// watched come out of a new-expression — a false positive once the global
-// operators are replaced with malloc/free in this TU.
+// pool and queue are warm, and SteadyTransferDoesNotAllocatePerSegment that
+// a warm TCP transfer does not allocate per segment. Only the plain forms
+// are replaced; the sized deletes forward here per the standard. GCC flags
+// free() on a pointer it watched come out of a new-expression — a false
+// positive once the global operators are replaced with malloc/free in this
+// TU.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
@@ -388,6 +390,39 @@ TEST(Tcp, ThroughputApproachesLinkRate) {
                          static_cast<double>(kSecond);
   const double mbps = 2'000'000 * 8.0 / seconds / 1e6;
   EXPECT_GT(mbps, 10.0);  // 16 Mbit/s link, minus slow start and overhead
+}
+
+TEST(Tcp, SteadyTransferDoesNotAllocatePerSegment) {
+  // Segments carry sequence ranges and the delivery closures live in pooled
+  // event nodes, so once the buffers and the event pool are warm a bulk
+  // transfer allocates only a handful of times, not per segment.
+  TcpHarness h;
+  h.tcp->connect();
+  h.sim.run();
+  constexpr std::size_t kBytes = 251 * 8000;  // ~2 MB, whole pattern cycles
+  std::vector<std::uint8_t> pattern(kBytes);
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i % 251);
+  }
+  h.tcp->send(TcpConnection::Side::kServer, pattern);  // warm-up
+  h.sim.run();
+  ASSERT_EQ(h.client_received, kBytes);
+
+  // kBytes is a multiple of 251, so the pattern continues seamlessly.
+  const std::uint64_t packets_before = h.down.delivered_packets();
+  const std::size_t allocations_before = test_allocation_count();
+  h.tcp->send(TcpConnection::Side::kServer, pattern);
+  h.sim.run();
+  const std::size_t allocations =
+      test_allocation_count() - allocations_before;
+  const std::uint64_t segments = h.down.delivered_packets() - packets_before;
+
+  EXPECT_EQ(h.client_received, 2 * kBytes);
+  EXPECT_FALSE(h.mismatch);
+  EXPECT_GE(segments, kBytes / 1460);
+  EXPECT_LT(allocations, segments / 10)
+      << allocations << " allocations for " << segments << " segments";
+  ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
 }
 
 class TcpLossRecovery : public ::testing::TestWithParam<std::uint64_t> {};
