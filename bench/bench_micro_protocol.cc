@@ -1,9 +1,11 @@
 // Micro-benchmarks for the protocol substrate (google-benchmark): HPACK
 // encode/decode, Huffman coding, frame serialization/parsing, priority-tree
-// scheduling, the CSS parser, the TCP model, and end-to-end simulated page
-// loads. These guard the simulator's throughput (the figure harnesses run
-// tens of thousands of page loads). BM_CssParse reports time_per_kb and
-// BM_TcpTransfer time_per_segment, both in seconds (SI-prefixed).
+// scheduling, the HTML tokenizer, the CSS parser and its memo, the TCP model,
+// and end-to-end simulated page loads. These guard the simulator's
+// throughput (the figure harnesses run tens of thousands of page loads).
+// BM_HtmlTokenize and BM_CssParse report time_per_kb, BM_CssParseShared
+// time_per_hit (a parse_css_shared memo hit) and BM_TcpTransfer
+// time_per_segment, all in seconds (SI-prefixed).
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "browser/css.h"
+#include "browser/html.h"
 #include "core/memo.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
@@ -125,16 +128,38 @@ benchmark::Counter time_per(double units) {
       units, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
-void BM_CssParse(benchmark::State& state) {
-  std::vector<std::string> sheets;
+/// Bodies of one resource type over the paper's sites w1..w20.
+std::vector<std::string> paper_site_bodies(http::ResourceType type) {
+  std::vector<std::string> out;
   for (int w = 1; w <= 20; ++w) {
     const web::Site site = web::make_w_site(w).site;
     for (const auto& e : site.store->all()) {
-      if (e.response.type == http::ResourceType::kCss) {
-        sheets.push_back(*e.body);
-      }
+      if (e.response.type == type) out.push_back(*e.body);
     }
   }
+  return out;
+}
+
+void BM_HtmlTokenize(benchmark::State& state) {
+  std::vector<std::string> pages;
+  for (int w = 1; w <= 20; ++w) {
+    const web::Site site = web::make_w_site(w).site;
+    pages.push_back(*site.find(site.main_url)->body);
+  }
+  double kb = 0;
+  for (auto _ : state) {
+    for (const auto& page : pages) {
+      browser::HtmlTokenizer tokenizer(&page);
+      while (auto token = tokenizer.next()) benchmark::DoNotOptimize(token);
+      kb += static_cast<double>(page.size()) / 1024.0;
+    }
+  }
+  state.counters["time_per_kb"] = time_per(kb);
+}
+BENCHMARK(BM_HtmlTokenize)->Unit(benchmark::kMillisecond);
+
+void BM_CssParse(benchmark::State& state) {
+  const auto sheets = paper_site_bodies(http::ResourceType::kCss);
   double kb = 0;
   for (auto _ : state) {
     for (const auto& sheet : sheets) {
@@ -145,6 +170,21 @@ void BM_CssParse(benchmark::State& state) {
   state.counters["time_per_kb"] = time_per(kb);
 }
 BENCHMARK(BM_CssParse)->Unit(benchmark::kMillisecond);
+
+void BM_CssParseShared(benchmark::State& state) {
+  // Every lookup after the warm-up pass is a memo hit: hash, lock, compare.
+  const auto sheets = paper_site_bodies(http::ResourceType::kCss);
+  for (const auto& sheet : sheets) browser::parse_css_shared(sheet);
+  double hits = 0;
+  for (auto _ : state) {
+    for (const auto& sheet : sheets) {
+      benchmark::DoNotOptimize(browser::parse_css_shared(sheet));
+    }
+    hits += static_cast<double>(sheets.size());
+  }
+  state.counters["time_per_hit"] = time_per(hits);
+}
+BENCHMARK(BM_CssParseShared)->Unit(benchmark::kMicrosecond);
 
 void BM_TcpTransfer(benchmark::State& state) {
   // One connection on the testbed access link (16/1 Mbit/s, 50 ms RTT)

@@ -64,10 +64,13 @@ echo "=== sanitizers: TSan on the parallel runner + fuzz smoke (build-tsan/) ===
 cmake -B build-tsan -S . -DH2PUSH_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs" --target runner_test \
   fuzz_frame_test fuzz_hpack_test fuzz_connection_test fuzz_sim_test \
-  live_loopback_test
+  live_loopback_test css_memo_test
 # Force a multi-threaded sweep even on 1-core CI boxes.
 H2PUSH_JOBS=4 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R ParallelRunner
+# The stylesheet memo every runner worker shares (browser/css.h).
+TSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R CssMemo
 # Mini-fuzz under TSan: the suites are single-threaded by design, but the
 # instrumented run still validates the atomics/fences the codec hot paths
 # share with the threaded runner.

@@ -1,6 +1,9 @@
 #include "browser/css.h"
 
 #include <algorithm>
+#include <functional>
+#include <mutex>
+#include <unordered_map>
 
 #include "util/strings.h"
 
@@ -237,6 +240,72 @@ Stylesheet parse_css(std::string_view text) {
   parse_into(text, sheet);
   return sheet;
 }
+
+namespace {
+
+/// The table behind parse_css_shared. Hashing and parsing run outside the
+/// lock; two threads that miss on the same text both parse it, and the
+/// second to insert returns the first one's sheet, so every later lookup of
+/// that text sees one pointer. Dropping the table frees nothing a caller
+/// holds: the sheets live on through their shared_ptrs.
+class SheetMemo {
+ public:
+  std::shared_ptr<const Stylesheet> get(std::string_view text) {
+    const std::size_t hash = std::hash<std::string_view>{}(text);
+    {
+      const std::lock_guard lock(mu_);
+      if (auto hit = find(hash, text)) return hit;
+    }
+    auto parsed = std::make_shared<const Stylesheet>(parse_css(text));
+    if (text.size() > kCssMemoCapBytes) return parsed;
+    const std::lock_guard lock(mu_);
+    if (auto hit = find(hash, text)) return hit;
+    if (held_ + text.size() > kCssMemoCapBytes) {
+      table_.clear();
+      held_ = 0;
+    }
+    table_.emplace(hash, Entry{std::string(text), parsed});
+    held_ += text.size();
+    return parsed;
+  }
+
+  std::size_t held_bytes() {
+    const std::lock_guard lock(mu_);
+    return held_;
+  }
+
+ private:
+  struct Entry {
+    std::string text;
+    std::shared_ptr<const Stylesheet> sheet;
+  };
+
+  std::shared_ptr<const Stylesheet> find(std::size_t hash,
+                                         std::string_view text) const {
+    const auto [first, last] = table_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      if (it->second.text == text) return it->second.sheet;
+    }
+    return nullptr;
+  }
+
+  std::mutex mu_;
+  std::unordered_multimap<std::size_t, Entry> table_;  // guarded by mu_
+  std::size_t held_ = 0;  // text bytes in table_; guarded by mu_
+};
+
+SheetMemo& sheet_memo() {
+  static SheetMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+std::shared_ptr<const Stylesheet> parse_css_shared(std::string_view text) {
+  return sheet_memo().get(text);
+}
+
+std::size_t css_memo_held_bytes() { return sheet_memo().held_bytes(); }
 
 namespace {
 

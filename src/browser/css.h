@@ -13,8 +13,12 @@
 // CSS extraction (the paper's penthouse step) in core/critical_css.
 // Characters are classified with ASCII tests (util/strings.h) that match
 // <cctype> in the "C" locale; bytes >= 0x80 are never space, name or case.
+// parse_css_shared memoizes parse_css per process, keyed by the full text:
+// a site replayed many times has each of its stylesheets parsed once.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -69,6 +73,18 @@ struct Stylesheet {
 };
 
 Stylesheet parse_css(std::string_view text);
+
+/// parse_css(text), memoized process-wide and shared by every thread. The
+/// key is the full text (a hash only picks the bucket; a hit compares every
+/// byte), so equal texts in different buffers get the same sheet. The memo
+/// holds at most kCssMemoCapBytes of text: an insert that would pass the
+/// cap empties it first, and a longer text is parsed without being kept.
+std::shared_ptr<const Stylesheet> parse_css_shared(std::string_view text);
+
+inline constexpr std::size_t kCssMemoCapBytes = 8u << 20;
+
+/// Text bytes the parse_css_shared memo holds now (at most kCssMemoCapBytes).
+std::size_t css_memo_held_bytes();
 
 /// An element as seen during layout: tag + classes + id, with ancestors.
 struct ElementPath {

@@ -24,6 +24,17 @@ void Fetch::subscribe(Subscriber subscriber) {
   subscribers_.push_back(std::move(subscriber));
 }
 
+void Fetch::receive(std::span<const std::uint8_t> data, bool fin) {
+  size_ += data.size();
+  if (type_ == http::ResourceType::kCss ||
+      type_ == http::ResourceType::kHtml) {
+    body_.append(reinterpret_cast<const char*>(data.data()), data.size());
+  }
+  for (auto& sub : subscribers_) {
+    if (sub.on_data) sub.on_data(data, fin);
+  }
+}
+
 FetchManager::FetchManager(sim::Simulator& sim, const BrowserConfig& config,
                            const replay::OriginMap& origins,
                            std::string primary_host,
@@ -34,6 +45,10 @@ FetchManager::FetchManager(sim::Simulator& sim, const BrowserConfig& config,
       primary_host_(std::move(primary_host)),
       factory_(std::move(factory)) {
   host_group_ = origins_.coalescing_groups(primary_host_);
+}
+
+FetchManager::~FetchManager() {
+  for (auto& fetch : fetches_) fetch->subscribers_.clear();
 }
 
 sim::Time FetchManager::main_connect_end() const {
@@ -110,11 +125,7 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
     }
     if (it2 == g.by_stream.end()) return;
     auto& fetch = it2->second;
-    fetch->body_.append(reinterpret_cast<const char*>(data.data()),
-                        data.size());
-    for (auto& sub : fetch->subscribers_) {
-      if (sub.on_data) sub.on_data(data, end_stream);
-    }
+    fetch->receive(data, end_stream);
     if (end_stream) on_fetch_complete(fetch);
   };
   cbs.on_push_promise = [this, &g](std::uint32_t /*parent*/,
@@ -336,11 +347,7 @@ void FetchManager::h1_dispatch(Group& g) {
           config_.trace->summary().bytes_total += data.size();
         }
         auto fetch = c.current;
-        fetch->body_.append(reinterpret_cast<const char*>(data.data()),
-                            data.size());
-        for (auto& sub : fetch->subscribers_) {
-          if (sub.on_data) sub.on_data(data, fin);
-        }
+        fetch->receive(data, fin);
         if (fin) {
           c.current.reset();
           on_fetch_complete(fetch);
@@ -479,7 +486,7 @@ void FetchManager::on_fetch_complete(const std::shared_ptr<Fetch>& fetch) {
   if (config_.trace != nullptr && fetch->trace_id_ != 0) {
     config_.trace->async_end(
         config_.trace_track, "browser", "fetch", fetch->trace_id_,
-        {{"size", fetch->body_.size()},
+        {{"size", fetch->size_},
          {"status", fetch->status_},
          {"type", std::string(http::to_string(fetch->type_))},
          {"pushed", fetch->pushed_ ? 1 : 0},

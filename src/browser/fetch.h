@@ -66,7 +66,12 @@ class Fetch {
   bool adopted() const noexcept { return adopted_; }
   bool from_cache() const noexcept { return from_cache_; }
   int status() const noexcept { return status_; }
+  /// Body bytes received so far, kept only for responses the model reads
+  /// back: stylesheets (parsed once complete, possibly pushed before the
+  /// renderer adopts them) and HTML. For every other type body() stays
+  /// empty; size() counts the bytes of every response.
   const std::string& body() const noexcept { return body_; }
+  std::size_t size() const noexcept { return size_; }
   /// content-length from the response headers (0 if unknown yet).
   std::size_t expected_size() const noexcept { return expected_size_; }
   http::ResourceType type() const noexcept { return type_; }
@@ -76,10 +81,16 @@ class Fetch {
   /// Async-span id in the trace (0 when tracing is disabled).
   std::uint64_t trace_id() const noexcept { return trace_id_; }
 
+  /// Subscribers attached after data arrived are first replayed body(),
+  /// so only the kept types may be streamed through on_data that way.
   void subscribe(Subscriber subscriber);
 
  private:
   friend class FetchManager;
+
+  /// Count `data`, keep it if the type is kept, and stream it to the
+  /// subscribers.
+  void receive(std::span<const std::uint8_t> data, bool fin);
 
   http::Url url_;
   NetPriority priority_ = NetPriority::kLowest;
@@ -91,6 +102,7 @@ class Fetch {
   http::ResourceType type_ = http::ResourceType::kOther;
   std::size_t expected_size_ = 0;
   std::string body_;
+  std::size_t size_ = 0;
   sim::Time t_initiated_ = -1;
   sim::Time t_headers_ = -1;
   sim::Time t_complete_ = -1;
@@ -106,6 +118,12 @@ class FetchManager {
   FetchManager(sim::Simulator& sim, const BrowserConfig& config,
                const replay::OriginMap& origins, std::string primary_host,
                TransportFactory factory);
+  /// Drops the subscribers of fetches that never completed: a subscriber
+  /// may own its own fetch (an async script), which would otherwise leak
+  /// when a load ends at its deadline.
+  ~FetchManager();
+  FetchManager(const FetchManager&) = delete;
+  FetchManager& operator=(const FetchManager&) = delete;
 
   /// Request a resource (deduplicated by URL). Returns the shared transfer.
   std::shared_ptr<Fetch> fetch(const http::Url& url, NetPriority priority);

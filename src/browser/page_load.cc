@@ -42,7 +42,7 @@ PageLoadResult PageLoad::result() {
     rt.t_initiated_ms = sim::to_ms(fetch->initiated_at() - t0);
     rt.t_headers_ms = sim::to_ms(fetch->headers_at() - t0);
     rt.t_complete_ms = sim::to_ms(fetch->completed_at() - t0);
-    rt.size = fetch->body().size();
+    rt.size = fetch->size();
     rt.pushed = fetch->pushed();
     rt.adopted = fetch->adopted();
     out.resources.push_back(std::move(rt));

@@ -1,6 +1,7 @@
 #include "browser/render.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 
 #include "http/url.h"
@@ -255,7 +256,7 @@ void Renderer::add_stylesheet(const http::Url& url) {
   sheets_.push_back(std::move(sheet));
   Fetch::Subscriber sub;
   sub.on_complete = [this, index](const Fetch& fetch) {
-    const double cost = static_cast<double>(fetch.body().size()) /
+    const double cost = static_cast<double>(fetch.size()) /
                         config_.css_parse_rate_bytes_per_ms;
     main_.post(cost, [this, index] {
       on_sheet_loaded(index, sheets_[index].fetch->body());
@@ -273,17 +274,19 @@ void Renderer::add_inline_style(const std::string& text) {
 
 void Renderer::on_sheet_loaded(std::size_t index, const std::string& body) {
   Sheet& sheet = sheets_[index];
-  sheet.model = parse_css(body);
+  // Fetch keeps the bytes of every stylesheet response (fetch.h).
+  assert(!sheet.fetch || sheet.fetch->body().size() == sheet.fetch->size());
+  sheet.model = parse_css_shared(body);
   sheet.loaded = true;
   // Hidden resources: fonts and background images only exist once the CSS
   // is parsed (paper s1: "hidden fonts referenced in the CSS").
-  for (const auto& face : sheet.model.font_faces) {
+  for (const auto& face : sheet.model->font_faces) {
     if (face.url.empty() || fonts_.count(face.family) != 0) continue;
     fonts_[face.family] =
         fetches_.fetch(http::resolve(main_url_, face.url),
                        NetPriority::kHighest);
   }
-  for (const auto& rule : sheet.model.rules) {
+  for (const auto& rule : sheet.model->rules) {
     for (const auto& url : rule.urls()) {
       auto fetch = fetches_.fetch(http::resolve(main_url_, url),
                                   NetPriority::kLowest);
@@ -363,7 +366,7 @@ void Renderer::execute_script(const BlockedScript& script) {
   double cost = script.exec_ms_attr;
   if (cost < 0) {
     const double size = script.fetch
-                            ? static_cast<double>(script.fetch->body().size())
+                            ? static_cast<double>(script.fetch->size())
                             : static_cast<double>(script.inline_body.size());
     cost = size / config_.js_exec_rate_bytes_per_ms;
   }
@@ -453,7 +456,7 @@ std::optional<std::string> Renderer::required_font(
   if (unit.kind != PaintUnit::Kind::kText) return std::nullopt;
   for (const auto& sheet : sheets_) {
     if (!sheet.loaded) continue;
-    for (const auto& rule : sheet.model.rules) {
+    for (const auto& rule : sheet.model->rules) {
       const std::string family = rule.font_family();
       if (family.empty()) continue;
       if (!matches(rule, unit.path)) continue;
@@ -487,7 +490,7 @@ double Renderer::unit_fraction(const PaintUnit& unit) const {
   }
   if (!unit.resource) return 1;
   if (unit.resource->complete()) return 1;
-  const std::size_t have = unit.resource->body().size();
+  const std::size_t have = unit.resource->size();
   if (have == 0) return 0;
   const std::size_t expect = unit.resource->expected_size();
   if (expect == 0) return 0;

@@ -12,7 +12,9 @@
 //    which is why early-referenced resources gain nothing from push
 //    (paper §4.3, s8).
 //  * Stylesheets are parsed on arrival; @font-face fonts and background
-//    images are hidden resources discovered only then (paper s1).
+//    images are hidden resources discovered only then (paper s1). Each
+//    distinct sheet text is parsed once per process (parse_css_shared);
+//    every load still pays the simulated parse cost.
 //    Executed scripts may inject further fetches (data-loads).
 //  * Layout is a static single-column flow: elements accumulate height;
 //    content above the viewport fold forms the paint units whose
@@ -61,7 +63,7 @@ class Renderer {
   struct Sheet {
     std::shared_ptr<Fetch> fetch;  // null for inline <style>
     bool loaded = false;
-    Stylesheet model;
+    std::shared_ptr<const Stylesheet> model;
   };
 
   struct PaintUnit {

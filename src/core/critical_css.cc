@@ -184,8 +184,8 @@ CriticalAnalysis analyze_critical(const web::Site& site,
     const auto* exchange = site.store->find(url->host, url->path);
     if (exchange == nullptr || !exchange->body) continue;
     out.original_css_bytes += exchange->body->size();
-    const auto sheet = browser::parse_css(*exchange->body);
-    for (const auto& rule : sheet.rules) {
+    const auto sheet = browser::parse_css_shared(*exchange->body);
+    for (const auto& rule : sheet->rules) {
       bool is_critical = false;
       for (const auto& path : layout.above_fold_paths) {
         if (browser::matches(rule, path)) {
@@ -203,7 +203,7 @@ CriticalAnalysis analyze_critical(const web::Site& site,
       }
     }
     // @font-face blocks for the families critical rules use.
-    for (const auto& face : sheet.font_faces) {
+    for (const auto& face : sheet->font_faces) {
       if (needed_fonts.count(face.family) != 0) {
         critical += face.text;
         critical += '\n';

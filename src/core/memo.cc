@@ -156,6 +156,25 @@ constexpr std::int64_t kPaintInterval = sim::from_ms(16.7);
 constexpr std::int64_t kLoadDeadline = sim::from_seconds(120);
 }  // namespace pinned
 
+// A field added to a keyed struct must be hashed below, or runs that differ
+// only in it share a cache entry. These sizes (LP64 libstdc++) make such an
+// addition fail to compile until the hash function and this size are
+// updated together.
+#if defined(__GLIBCXX__) && defined(__LP64__)
+static_assert(sizeof(browser::BrowserConfig) == 200,
+              "BrowserConfig changed: hash the new field in hash_browser(), "
+              "bump kCacheFormatVersion if existing keys move, then update "
+              "this size");
+static_assert(sizeof(sim::TcpConfig) == 80,
+              "TcpConfig changed: hash the new field in hash_tcp_defaults(), "
+              "bump kCacheFormatVersion if existing keys move, then update "
+              "this size");
+static_assert(sizeof(sim::NetworkConditions) == 72,
+              "NetworkConditions changed: hash the new field in "
+              "hash_conditions(), bump kCacheFormatVersion if existing keys "
+              "move, then update this size");
+#endif
+
 void hash_conditions(CanonicalHasher& h, const sim::NetworkConditions& net) {
   h.field_default("net.down_bps", net.down_bps, pinned::kDownBps);
   h.field_default("net.up_bps", net.up_bps, pinned::kUpBps);

@@ -11,16 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "browser/css.h"
+#include "css_dump.h"
 #include "util/rng.h"
-#include "util/sha256.h"
 #include "web/corpus.h"
 #include "web/profiles.h"
 #include "web/site.h"
@@ -28,75 +25,7 @@
 namespace h2push::browser {
 namespace {
 
-/// Length-prefixed canonical dump, so field boundaries are unambiguous.
-class Dump {
- public:
-  void count(std::size_t n) {
-    const auto v = static_cast<std::uint64_t>(n);
-    hasher_.update(&v, sizeof(v));
-  }
-  void str(std::string_view s) {
-    count(s.size());
-    hasher_.update(s);
-  }
-  void strings(const std::vector<std::string>& v) {
-    count(v.size());
-    for (const auto& s : v) str(s);
-  }
-
-  void sheet(const Stylesheet& sheet) {
-    count(sheet.rules.size());
-    for (const auto& rule : sheet.rules) {
-      count(rule.selectors.size());
-      for (const auto& sel : rule.selectors) {
-        str(sel.text);
-        count(sel.parts.size());
-        for (const auto& part : sel.parts) {
-          str(part.tag);
-          strings(part.classes);
-          str(part.id);
-        }
-      }
-      count(rule.declarations.size());
-      for (const auto& d : rule.declarations) {
-        str(d.property);
-        str(d.value);
-      }
-      str(rule.text);
-      str(rule.font_family());
-      strings(rule.urls());
-    }
-    count(sheet.font_faces.size());
-    for (const auto& face : sheet.font_faces) {
-      str(face.family);
-      str(face.url);
-      str(face.text);
-    }
-    strings(sheet.resource_urls());
-    rules_ += sheet.rules.size();
-    faces_ += sheet.font_faces.size();
-  }
-
-  std::size_t rules() const noexcept { return rules_; }
-  std::size_t faces() const noexcept { return faces_; }
-
-  std::string hex() {
-    std::string out;
-    char buf[3];
-    for (const auto byte : hasher_.finish()) {
-      std::snprintf(buf, sizeof(buf), "%02x", byte);
-      out += buf;
-    }
-    return out;
-  }
-
- private:
-  util::Sha256 hasher_;
-  std::size_t rules_ = 0;
-  std::size_t faces_ = 0;
-};
-
-void dump_css_of(const web::Site& site, Dump& dump) {
+void dump_css_of(const web::Site& site, CssDump& dump) {
   for (const auto& e : site.store->all()) {
     if (e.response.type == http::ResourceType::kCss) {
       dump.sheet(parse_css(*e.body));
@@ -105,7 +34,7 @@ void dump_css_of(const web::Site& site, Dump& dump) {
 }
 
 TEST(CssGolden, PaperSiteStylesheets) {
-  Dump dump;
+  CssDump dump;
   for (int w = 1; w <= 20; ++w) dump_css_of(web::make_w_site(w).site, dump);
   EXPECT_GT(dump.rules(), 10000u);
   EXPECT_GT(dump.faces(), 0u);
@@ -114,7 +43,7 @@ TEST(CssGolden, PaperSiteStylesheets) {
 }
 
 TEST(CssGolden, PopulationStylesheets) {
-  Dump dump;
+  CssDump dump;
   for (const auto& profile : {web::PopulationProfile::top100(),
                               web::PopulationProfile::random100()}) {
     for (const auto& site : web::generate_population(profile, 30, 2018)) {
@@ -147,7 +76,7 @@ TEST(CssGolden, SeededRandomInput) {
     }
     return out;
   };
-  Dump dump;
+  CssDump dump;
   for (int i = 0; i < 20000; ++i) dump.sheet(parse_css(random_text(120)));
   // Real stylesheets with random spans replaced by random text.
   const web::Site site = web::make_w_site(1).site;
@@ -191,7 +120,7 @@ TEST(CssGolden, EdgeCases) {
       "* { x: y } *.n * { x: y } > { x: y } :hover { x: y }",
       "q { font-family: , serif } r { font-family: '' } s { font-family: \" }",
   };
-  Dump dump;
+  CssDump dump;
   for (const auto& input : inputs) dump.sheet(parse_css(input));
   EXPECT_EQ(dump.hex(),
             "d51617dd4a42255239fea577dd0f3c4cf78f2305b02881fc40f62470cb7c3016");

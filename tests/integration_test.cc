@@ -6,6 +6,8 @@
 #include "core/optimize.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
+#include "http/url.h"
+#include "web/profiles.h"
 #include "web/site.h"
 #include "web/transform.h"
 
@@ -173,6 +175,40 @@ TEST(Integration, PushVsNoPushBytesMatch) {
       site, core::push_all(site, web::resource_urls(site)), cfg);
   // Same bodies get delivered either way.
   EXPECT_EQ(np.bytes_total, pa.bytes_total);
+}
+
+TEST(Integration, ResourceSizesMatchRecordedBodies) {
+  // The browser keeps the bytes of stylesheets and HTML only and counts
+  // every other response (browser/fetch.h); the count must still equal the
+  // recorded body, over H1 and H2, pushed or not.
+  for (int w = 1; w <= 20; ++w) {
+    const web::Site site = web::make_w_site(w).site;
+    const core::Strategy no_push = core::no_push();
+    const core::Strategy push_all =
+        core::push_all(site, web::resource_urls(site));
+    for (const bool http1 : {false, true}) {
+      for (const auto* strategy : {&no_push, &push_all}) {
+        SCOPED_TRACE("w" + std::to_string(w) + (http1 ? " h1 " : " h2 ") +
+                     strategy->name);
+        core::RunConfig cfg;
+        cfg.browser.use_http1 = http1;
+        const auto result = core::run_page_load(site, *strategy, cfg);
+        std::size_t checked = 0;
+        for (const auto& rt : result.resources) {
+          // A fetch that never completed reports completion at sim time -1,
+          // before its initiation (some H1 loads miss the deadline).
+          if (rt.t_complete_ms < rt.t_initiated_ms) continue;
+          ++checked;
+          const auto url = http::parse_url(rt.url);
+          ASSERT_TRUE(url.has_value()) << rt.url;
+          const auto* recorded = site.store->find(url->host, url->path);
+          ASSERT_NE(recorded, nullptr) << rt.url;
+          EXPECT_EQ(rt.size, recorded->body->size()) << rt.url;
+        }
+        EXPECT_GT(checked, 1u);
+      }
+    }
+  }
 }
 
 TEST(Integration, DependencyAnalysisFindsAllSubresources) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/runner.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
+#include "trace/trace.h"
 #include "util/hash.h"
 #include "web/corpus.h"
 #include "web/site.h"
@@ -158,6 +160,93 @@ TEST(RunKey, SemanticChangesChangeKeyCosmeticsDoNot) {
   Strategy interleaved = push;
   interleaved.interleaving = true;
   EXPECT_NE(cache.key(site, push, cfg), cache.key(site, interleaved, cfg));
+}
+
+TEST(RunKey, EveryKeyedConfigFieldChangesKey) {
+  const auto site = fixture_site();
+  RunCache cache;
+  const Strategy strategy = no_push();
+  const auto base = cache.key(site, strategy, RunConfig{});
+
+  struct Case {
+    const char* field;
+    std::function<void(RunConfig&)> perturb;
+  };
+  const std::vector<Case> keyed = {
+      {"net.down_bps", [](RunConfig& c) { c.net.down_bps = 8e6; }},
+      {"net.up_bps", [](RunConfig& c) { c.net.up_bps = 2e6; }},
+      {"net.base_rtt", [](RunConfig& c) { c.net.base_rtt = sim::from_ms(80); }},
+      {"net.queue_capacity", [](RunConfig& c) { c.net.queue_capacity = 1500; }},
+      {"net.rtt_jitter_sigma",
+       [](RunConfig& c) { c.net.rtt_jitter_sigma = 0.2; }},
+      {"net.bw_jitter_sigma",
+       [](RunConfig& c) { c.net.bw_jitter_sigma = 0.2; }},
+      {"net.max_loss", [](RunConfig& c) { c.net.max_loss = 0.01; }},
+      {"net.server_think_mean",
+       [](RunConfig& c) { c.net.server_think_mean = sim::from_ms(5); }},
+      {"net.dynamic_content_prob",
+       [](RunConfig& c) { c.net.dynamic_content_prob = 0.1; }},
+      {"browser.viewport_width",
+       [](RunConfig& c) { c.browser.viewport_width = 1024; }},
+      {"browser.viewport_height",
+       [](RunConfig& c) { c.browser.viewport_height = 600; }},
+      {"browser.chars_per_line",
+       [](RunConfig& c) { c.browser.chars_per_line = 80; }},
+      {"browser.line_height_px",
+       [](RunConfig& c) { c.browser.line_height_px = 20; }},
+      {"browser.default_image_height",
+       [](RunConfig& c) { c.browser.default_image_height = 100; }},
+      {"browser.parse_rate_bytes_per_ms",
+       [](RunConfig& c) { c.browser.parse_rate_bytes_per_ms = 1000; }},
+      {"browser.css_parse_rate_bytes_per_ms",
+       [](RunConfig& c) { c.browser.css_parse_rate_bytes_per_ms = 2000; }},
+      {"browser.js_exec_rate_bytes_per_ms",
+       [](RunConfig& c) { c.browser.js_exec_rate_bytes_per_ms = 300; }},
+      {"browser.task_jitter_sigma",
+       [](RunConfig& c) { c.browser.task_jitter_sigma = 0.2; }},
+      {"browser.paint_interval",
+       [](RunConfig& c) { c.browser.paint_interval = sim::from_ms(33.3); }},
+      {"browser.parse_slice_bytes",
+       [](RunConfig& c) { c.browser.parse_slice_bytes = 4096; }},
+      {"browser.enable_push",
+       [](RunConfig& c) { c.browser.enable_push = false; }},
+      {"browser.initial_stream_window",
+       [](RunConfig& c) { c.browser.initial_stream_window = 65535; }},
+      {"browser.connection_window_bonus",
+       [](RunConfig& c) { c.browser.connection_window_bonus = 0; }},
+      {"browser.cached_urls",
+       [](RunConfig& c) {
+         c.browser.cached_urls = {"https://www.memo.test/a.css"};
+       }},
+      {"browser.send_cache_digest",
+       [](RunConfig& c) { c.browser.send_cache_digest = true; }},
+      {"browser.delayable_throttling",
+       [](RunConfig& c) { c.browser.delayable_throttling = true; }},
+      {"browser.delayable_probe_limit",
+       [](RunConfig& c) { c.browser.delayable_probe_limit = 2; }},
+      {"browser.use_http1", [](RunConfig& c) { c.browser.use_http1 = true; }},
+      {"browser.h1_connections_per_origin",
+       [](RunConfig& c) { c.browser.h1_connections_per_origin = 2; }},
+      {"browser.load_deadline",
+       [](RunConfig& c) { c.browser.load_deadline = sim::from_seconds(60); }},
+      {"seed", [](RunConfig& c) { c.seed = 2; }},
+      {"run_index", [](RunConfig& c) { c.run_index = 1; }},
+  };
+  for (const auto& k : keyed) {
+    RunConfig cfg;
+    k.perturb(cfg);
+    EXPECT_NE(base, cache.key(site, strategy, cfg)) << k.field;
+  }
+
+  // Observers, not inputs: wiring a trace or a cache leaves the key alone.
+  trace::TraceRecorder recorder;
+  RunCache other;
+  RunConfig observed;
+  observed.trace = &recorder;
+  observed.cache = &other;
+  observed.browser.trace = &recorder;
+  observed.browser.trace_track = 7;
+  EXPECT_EQ(base, cache.key(site, strategy, observed));
 }
 
 TEST(RunKey, CorpusContentChangesKey) {
