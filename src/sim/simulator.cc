@@ -47,10 +47,11 @@ void Simulator::cancel(EventId id) {
   ++cancelled_count_;
 }
 
-bool Simulator::step() {
+bool Simulator::step(Time limit) {
   while (!queue_.empty()) {
     EventNode* node = queue_.top().node;
     const Time time = queue_.top().time;
+    if (time > limit) return false;
     queue_.pop();
     // Popped: cancel() of this event's id must become a no-op from here on
     // (including from inside its own callback).
@@ -71,9 +72,7 @@ bool Simulator::step() {
 }
 
 void Simulator::run(Time deadline) {
-  while (!queue_.empty()) {
-    if (queue_.top().time > deadline) break;
-    step();
+  while (step(deadline)) {
   }
 }
 

@@ -117,8 +117,10 @@ class Simulator {
   /// pending_events() stays exact.
   void cancel(EventId id);
 
-  /// Run the next pending event; returns false when the queue is empty.
-  bool step();
+  /// Run the next pending event due at or before `limit`; returns false
+  /// when no such event remains (the queue is empty or its next event is
+  /// later than `limit`).
+  bool step(Time limit = INT64_MAX);
 
   /// Run until the queue is empty or `deadline` is reached.
   void run(Time deadline = INT64_MAX);

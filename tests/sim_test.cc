@@ -134,6 +134,17 @@ TEST(Simulator, RunRespectsDeadline) {
   sim.schedule_at(from_ms(100), [&] { ++count; });
   sim.run(from_ms(50));
   EXPECT_EQ(count, 1);
+
+  // A cancelled entry due before the deadline must not let the next entry,
+  // which is past it, fire in its place.
+  const auto cancelled = sim.schedule_at(from_ms(60), [&] { ++count; });
+  sim.cancel(cancelled);
+  sim.run(from_ms(80));
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(sim.now(), from_ms(10));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(count, 2);
 }
 
 // -------------------------------------------------------------- event pool
