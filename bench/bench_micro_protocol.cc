@@ -193,6 +193,7 @@ void BM_TcpTransfer(benchmark::State& state) {
   const sim::Time extra_prop = net.base_rtt / 2 - sim::from_ms(2);
   const std::vector<std::uint8_t> payload(1 << 20, 0x5a);
   double segments = 0;
+  double queue_work = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     sim::LinkConfig down_cfg;
@@ -221,8 +222,12 @@ void BM_TcpTransfer(benchmark::State& state) {
     sim.run();
     if (received != payload.size()) state.SkipWithError("tcp lost bytes");
     segments += static_cast<double>(down.delivered_packets());
+    queue_work +=
+        static_cast<double>(sim.executed_events() + sim.queue_pushes());
   }
   state.counters["time_per_segment"] = time_per(segments);
+  // Events fired plus event-queue pushes, per delivered segment.
+  state.counters["events_per_segment"] = queue_work / segments;
 }
 BENCHMARK(BM_TcpTransfer)->Unit(benchmark::kMillisecond);
 

@@ -15,7 +15,9 @@
 #
 # Reports from the previous invocation are kept under bench/prev/; after
 # the run a summary table compares each report against its predecessor
-# (runs/sec speedup, cache hit rate).
+# (runs/sec speedup, cache hit rate) and checks that the results are
+# bit-exact: every field other than git, elapsed_s and runs_per_sec must
+# equal the previous report's. Differing fields are listed under the table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo_root=$(pwd)
@@ -81,10 +83,18 @@ json_field() {
   sed -n "s/^  \"$2\": \([0-9.eE+-]*\),*$/\1/p" "$1" | head -n1
 }
 
+# result_fields FILE -> the report's fields, one per line, without the
+# ones that vary from run to run (git, elapsed_s, runs_per_sec).
+result_fields() {
+  sed -n 's/^  \("[^"]*": .*[^,]\),*$/\1/p' "$1" |
+    grep -vE '^"(git|elapsed_s|runs_per_sec)":' || true
+}
+
 if [[ ${#reports[@]} -gt 0 ]]; then
   echo
-  printf '%-28s %12s %12s %9s %9s\n' "report" "runs/s prev" "runs/s now" \
-    "speedup" "hit rate"
+  printf '%-28s %12s %12s %9s %9s %9s\n' "report" "runs/s prev" \
+    "runs/s now" "speedup" "hit rate" "results"
+  changed=()
   for report in "${reports[@]}"; do
     now="$scratch/$report"
     prev="$prev_dir/$report"
@@ -92,15 +102,28 @@ if [[ ${#reports[@]} -gt 0 ]]; then
     hit_rate=$(json_field "$now" cache_hit_rate)
     prev_rps="-"
     speedup="-"
+    results="-"
     if [[ -f "$prev" ]]; then
       prev_rps=$(json_field "$prev" runs_per_sec)
       if [[ -n "$prev_rps" && -n "$now_rps" ]]; then
         speedup=$(awk -v a="$now_rps" -v b="$prev_rps" \
           'BEGIN { if (b > 0) printf "%.2fx", a / b; else print "-" }')
       fi
+      if [[ "$(result_fields "$prev")" == "$(result_fields "$now")" ]]; then
+        results="same"
+      else
+        results="DIFFER"
+        changed+=("$report")
+      fi
     fi
-    printf '%-28s %12s %12s %9s %9s\n' "${report#BENCH_}" \
-      "${prev_rps:--}" "${now_rps:--}" "$speedup" "${hit_rate:--}"
+    printf '%-28s %12s %12s %9s %9s %9s\n' "${report#BENCH_}" \
+      "${prev_rps:--}" "${now_rps:--}" "$speedup" "${hit_rate:--}" "$results"
+  done
+  for report in "${changed[@]}"; do
+    echo
+    echo "results differ from bench/prev/$report (< prev, > now):"
+    diff <(result_fields "$prev_dir/$report") \
+      <(result_fields "$scratch/$report") | grep '^[<>]' || true
   done
 fi
 exit "$status"

@@ -153,10 +153,11 @@ std::size_t serialized_size(const Frame& frame,
 void append_data_frame(std::vector<std::uint8_t>& out,
                        std::uint32_t stream_id, bool end_stream,
                        std::span<const std::uint8_t> payload) {
-  std::uint8_t* p = grow(out, kFrameHeader + payload.size());
-  p = put_frame_header(p, payload.size(), FrameType::kData,
-                       end_stream ? kFlagEndStream : 0, stream_id);
-  put_bytes(p, payload.data(), payload.size());
+  // Only the header is grown in place; the payload is inserted, so its
+  // bytes are written once instead of zero-filled and then copied over.
+  put_frame_header(grow(out, kFrameHeader), payload.size(), FrameType::kData,
+                   end_stream ? kFlagEndStream : 0, stream_id);
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
 void append_headers_frame(std::vector<std::uint8_t>& out,

@@ -10,8 +10,9 @@ Link::Link(Simulator& sim, LinkConfig config, util::Rng loss_rng)
     : sim_(sim), config_(config), loss_rng_(loss_rng) {}
 
 Time Link::enqueue(std::size_t bytes, Time extra_delay) {
+  settle();
   if (queued_bytes_ + bytes > config_.queue_capacity ||
-      queued_packets_ >= config_.queue_packets) {
+      departures_ >= config_.queue_packets) {
     ++dropped_;
     dropped_bytes_ += bytes;
     if (trace_) {
@@ -31,7 +32,6 @@ Time Link::enqueue(std::size_t bytes, Time extra_delay) {
   }
   queued_bytes_ += bytes;
   accepted_bytes_ += bytes;
-  ++queued_packets_;
   const double ser_seconds =
       static_cast<double>(bytes) * 8.0 / config_.rate_bps;
   const Time ser = from_seconds(ser_seconds);
@@ -39,25 +39,44 @@ Time Link::enqueue(std::size_t bytes, Time extra_delay) {
   const Time depart = start + ser;
   busy_until_ = depart;
   busy_time_ += ser;
+  // Bytes leave the queue when serialization completes. The departure
+  // takes the seq its own event would have had, so settle() retires it at
+  // exactly that point in the order...
+  if (departures_ == ring_.size()) {
+    std::vector<Departure> grown(ring_.empty() ? 16 : 2 * ring_.size());
+    for (std::size_t i = 0; i < departures_; ++i) {
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + departures_) & (ring_.size() - 1)] =
+      Departure{depart, sim_.reserve_seq(), bytes};
+  ++departures_;
   if (trace_) {
     trace_->counter(track_, "sim", "queue_bytes",
                     static_cast<double>(queued_bytes_));
     trace_->counter(track_, "sim", "queue_packets",
-                    static_cast<double>(queued_packets_));
+                    static_cast<double>(departures_));
   }
-  // Bytes leave the queue when serialization completes...
-  sim_.schedule_at(depart, [this, bytes] {
-    queued_bytes_ -= bytes;
-    --queued_packets_;
-    if (trace_) {
-      trace_->counter(track_, "sim", "queue_bytes",
-                      static_cast<double>(queued_bytes_));
-      trace_->counter(track_, "sim", "queue_packets",
-                      static_cast<double>(queued_packets_));
-    }
-  });
   // ...and arrive after propagation.
   return depart + config_.prop_delay + extra_delay;
+}
+
+void Link::settle() const {
+  while (departures_ > 0) {
+    const Departure& d = ring_[head_];
+    if (!sim_.has_passed(d.time, d.seq)) break;
+    queued_bytes_ -= d.bytes;
+    --departures_;
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    if (trace_) {
+      trace_->counter_at(d.time, track_, "sim", "queue_bytes",
+                         static_cast<double>(queued_bytes_));
+      trace_->counter_at(d.time, track_, "sim", "queue_packets",
+                         static_cast<double>(departures_));
+    }
+  }
 }
 
 void Link::note_delivered(std::size_t bytes) {

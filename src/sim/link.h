@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -48,6 +50,7 @@ class Link {
     if (arrival == kRandomLoss) return true;  // consumed by the network
     auto deliver = [this, bytes,
                     cb = std::forward<F>(on_delivered)]() mutable {
+      settle();  // this packet's departure, at least, has passed
       note_delivered(bytes);
       cb();
     };
@@ -57,8 +60,14 @@ class Link {
     return true;
   }
 
-  std::size_t queued_bytes() const noexcept { return queued_bytes_; }
-  std::size_t queued_packets() const noexcept { return queued_packets_; }
+  std::size_t queued_bytes() const {
+    settle();
+    return queued_bytes_;
+  }
+  std::size_t queued_packets() const {
+    settle();
+    return departures_;
+  }
   std::uint64_t delivered_packets() const noexcept { return delivered_; }
   std::uint64_t dropped_packets() const noexcept { return dropped_; }
 
@@ -85,9 +94,23 @@ class Link {
   static constexpr Time kQueueFull = -1;
   static constexpr Time kRandomLoss = -2;
 
+  /// A queued packet's departure: when serialization completes, and the
+  /// place in the event order a departure event scheduled at enqueue time
+  /// would take.
+  struct Departure {
+    Time time;
+    std::uint64_t seq;
+    std::size_t bytes;
+  };
+
   /// Queue accounting for one packet: its arrival time, or kQueueFull /
-  /// kRandomLoss. Schedules the packet's departure from the queue.
+  /// kRandomLoss. Records the packet's departure from the queue; no event
+  /// is scheduled for it.
   Time enqueue(std::size_t bytes, Time extra_delay);
+  /// Take every departure the simulator has gone past off the queue, in
+  /// order, as departure events would have (trace counters included,
+  /// stamped with the departure time).
+  void settle() const;
   void note_delivered(std::size_t bytes);
 
   Simulator& sim_;
@@ -95,8 +118,12 @@ class Link {
   util::Rng loss_rng_;
   Time busy_until_ = 0;
   Time busy_time_ = 0;
-  std::size_t queued_bytes_ = 0;
-  std::size_t queued_packets_ = 0;
+  // The queue, settled lazily: a FIFO ring of departures (times and seqs
+  // both ascending) whose capacity is a power of two and only grows.
+  mutable std::vector<Departure> ring_;
+  mutable std::size_t head_ = 0;
+  mutable std::size_t departures_ = 0;  // = queued packets
+  mutable std::size_t queued_bytes_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t accepted_bytes_ = 0;

@@ -26,44 +26,73 @@ Simulator::EventNode* Simulator::allocate_node() {
 }
 
 void Simulator::release_node(EventNode* node) {
-  node->fn.reset();
-  node->queued = false;
-  node->cancelled = false;
+  // Stale first, so a cancel() reached from the callback's destructor is a
+  // no-op for this node.
+  node->pending = false;
   ++node->generation;  // invalidate outstanding EventIds for this node
+  node->fn.reset();
   node->next_free = free_list_;
   free_list_ = node;
 }
 
-void Simulator::cancel(EventId id) {
-  if (id == kInvalidEvent) return;
+Simulator::EventNode* Simulator::pending_node(EventId id) const noexcept {
   const std::uint64_t slot_plus_one = id & 0xffffffffULL;
-  if (slot_plus_one == 0 || slot_plus_one > nodes_.size()) return;
+  if (slot_plus_one == 0 || slot_plus_one > nodes_.size()) return nullptr;
   EventNode* node = nodes_[slot_plus_one - 1];
   if (node->generation != static_cast<std::uint32_t>(id >> 32)) {
-    return;  // already fired or cancelled-and-recycled: stale id
+    return nullptr;  // already fired or cancelled-and-recycled: stale id
   }
-  if (!node->queued || node->cancelled) return;
-  node->cancelled = true;
-  ++cancelled_count_;
+  return node->pending ? node : nullptr;
+}
+
+void Simulator::cancel(EventId id) {
+  EventNode* node = pending_node(id);
+  if (node == nullptr) return;
+  --pending_;
+  release_node(node);
+}
+
+bool Simulator::rearm(EventId id, Time t) {
+  EventNode* node = pending_node(id);
+  if (node == nullptr) return false;
+  if (t < now_) t = now_;
+  node->time = t;
+  node->seq = next_seq_++;
+  // A later target keeps the queued entry, which step() re-pushes when it
+  // pops; only a move earlier needs an entry of its own.
+  if (t < node->entry_time) {
+    node->entry_time = t;
+    node->entry_seq = node->seq;
+    push_entry(t, node->seq, node);
+  }
+  return true;
 }
 
 bool Simulator::step(Time limit) {
   while (!queue_.empty()) {
-    EventNode* node = queue_.top().node;
-    const Time time = queue_.top().time;
-    if (time > limit) return false;
+    const QueueEntry top = queue_.top();
+    if (top.time > limit) return false;
     queue_.pop();
-    // Popped: cancel() of this event's id must become a no-op from here on
-    // (including from inside its own callback).
-    node->queued = false;
-    if (node->cancelled) {
-      --cancelled_count_;
-      release_node(node);
+    EventNode* node = top.node;
+    // Superseded by an earlier rearm, or the node was cancelled (and maybe
+    // recycled): seqs are never reused, so the entry no longer matches.
+    if (!node->pending || top.seq != node->entry_seq) continue;
+    if (top.seq != node->seq) {
+      // Re-armed later: move the entry to the event's position. This is
+      // queue upkeep, not an event: now() and the fire hook are untouched.
+      node->entry_time = node->time;
+      node->entry_seq = node->seq;
+      push_entry(node->time, node->seq, node);
       continue;
     }
-    now_ = time;
+    // Firing: cancel() and rearm() of this event's id are no-ops from here
+    // on (including from inside its own callback).
+    node->pending = false;
+    --pending_;
+    now_ = top.time;
+    current_seq_ = top.seq;
     ++executed_;
-    if (fire_hook_) fire_hook_(time);
+    if (fire_hook_) fire_hook_(top.time);
     node->fn();
     release_node(node);
     return true;

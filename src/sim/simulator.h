@@ -2,18 +2,26 @@
 //
 // A single-threaded event loop with deterministic ordering: events fire in
 // (time, insertion-sequence) order, so two events scheduled for the same
-// instant run in the order they were scheduled. Cancellation is lazy (O(1)),
-// which suits the TCP retransmission timers that are rescheduled on every
-// ACK.
+// instant run in the order they were scheduled.
 //
 // The schedule/fire path is the simulator's hottest loop — a page-load sweep
 // executes tens of millions of events — so it is allocation-free in steady
 // state: callbacks live in fixed inline storage inside pooled event nodes
-// (an intrusive free list recycles nodes as they fire), the priority queue
-// holds 24-byte {time, seq, node*} entries, and cancellation is a flag on
-// the node plus a counter instead of a node-based set. Stale EventIds
-// (fired, cancelled, or recycled) are rejected via a per-node generation
-// tag packed into the id, so cancel() keeps its "any id is safe" contract.
+// (an intrusive free list recycles nodes as they fire or are cancelled), and
+// the priority queue holds 24-byte {time, seq, node*} entries. Stale
+// EventIds (fired, cancelled, or recycled) are rejected via a per-node
+// generation tag packed into the id, so cancel() keeps its "any id is safe"
+// contract.
+//
+// The heap is kept close to the live events. Cancellation is lazy (O(1)):
+// the node is recycled at once and its heap entry is discarded by sequence
+// number when it pops. A timer that moves on every ACK (TCP's RTO) is
+// re-armed in place instead: rearm() pushes a new entry only when the timer
+// moves earlier; a timer moved later keeps its queued entry, which is
+// re-pushed at the new position when it pops. Work that needs no callback
+// of its own can take a sequence number with reserve_seq() and settle
+// lazily once has_passed() says its position in the order has gone by; the
+// link queue settles packet departures that way.
 #pragma once
 
 #include <cstddef>
@@ -97,9 +105,11 @@ class Simulator {
     if (t < now_) t = now_;
     EventNode* node = allocate_node();
     node->fn.emplace(std::forward<F>(fn));
-    node->queued = true;
-    node->cancelled = false;
-    queue_.push(QueueEntry{t, next_seq_++, node});
+    node->pending = true;
+    node->time = node->entry_time = t;
+    node->seq = node->entry_seq = next_seq_++;
+    ++pending_;
+    push_entry(t, node->seq, node);
     return (static_cast<EventId>(node->generation) << 32) |
            static_cast<EventId>(node->slot + 1);
   }
@@ -110,12 +120,32 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Cancel a pending event. Safe to call with kInvalidEvent, an id that
+  /// Cancel a pending event and recycle its node; its queue entry is
+  /// discarded when it pops. Safe to call with kInvalidEvent, an id that
   /// already fired, an id that was never issued, or an id cancelled before
   /// (all no-ops): the generation tag in the id mismatches once a node is
-  /// recycled, and the queued/cancelled flags reject the rest, so
-  /// pending_events() stays exact.
+  /// recycled, and the pending flag rejects an event's own id while it
+  /// fires, so pending_events() stays exact.
   void cancel(EventId id);
+
+  /// Move a pending event to absolute time `t` (clamped to now()), keeping
+  /// its callback and its id. Same effect as cancel(id) followed by
+  /// schedule_at(t, <the same callback>): the event takes the next sequence
+  /// number and fires at that position in the order. Returns false, and
+  /// does nothing, when `id` is not pending (invalid, fired, cancelled or
+  /// firing now); the caller then schedules a new event.
+  bool rearm(EventId id, Time t);
+
+  /// Take the sequence number an event scheduled now would get, without
+  /// scheduling one. Every later event orders after it.
+  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// True once the order has gone past position (t, seq): t is before
+  /// now(), or t is now() and seq is below the event firing now (or, between
+  /// events, the one that fired last).
+  bool has_passed(Time t, std::uint64_t seq) const noexcept {
+    return t < now_ || (t == now_ && seq < current_seq_);
+  }
 
   /// Run the next pending event due at or before `limit`; returns false
   /// when no such event remains (the queue is empty or its next event is
@@ -125,10 +155,12 @@ class Simulator {
   /// Run until the queue is empty or `deadline` is reached.
   void run(Time deadline = INT64_MAX);
 
-  std::size_t pending_events() const noexcept {
-    return queue_.size() - cancelled_count_;
-  }
+  std::size_t pending_events() const noexcept { return pending_; }
   std::uint64_t executed_events() const noexcept { return executed_; }
+  /// Entries pushed onto the event queue so far: one per schedule, plus
+  /// one per rearm() that moves a timer earlier and per re-push of a timer
+  /// moved later. With executed_events(), the queue work of a run.
+  std::uint64_t queue_pushes() const noexcept { return pushes_; }
 
   /// Nodes currently on the free list (observability for pool tests).
   std::size_t pooled_nodes() const noexcept;
@@ -149,10 +181,17 @@ class Simulator {
   struct EventNode {
     detail::EventFn fn;
     EventNode* next_free = nullptr;  // intrusive free list link
+    // While pending: the event fires at (time, seq). Its earliest entry in
+    // queue_ is (entry_time, entry_seq), never later than (time, seq); when
+    // that entry pops before (time, seq) is due, it is re-pushed there.
+    // Other entries naming this node are superseded and discarded by seq.
+    Time time = 0;
+    Time entry_time = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t entry_seq = 0;
     std::uint32_t slot = 0;          // index into nodes_, stable for life
     std::uint32_t generation = 1;    // bumped on recycle; stale ids mismatch
-    bool queued = false;             // in queue_ and not yet popped
-    bool cancelled = false;
+    bool pending = false;            // scheduled, not yet fired or cancelled
   };
 
   struct QueueEntry {
@@ -167,11 +206,19 @@ class Simulator {
 
   EventNode* allocate_node();
   void release_node(EventNode* node);
+  /// The node `id` names if that event is pending, else nullptr.
+  EventNode* pending_node(EventId id) const noexcept;
+  void push_entry(Time t, std::uint64_t seq, EventNode* node) {
+    queue_.push(QueueEntry{t, seq, node});
+    ++pushes_;
+  }
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
+  std::uint64_t current_seq_ = 0;  // seq of the event firing (or last fired)
   std::uint64_t executed_ = 0;
-  std::size_t cancelled_count_ = 0;  // cancelled entries still in queue_
+  std::uint64_t pushes_ = 0;
+  std::size_t pending_ = 0;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
       queue_;
   // Pool backing storage: nodes are allocated in blocks and never freed

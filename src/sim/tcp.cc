@@ -307,8 +307,12 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
 
 void TcpConnection::arm_rto(Side sender) {
   Half& h = half(sender);
-  sim_.cancel(h.rto_timer);
-  h.rto_timer = sim_.schedule_in(h.rto, [this, sender] { on_rto(sender); });
+  // Re-armed on every segment and ACK: move the pending timer rather than
+  // cancel it and queue another (same firing order, see Simulator::rearm).
+  const Time at = sim_.now() + h.rto;
+  if (!sim_.rearm(h.rto_timer, at)) {
+    h.rto_timer = sim_.schedule_at(at, [this, sender] { on_rto(sender); });
+  }
 }
 
 void TcpConnection::on_rto(Side sender) {

@@ -165,6 +165,13 @@ class TraceRecorder {
     push({Phase::kInstant, ts, track, category, std::move(name), 0, 0,
           std::move(args)});
   }
+  /// Explicit-timestamp counter, for state the simulator settles after the
+  /// fact (a link queue's departures).
+  void counter_at(sim::Time ts, std::uint32_t track, const char* category,
+                  std::string name, double value) {
+    push({Phase::kCounter, ts, track, category, std::move(name), value, 0,
+          {}});
+  }
 
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }

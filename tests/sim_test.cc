@@ -12,6 +12,7 @@
 #include "sim/link.h"
 #include "sim/simulator.h"
 #include "sim/tcp.h"
+#include "trace/trace.h"
 
 // Counting global allocator: SteadyStateSchedulesWithoutHeapAllocation
 // asserts the schedule/fire hot path stops touching the heap once the event
@@ -145,6 +146,149 @@ TEST(Simulator, RunRespectsDeadline) {
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.run();
   EXPECT_EQ(count, 2);
+}
+
+// ------------------------------------------------------------------ rearm
+
+TEST(Simulator, RearmTakesTheNextPlaceInTheOrder) {
+  Simulator sim;
+  std::vector<char> order;
+  const EventId a =
+      sim.schedule_at(from_ms(10), [&] { order.push_back('a'); });
+  sim.schedule_at(from_ms(20), [&] { order.push_back('b'); });
+  EXPECT_TRUE(sim.rearm(a, from_ms(20)));  // after b, which came first
+  sim.schedule_at(from_ms(20), [&] { order.push_back('c'); });
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'b', 'a', 'c'}));
+  EXPECT_EQ(sim.executed_events(), 3u);
+}
+
+// A timer moved later keeps its queued entry; when that entry pops it is
+// re-pushed, which is not an event: now(), executed_events() and the fire
+// hook only see the events that fire.
+TEST(Simulator, RearmLaterIsInvisibleUntilTheTimerFires) {
+  Simulator sim;
+  std::vector<Time> hook_times;
+  sim.set_fire_hook([&](Time t) { hook_times.push_back(t); });
+  int fired = 0;
+  const EventId timer = sim.schedule_at(from_ms(10), [&] { ++fired; });
+  sim.schedule_at(from_ms(20), [] {});
+  EXPECT_TRUE(sim.rearm(timer, from_ms(30)));
+  EXPECT_TRUE(sim.step());  // the entry at 10 ms moves; the 20 ms event fires
+  EXPECT_EQ(sim.now(), from_ms(20));
+  EXPECT_EQ(sim.executed_events(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(sim.rearm(timer, from_ms(25)));  // earlier again
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), from_ms(25));
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.step());  // the superseded 30 ms entry is discarded
+  EXPECT_EQ(sim.now(), from_ms(25));
+  EXPECT_EQ(hook_times, (std::vector<Time>{from_ms(20), from_ms(25)}));
+}
+
+TEST(Simulator, RearmRejectsIdsThatAreNotPending) {
+  Simulator sim;
+  EXPECT_FALSE(sim.rearm(kInvalidEvent, from_ms(1)));
+  EXPECT_FALSE(sim.rearm(123456, from_ms(1)));
+  const EventId fired = sim.schedule_at(from_ms(1), [] {});
+  sim.run();
+  EXPECT_FALSE(sim.rearm(fired, from_ms(5)));
+  const EventId cancelled = sim.schedule_at(from_ms(2), [] {});
+  sim.cancel(cancelled);
+  EXPECT_FALSE(sim.rearm(cancelled, from_ms(5)));
+  bool own = true;
+  EventId self = kInvalidEvent;
+  self = sim.schedule_at(from_ms(3),
+                         [&] { own = sim.rearm(self, from_ms(9)); });
+  sim.run();
+  EXPECT_FALSE(own);  // firing: rearm from its own callback is a no-op
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+// Labelled timers on one simulator. A timer is moved either with rearm()
+// (the TCP retransmission-timer pattern) or with cancel() followed by
+// schedule_at(); firing timers log their label and may move or cancel
+// other timers, or themselves, from inside their callback.
+class TimerBench {
+ public:
+  static constexpr std::size_t kLabels = 12;
+
+  TimerBench(bool use_rearm, std::uint64_t seed)
+      : use_rearm_(use_rearm), rng_(seed) {}
+
+  void arm(std::size_t label, Time at) {
+    EventId& id = ids_[label];
+    if (use_rearm_) {
+      if (sim.rearm(id, at)) return;
+    } else {
+      sim.cancel(id);
+    }
+    id = sim.schedule_at(at, [this, label] { fire(label); });
+  }
+  void cancel(std::size_t label) { sim.cancel(ids_[label]); }
+
+  Simulator sim;
+  std::vector<std::pair<std::size_t, Time>> fired;
+
+ private:
+  void fire(std::size_t label) {
+    fired.emplace_back(label, sim.now());
+    if (rng_.bernoulli(0.4)) {
+      arm(rng_.index(kLabels), sim.now() + rng_.uniform_int(0, 40));
+    }
+    if (rng_.bernoulli(0.1)) cancel(rng_.index(kLabels));
+  }
+
+  bool use_rearm_;
+  util::Rng rng_;
+  EventId ids_[kLabels] = {};
+};
+
+TEST(Simulator, RearmMatchesCancelAndSchedule) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    TimerBench moved(/*use_rearm=*/true, seed);
+    TimerBench replaced(/*use_rearm=*/false, seed);
+    util::Rng plan(seed * 7919);
+    const auto same = [&] {
+      return moved.fired == replaced.fired &&
+             moved.sim.pending_events() == replaced.sim.pending_events() &&
+             moved.sim.now() == replaced.sim.now() &&
+             moved.sim.executed_events() == replaced.sim.executed_events();
+    };
+    for (int op = 0; op < 400; ++op) {
+      const double pick = plan.next_double();
+      if (pick < 0.45) {
+        const std::size_t label = plan.index(TimerBench::kLabels);
+        const Time at = moved.sim.now() + plan.uniform_int(0, 60);
+        moved.arm(label, at);
+        replaced.arm(label, at);
+      } else if (pick < 0.5) {
+        const std::size_t label = plan.index(TimerBench::kLabels);
+        moved.cancel(label);
+        replaced.cancel(label);
+      } else if (pick < 0.9) {
+        EXPECT_EQ(moved.sim.step(), replaced.sim.step());
+      } else {
+        const Time deadline = moved.sim.now() + plan.uniform_int(0, 30);
+        moved.sim.run(deadline);
+        replaced.sim.run(deadline);
+      }
+      ASSERT_TRUE(same()) << "seed " << seed << " op " << op;
+    }
+    while (moved.sim.step()) {
+      ASSERT_TRUE(replaced.sim.step()) << "seed " << seed;
+      ASSERT_TRUE(same()) << "seed " << seed;
+    }
+    EXPECT_FALSE(replaced.sim.step());
+    ASSERT_TRUE(same()) << "seed " << seed;
+    EXPECT_FALSE(moved.fired.empty());
+    // Moving a timer later costs no queue entry until its old entry pops.
+    EXPECT_LE(moved.sim.queue_pushes(), replaced.sim.queue_pushes());
+  }
 }
 
 // -------------------------------------------------------------- event pool
@@ -290,6 +434,70 @@ TEST(Link, ExtraDelayAddsToPropagation) {
   route.transmit(1000, [&] { at = sim.now(); });
   sim.run();
   EXPECT_EQ(at, from_ms(1 + 2 + 23));
+}
+
+// Departures have no events of their own; each settles at the place in
+// the order its event would have had: after every event scheduled before
+// the packet was enqueued. An enqueue at exactly the departure time sees
+// the earlier packet still queued from an event scheduled before it, and
+// gone from one scheduled after it.
+TEST(Link, DepartureSettlesAtItsPlaceInTheEventOrder) {
+  for (const bool probe_first : {true, false}) {
+    SCOPED_TRACE(probe_first ? "probe scheduled before the departure"
+                             : "probe scheduled after the departure");
+    Simulator sim;
+    LinkConfig cfg;
+    cfg.rate_bps = 8e6;  // 1 byte/us
+    cfg.prop_delay = from_ms(10);  // no arrival at 1 ms to settle it first
+    cfg.queue_packets = 1;
+    Link link(sim, cfg, util::Rng(1));
+    bool accepted = false;
+    std::size_t packets_after = 0;
+    std::size_t bytes_after = 0;
+    const auto probe = [&] {
+      accepted = link.transmit(500, 0, [] {});
+      packets_after = link.queued_packets();
+      bytes_after = link.queued_bytes();
+    };
+    if (probe_first) sim.schedule_at(from_ms(1), probe);
+    ASSERT_TRUE(link.transmit(1000, 0, [] {}));  // departs at 1 ms
+    if (!probe_first) sim.schedule_at(from_ms(1), probe);
+    sim.run();
+    if (probe_first) {
+      EXPECT_FALSE(accepted);  // queue_packets = 1 and it is still queued
+      EXPECT_EQ(packets_after, 1u);
+      EXPECT_EQ(bytes_after, 1000u);
+      EXPECT_EQ(link.dropped_packets(), 1u);
+    } else {
+      EXPECT_TRUE(accepted);
+      EXPECT_EQ(packets_after, 1u);
+      EXPECT_EQ(bytes_after, 500u);
+      EXPECT_EQ(link.dropped_packets(), 0u);
+    }
+    if (const auto v = fuzz::check_link_conservation(link)) FAIL() << *v;
+  }
+}
+
+TEST(Link, TracedDeparturesKeepTheirTimes) {
+  Simulator sim;
+  trace::TraceRecorder recorder;
+  recorder.set_clock([&sim] { return sim.now(); });
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = from_ms(10);
+  Link link(sim, cfg, util::Rng(1));
+  link.set_trace(&recorder, 1);
+  link.transmit(1000, 0, [] {});
+  link.transmit(1000, 0, [] {});
+  sim.run();
+  std::vector<std::pair<Time, double>> depth;
+  for (const auto& event : recorder.events()) {
+    if (event.name == "queue_packets") {
+      depth.emplace_back(event.ts, event.value);
+    }
+  }
+  EXPECT_EQ(depth, (std::vector<std::pair<Time, double>>{
+                       {0, 1}, {0, 2}, {from_ms(1), 1}, {from_ms(2), 0}}));
 }
 
 // --------------------------------------------------------------------- tcp
