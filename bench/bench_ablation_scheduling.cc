@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
     core::RunConfig cfg;
     cfg.cache = cache.get();
     const auto order = core::compute_push_order(named.site, cfg, 5, runner);
-    browser::BrowserConfig bc;
-    const auto arms = core::make_fig6_arms(named.site, bc, order.order);
+    const auto arms = core::make_fig6_arms(named.site, order.order);
     const auto list = arms.arms();
     report("no push", *list[0].site, list[0].strategy, cfg, runs, runner);
     report("push critical (default sched)", *list[4].site, list[4].strategy,

@@ -33,9 +33,8 @@ int main(int argc, char** argv) {
     const auto site = web::relocate_single_server(web::make_synthetic_site(i));
     core::RunConfig cfg;
     cfg.cache = cache.get();
-    browser::BrowserConfig bc;
     const auto order = core::compute_push_order(site, cfg, order_runs, runner);
-    const auto analysis = core::analyze_critical(site, bc);
+    const auto analysis = core::analyze_critical(site);
 
     // Custom strategy: above-the-fold resources and what is needed to paint
     // them (stylesheets + blocking JS + fonts + hero images).

@@ -40,9 +40,8 @@ int main(int argc, char** argv) {
     const auto& site = named.site;
     core::RunConfig cfg;
     cfg.cache = cache.get();
-    browser::BrowserConfig bc;
     const auto order = core::compute_push_order(site, cfg, order_runs, runner);
-    const auto arms = core::make_fig6_arms(site, bc, order.order);
+    const auto arms = core::make_fig6_arms(site, order.order);
 
     double base_si = 0;
     double rel[6] = {0};

@@ -49,10 +49,9 @@ int main(int argc, char** argv) {
     const auto learned = core::learn_strategy(named.site, cfg, lc, &runner);
 
     // The hand-tailored Fig.-6 arm for comparison.
-    browser::BrowserConfig bc;
     const auto order = core::compute_push_order(named.site, cfg,
                                                 quick ? 5 : 9, runner);
-    const auto arms = core::make_fig6_arms(named.site, bc, order.order);
+    const auto arms = core::make_fig6_arms(named.site, order.order);
     const auto hand_arm = arms.arms()[5];  // push critical optimized
     const auto hand = core::collect(core::run_repeated(
         *hand_arm.site, hand_arm.strategy, cfg, verify_runs, runner));

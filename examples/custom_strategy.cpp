@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
   }
 
   // Step 2: critical-CSS extraction (the penthouse step).
-  browser::BrowserConfig bc;
-  const auto arms = core::make_fig6_arms(site, bc, order.order);
+  const auto arms = core::make_fig6_arms(site, order.order);
   const auto& analysis = arms.optimized.analysis;
   std::printf(
       "\ncritical analysis: %zu B critical CSS out of %zu B; %zu blocking "

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
 
   const auto site = load_site(site_name);
   core::RunConfig cfg;
-  browser::BrowserConfig bc;
 
   core::Strategy strategy = core::no_push();
   const web::Site* run_site = &site;
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
       if (learned.best.use_optimized_site) run_site = &optimized.site;
     } else if (strategy_name == "push-critical" ||
                strategy_name == "push-critical-optimized") {
-      auto arms = core::make_fig6_arms(site, bc, order.order);
+      auto arms = core::make_fig6_arms(site, order.order);
       const auto list = arms.arms();
       const auto& arm =
           strategy_name == "push-critical" ? list[4] : list[5];

@@ -26,7 +26,8 @@ fi
 echo "layering OK"
 
 echo "=== tier-1: configure + build + ctest (build/) ==="
-cmake -B build -S . >/dev/null
+# A warning fails the build here: the default build is warning-free.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 

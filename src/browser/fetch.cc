@@ -88,8 +88,8 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
   h2::Connection::Config cc;
   cc.role = h2::Role::kClient;
   cc.enable_push = config_.enable_push;
-  cc.initial_window = config_.initial_stream_window;
-  cc.connection_window_bonus = config_.connection_window_bonus;
+  cc.initial_window = kInitialStreamWindow;
+  cc.connection_window_bonus = kConnectionWindowBonus;
   h2::Connection::Callbacks cbs;
   cbs.on_headers = [this, &g](std::uint32_t stream, http::HeaderBlock headers,
                               bool end_stream) {
@@ -328,7 +328,7 @@ void FetchManager::h1_dispatch(Group& g) {
     for (const auto& c : g.h1_conns) {
       if (!c->connected) ++connecting;
     }
-    if (g.h1_conns.size() < config_.h1_connections_per_origin &&
+    if (g.h1_conns.size() < kH1ConnectionsPerOrigin &&
         connecting < g.h1_queue.size()) {
       auto conn = std::make_unique<H1Conn>();
       H1Conn& c = *conn;
@@ -387,7 +387,7 @@ bool FetchManager::should_delay(const Fetch& fetch) const {
       ++delayable_in_flight;
     }
   }
-  return blocking && delayable_in_flight >= config_.delayable_probe_limit;
+  return blocking && delayable_in_flight >= kDelayableProbeLimit;
 }
 
 void FetchManager::release_delayed() {

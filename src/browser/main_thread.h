@@ -12,6 +12,7 @@
 
 #include <functional>
 
+#include "browser/config.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -19,14 +20,14 @@ namespace h2push::browser {
 
 class MainThread {
  public:
-  MainThread(sim::Simulator& sim, util::Rng jitter_rng, double jitter_sigma)
-      : sim_(sim), rng_(jitter_rng), sigma_(jitter_sigma) {}
+  MainThread(sim::Simulator& sim, util::Rng jitter_rng)
+      : sim_(sim), rng_(jitter_rng) {}
 
   /// Queue a task costing `cost_ms` of main-thread time; `fn` runs when the
   /// cost has been "spent" (strictly after all previously queued tasks).
   void post(double cost_ms, std::function<void()> fn) {
     double cost = cost_ms;
-    if (sigma_ > 0 && cost > 0) cost *= rng_.lognormal(0.0, sigma_);
+    if (cost > 0) cost *= rng_.lognormal(0.0, kTaskJitterSigma);
     const sim::Time start = std::max(sim_.now(), busy_until_);
     const sim::Time done = start + sim::from_ms(cost);
     busy_until_ = done;
@@ -40,7 +41,6 @@ class MainThread {
  private:
   sim::Simulator& sim_;
   util::Rng rng_;
-  double sigma_;
   sim::Time busy_until_ = 0;
   double total_ms_ = 0;
 };

@@ -6,8 +6,7 @@ PageLoad::PageLoad(sim::Simulator& sim, BrowserConfig config,
                    const replay::OriginMap& origins, http::Url main_url,
                    TransportFactory factory, util::Rng compute_rng)
     : sim_(sim), config_(std::move(config)) {
-  main_thread_ = std::make_unique<MainThread>(sim_, compute_rng,
-                                              config_.task_jitter_sigma);
+  main_thread_ = std::make_unique<MainThread>(sim_, compute_rng);
   fetches_ = std::make_unique<FetchManager>(
       sim_, config_, origins, main_url.host, std::move(factory));
   renderer_ = std::make_unique<Renderer>(sim_, config_, *main_thread_,

@@ -56,7 +56,7 @@ class PageLoad {
 
   bool finished() const {
     return renderer_->onload_fired() ||
-           sim_.now() >= config_.load_deadline;
+           sim_.now() >= kLoadDeadline;
   }
 
   /// Call after the simulator drained (or hit the deadline).

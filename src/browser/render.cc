@@ -76,7 +76,7 @@ void Renderer::schedule_scan() {
   const std::size_t avail = doc_.size() - scanner_.position();
   // The speculative scanner is much cheaper than full parsing.
   const double cost =
-      static_cast<double>(avail) / (4.0 * config_.parse_rate_bytes_per_ms);
+      static_cast<double>(avail) / (4.0 * kParseRateBytesPerMs);
   main_.post(cost, [this] {
     scan_scheduled_ = false;
     scan_slice();
@@ -130,9 +130,8 @@ void Renderer::schedule_parse() {
   if (parser_.at_end() && !doc_complete_) return;
   parse_scheduled_ = true;
   const std::size_t avail = doc_.size() - parser_.position();
-  const std::size_t slice = std::min(avail, config_.parse_slice_bytes);
-  const double cost =
-      static_cast<double>(slice) / config_.parse_rate_bytes_per_ms;
+  const std::size_t slice = std::min(avail, kParseSliceBytes);
+  const double cost = static_cast<double>(slice) / kParseRateBytesPerMs;
   main_.post(cost, [this] {
     parse_scheduled_ = false;
     parse_slice();
@@ -143,7 +142,7 @@ void Renderer::parse_slice() {
   parser_yield_ = false;
   const std::size_t start = parser_.position();
   while (!blocked_script_ && !parser_yield_ &&
-         parser_.position() - start < config_.parse_slice_bytes) {
+         parser_.position() - start < kParseSliceBytes) {
     auto token = parser_.next();
     if (!token) {
       if (doc_complete_ && parser_.at_end() && !parse_complete_) {
@@ -257,7 +256,7 @@ void Renderer::add_stylesheet(const http::Url& url) {
   Fetch::Subscriber sub;
   sub.on_complete = [this, index](const Fetch& fetch) {
     const double cost = static_cast<double>(fetch.size()) /
-                        config_.css_parse_rate_bytes_per_ms;
+                        kCssParseRateBytesPerMs;
     main_.post(cost, [this, index] {
       on_sheet_loaded(index, sheets_[index].fetch->body());
     });
@@ -297,8 +296,8 @@ void Renderer::on_sheet_loaded(std::size_t index, const std::string& body) {
           unit.kind = PaintUnit::Kind::kBackground;
           unit.y_top = y;
           unit.height = 240;
-          unit.weight = static_cast<double>(config_.viewport_width) * 240;
-          unit.above_fold = y < config_.viewport_height;
+          unit.weight = static_cast<double>(kViewportWidth) * 240;
+          unit.above_fold = y < kViewportHeight;
           unit.sheet_epoch = index + 1;
           unit.path = path;
           unit.resource = fetch;
@@ -368,7 +367,7 @@ void Renderer::execute_script(const BlockedScript& script) {
     const double size = script.fetch
                             ? static_cast<double>(script.fetch->size())
                             : static_cast<double>(script.inline_body.size());
-    cost = size / config_.js_exec_rate_bytes_per_ms;
+    cost = size / kJsExecRateBytesPerMs;
   }
   main_.post(cost, [this, loads = script.data_loads] {
     if (!loads.empty()) {
@@ -407,12 +406,12 @@ void Renderer::add_text_unit(double chars, bool heading) {
   PaintUnit unit;
   unit.kind = PaintUnit::Kind::kText;
   const double lines =
-      heading ? 1.5 : std::max(1.0, std::ceil(chars / config_.chars_per_line));
-  unit.height = lines * config_.line_height_px;
+      heading ? 1.5 : std::max(1.0, std::ceil(chars / kCharsPerLine));
+  unit.height = lines * kLineHeightPx;
   unit.y_top = y_cursor_;
   y_cursor_ += unit.height;
-  unit.weight = static_cast<double>(config_.viewport_width) * unit.height;
-  unit.above_fold = unit.y_top < config_.viewport_height;
+  unit.weight = static_cast<double>(kViewportWidth) * unit.height;
+  unit.above_fold = unit.y_top < kViewportHeight;
   unit.sheet_epoch = sheets_.size();
   unit.path = current_path();
   if (unit.path.chain.empty()) {
@@ -430,16 +429,16 @@ void Renderer::add_image_unit(const HtmlToken& tag,
   const auto h_attr = tag.attr("height");
   const auto w_attr = tag.attr("width");
   const double height = h_attr.empty()
-                            ? config_.default_image_height
+                            ? kDefaultImageHeight
                             : std::atof(std::string(h_attr).c_str());
   const double width = w_attr.empty()
-                           ? config_.viewport_width / 2.0
+                           ? kViewportWidth / 2.0
                            : std::atof(std::string(w_attr).c_str());
   unit.height = height;
   unit.y_top = y_cursor_;
   y_cursor_ += height;
   unit.weight = width * height;
-  unit.above_fold = unit.y_top < config_.viewport_height;
+  unit.above_fold = unit.y_top < kViewportHeight;
   unit.sheet_epoch = sheets_.size();
   ElementPath path = current_path();
   path.chain.push_back({"img", parse_classes(tag.attr("class")),
@@ -502,8 +501,7 @@ double Renderer::unit_fraction(const PaintUnit& unit) const {
 void Renderer::schedule_paint() {
   if (paint_scheduled_) return;
   paint_scheduled_ = true;
-  const sim::Time interval = config_.paint_interval;
-  const sim::Time next = ((sim_.now() / interval) + 1) * interval;
+  const sim::Time next = ((sim_.now() / kPaintInterval) + 1) * kPaintInterval;
   sim_.schedule_at(next, [this] {
     // Paint runs on the main thread: style/layout/compositing cost per
     // frame, so a busy thread delays visual progress.

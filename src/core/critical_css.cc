@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <set>
 
+#include "browser/config.h"
 #include "browser/css.h"
 #include "browser/html.h"
 #include "http/url.h"
@@ -14,6 +15,11 @@ namespace h2push::core {
 namespace {
 
 using browser::ElementPath;
+// The renderer's layout model (browser/render.cc), so both agree on the fold.
+using browser::kCharsPerLine;
+using browser::kDefaultImageHeight;
+using browser::kLineHeightPx;
+using browser::kViewportHeight;
 
 struct LayoutPass {
   std::vector<ElementPath> above_fold_paths;
@@ -22,10 +28,8 @@ struct LayoutPass {
   std::vector<std::string> blocking_js;   // head + early body sync scripts
   std::vector<std::string> head_blocking_js;
   std::vector<std::string> af_images;
-  double fold = 768;
 
-  void run(const web::Site& site, const browser::BrowserConfig& cfg) {
-    fold = cfg.viewport_height;
+  void run(const web::Site& site) {
     const auto* main = site.find(site.main_url);
     if (main == nullptr || !main->body) return;
     const std::string& html = *main->body;
@@ -45,7 +49,7 @@ struct LayoutPass {
       above_fold_paths.push_back(std::move(path));
     };
     auto record_container = [&] {
-      if (y < fold && !stack.empty()) {
+      if (y < kViewportHeight && !stack.empty()) {
         ElementPath path;
         path.chain = stack;
         above_fold_paths.push_back(std::move(path));
@@ -64,10 +68,10 @@ struct LayoutPass {
               text_depth > 0) {
             const double lines =
                 t->name == "p"
-                    ? std::max(1.0, std::ceil(text_chars / cfg.chars_per_line))
+                    ? std::max(1.0, std::ceil(text_chars / kCharsPerLine))
                     : 1.5;
-            const double height = lines * cfg.line_height_px;
-            if (y < fold && !stack.empty() &&
+            const double height = lines * kLineHeightPx;
+            if (y < kViewportHeight && !stack.empty() &&
                 stack.back().tag == t->name) {
               // The stack already ends with the element itself.
               ElementPath path;
@@ -113,9 +117,9 @@ struct LayoutPass {
           if (t->name == "img") {
             const auto h_attr = t->attr("height");
             const double height =
-                h_attr.empty() ? cfg.default_image_height
+                h_attr.empty() ? kDefaultImageHeight
                                : std::atof(std::string(h_attr).c_str());
-            if (y < fold) {
+            if (y < kViewportHeight) {
               const auto src = t->attr("src");
               if (!src.empty()) {
                 af_images.push_back(http::resolve(site.main_url, src).str());
@@ -165,11 +169,10 @@ std::vector<std::string> CriticalAnalysis::critical_resources() const {
   return out;
 }
 
-CriticalAnalysis analyze_critical(const web::Site& site,
-                                  const browser::BrowserConfig& config) {
+CriticalAnalysis analyze_critical(const web::Site& site) {
   CriticalAnalysis out;
   LayoutPass layout;
-  layout.run(site, config);
+  layout.run(site);
   out.stylesheets = layout.stylesheets;
   out.has_blocking_css = layout.head_stylesheet;
   out.blocking_js = layout.blocking_js;

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "browser/config.h"
 #include "web/site.h"
 
 namespace h2push::core {
@@ -44,8 +43,7 @@ struct CriticalAnalysis {
   std::vector<std::string> critical_resources() const;
 };
 
-CriticalAnalysis analyze_critical(const web::Site& site,
-                                  const browser::BrowserConfig& config);
+CriticalAnalysis analyze_critical(const web::Site& site);
 
 /// Byte offset of "</head>" (plus a small body margin) in the site's HTML —
 /// the paper's interleaving switch point ("after </head> and first bytes of

@@ -41,8 +41,7 @@ LearnerOutput learn_strategy(const web::Site& site, RunConfig config,
       runner != nullptr
           ? compute_push_order(site, config, learner.order_runs, *runner)
           : compute_push_order(site, config, learner.order_runs);
-  browser::BrowserConfig bc = config.browser;
-  output.optimized = apply_critical_css(site, bc);
+  output.optimized = apply_critical_css(site);
   const auto& analysis = output.optimized.analysis;
   const bool has_restructure = !output.optimized.critical_css_url.empty();
 

@@ -151,9 +151,6 @@ constexpr std::uint64_t kQueueCapacity = 1000 * 1500;
 constexpr std::uint64_t kInterleaveOffset = 4096;
 constexpr std::uint64_t kCriticalCount =
     static_cast<std::uint64_t>(static_cast<std::size_t>(-1));
-
-constexpr std::int64_t kPaintInterval = sim::from_ms(16.7);
-constexpr std::int64_t kLoadDeadline = sim::from_seconds(120);
 }  // namespace pinned
 
 // A field added to a keyed struct must be hashed below, or runs that differ
@@ -161,7 +158,7 @@ constexpr std::int64_t kLoadDeadline = sim::from_seconds(120);
 // addition fail to compile until the hash function and this size are
 // updated together.
 #if defined(__GLIBCXX__) && defined(__LP64__)
-static_assert(sizeof(browser::BrowserConfig) == 200,
+static_assert(sizeof(browser::BrowserConfig) == 80,
               "BrowserConfig changed: hash the new field in hash_browser(), "
               "bump kCacheFormatVersion if existing keys move, then update "
               "this size");
@@ -193,35 +190,7 @@ void hash_conditions(CanonicalHasher& h, const sim::NetworkConditions& net) {
 }
 
 void hash_browser(CanonicalHasher& h, const browser::BrowserConfig& b) {
-  h.field_default("browser.viewport_width",
-                  static_cast<std::int64_t>(b.viewport_width),
-                  std::int64_t{1280});
-  h.field_default("browser.viewport_height",
-                  static_cast<std::int64_t>(b.viewport_height),
-                  std::int64_t{768});
-  h.field_default("browser.chars_per_line", b.chars_per_line, 120.0);
-  h.field_default("browser.line_height_px", b.line_height_px, 24.0);
-  h.field_default("browser.default_image_height",
-                  static_cast<std::int64_t>(b.default_image_height),
-                  std::int64_t{150});
-  h.field_default("browser.parse_rate", b.parse_rate_bytes_per_ms, 1200.0);
-  h.field_default("browser.css_parse_rate", b.css_parse_rate_bytes_per_ms,
-                  2500.0);
-  h.field_default("browser.js_exec_rate", b.js_exec_rate_bytes_per_ms, 350.0);
-  h.field_default("browser.task_jitter_sigma", b.task_jitter_sigma, 0.10);
-  h.field_default("browser.paint_interval",
-                  static_cast<std::int64_t>(b.paint_interval),
-                  pinned::kPaintInterval);
-  h.field_default("browser.parse_slice",
-                  static_cast<std::uint64_t>(b.parse_slice_bytes),
-                  std::uint64_t{8 * 1024});
   h.field_default("browser.enable_push", b.enable_push, true);
-  h.field_default("browser.stream_window",
-                  static_cast<std::uint64_t>(b.initial_stream_window),
-                  std::uint64_t{6 * 1024 * 1024});
-  h.field_default("browser.conn_window_bonus",
-                  static_cast<std::uint64_t>(b.connection_window_bonus),
-                  std::uint64_t{15 * 1024 * 1024 - 65535});
   h.field_default(
       "browser.cached_urls",
       std::vector<std::string>(b.cached_urls.begin(), b.cached_urls.end()),
@@ -229,16 +198,7 @@ void hash_browser(CanonicalHasher& h, const browser::BrowserConfig& b) {
   h.field_default("browser.send_cache_digest", b.send_cache_digest, false);
   h.field_default("browser.delayable_throttling", b.delayable_throttling,
                   false);
-  h.field_default("browser.delayable_probe_limit",
-                  static_cast<std::uint64_t>(b.delayable_probe_limit),
-                  std::uint64_t{1});
   h.field_default("browser.use_http1", b.use_http1, false);
-  h.field_default("browser.h1_conns",
-                  static_cast<std::uint64_t>(b.h1_connections_per_origin),
-                  std::uint64_t{6});
-  h.field_default("browser.load_deadline",
-                  static_cast<std::int64_t>(b.load_deadline),
-                  pinned::kLoadDeadline);
 }
 
 /// The testbed instantiates TcpConfig with its defaults on every

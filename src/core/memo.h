@@ -18,10 +18,12 @@
 //
 // The key is a canonical 128-bit hash (util/hash.h) over the corpus
 // content hash, the semantic Strategy bytes, the network Conditions, the
-// browser/TCP parameters, the seed, the run index, and the cache-format
-// version — anything that can change the simulated bytes changes the key,
-// and nothing else does (strategy *names* are cosmetic and excluded, so
-// learner candidates that alias the same configuration hit).
+// browser settings, the TCP parameters, the seed, the run index, and the
+// cache-format version — anything that can change the simulated bytes
+// changes the key, and nothing else does (strategy *names* are cosmetic
+// and excluded, so learner candidates that alias the same configuration
+// hit). The browser model's constants (browser/config.h) are code, not
+// inputs: changing one, like any model change, needs a version bump.
 //
 // The cache must be a pure speedup, never a semantics change:
 // H2PUSH_CACHE_VERIFY=1 recomputes a deterministic sample of hits (=all:

@@ -20,10 +20,9 @@ std::vector<std::string> dedup_concat(
 
 }  // namespace
 
-OptimizedSite apply_critical_css(const web::Site& site,
-                                 const browser::BrowserConfig& config) {
+OptimizedSite apply_critical_css(const web::Site& site) {
   OptimizedSite out;
-  out.analysis = analyze_critical(site, config);
+  out.analysis = analyze_critical(site);
 
   // Nothing render-blocking to split: the page already paints from inline
   // styles. Adding a blocking critical.css fetch would only hurt, so the
@@ -72,11 +71,10 @@ std::vector<StrategyArm> Fig6Arms::arms() const {
 }
 
 Fig6Arms make_fig6_arms(const web::Site& unified,
-                        const browser::BrowserConfig& config,
                         const std::vector<std::string>& push_order) {
   Fig6Arms arms;
   arms.base = unified;
-  arms.optimized = apply_critical_css(unified, config);
+  arms.optimized = apply_critical_css(unified);
   const CriticalAnalysis& analysis = arms.optimized.analysis;
 
   // i) no push.

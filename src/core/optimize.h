@@ -23,8 +23,7 @@ struct OptimizedSite {
   std::size_t interleave_offset = 4096;  ///< head-end switch point
 };
 
-OptimizedSite apply_critical_css(const web::Site& site,
-                                 const browser::BrowserConfig& config);
+OptimizedSite apply_critical_css(const web::Site& site);
 
 /// The six experimental arms of Fig. 6 for one (already unified) site.
 struct StrategyArm {
@@ -41,14 +40,12 @@ struct Fig6Arms {
 
  private:
   friend Fig6Arms make_fig6_arms(const web::Site&,
-                                 const browser::BrowserConfig&,
                                  const std::vector<std::string>&);
   Strategy no_push_, no_push_opt_, push_all_, push_all_opt_, push_critical_,
       push_critical_opt_;
 };
 
 Fig6Arms make_fig6_arms(const web::Site& unified,
-                        const browser::BrowserConfig& config,
                         const std::vector<std::string>& push_order);
 
 }  // namespace h2push::core

@@ -157,6 +157,8 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
   policy.interleave_offset = strategy.interleave_offset;
   policy.critical_count = strategy.critical_count;
   policy.hint_urls = strategy.hint_urls;
+  std::map<std::string, server::PushPolicy> policies;
+  if (!policy.empty()) policies.emplace(policy.trigger_host, std::move(policy));
 
   const std::string primary_ip = site.origins.ip_of(site.main_url.host);
 
@@ -166,7 +168,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
 
   const bool use_http1 = config.browser.use_http1;
   browser::TransportFactory factory =
-      [&sim, &site, &policy, &sample, &downlink, &uplink, primary_ip,
+      [&sim, &site, &policies, &sample, &downlink, &uplink, primary_ip,
        &rtt_rng, &think_rng, &tcps, use_http1, tr](const std::string& host)
       -> std::unique_ptr<browser::ClientTransport> {
     const std::string ip = site.origins.ip_of(host);
@@ -215,7 +217,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
     sc.store = site.store.get();
     sc.origins = &site.origins;
     sc.defer = std::move(defer);
-    if (ip == primary_ip && !policy.empty()) sc.policy = policy;
+    if (ip == primary_ip) sc.policies = &policies;
     sc.trace = tr;
     sc.trace_track = track;
     return keep(std::make_unique<SimTransport<server::ReplayServer>>(
@@ -230,7 +232,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
   browser::PageLoad load(sim, bc, site.origins, site.main_url,
                          std::move(factory), master.fork("compute"));
   load.start();
-  sim.run(bc.load_deadline);
+  sim.run(browser::kLoadDeadline);
   auto result = load.result();
   result.packets_dropped =
       downlink->dropped_packets() + uplink->dropped_packets();

@@ -19,6 +19,14 @@
 namespace h2push::net {
 namespace {
 
+// fetch_urls(): requests in flight at once, and the deadline for the whole
+// fetch.
+constexpr std::size_t kFetchMaxConcurrentStreams = 32;
+constexpr std::uint64_t kFetchTimeoutMs = 30000;
+// run_load(): latency samples kept per worker. Excess completions still
+// count, they just stop being sampled.
+constexpr std::size_t kLatencySampleCap = 1u << 20;
+
 int open_tcp_socket(const std::string& addr, std::uint16_t port,
                     bool nonblocking, std::string* error) {
   const int fd = ::socket(
@@ -124,7 +132,7 @@ fetch_urls(const std::string& addr, std::uint16_t port,
   std::vector<std::uint8_t> out;
   std::vector<std::uint8_t> in(64 * 1024);
   const std::uint64_t deadline =
-      EventLoop::clock_ms() + options.timeout_ms;
+      EventLoop::clock_ms() + kFetchTimeoutMs;
 
   while (requests_done < urls.size() || pushes_open > 0) {
     if (!conn_error.empty()) {
@@ -136,7 +144,7 @@ fetch_urls(const std::string& addr, std::uint16_t port,
       return util::make_unexpected("fetch timeout");
     }
     while (next_url < urls.size() &&
-           in_flight < options.max_concurrent_streams) {
+           in_flight < kFetchMaxConcurrentStreams) {
       const auto& [host, path] = urls[next_url];
       const std::uint32_t id =
           conn.submit_request(request_headers(host, path));
@@ -284,7 +292,7 @@ class LoadConnection {
     const auto it = started_.find(stream);
     if (it == started_.end()) return;  // pushed stream
     ++shared_.requests_ok;
-    if (shared_.latency_ms.size() < shared_.config->latency_sample_cap) {
+    if (shared_.latency_ms.size() < kLatencySampleCap) {
       shared_.latency_ms.push_back(
           static_cast<double>(EventLoop::clock_ns() - it->second) / 1e6);
     }

@@ -33,12 +33,11 @@ struct FetchedResponse {
 
 struct FetchOptions {
   bool enable_push = true;
-  std::size_t max_concurrent_streams = 32;
-  std::uint64_t timeout_ms = 30000;
 };
 
-/// Fetch every (host, path) over one H2 connection to addr:port; waits for
-/// all responses and all promised pushes. Keyed by (host, path).
+/// Fetch every (host, path) over one H2 connection to addr:port, at most
+/// 32 requests in flight; waits for all responses and all promised pushes,
+/// for up to 30 s. Keyed by (host, path).
 util::Expected<std::map<std::pair<std::string, std::string>, FetchedResponse>,
                std::string>
 fetch_urls(const std::string& addr, std::uint16_t port,
@@ -55,9 +54,6 @@ struct LoadConfig {
   bool enable_push = false;
   /// Request mix, round-robin. Must outlive the call.
   const std::vector<std::pair<std::string, std::string>>* urls = nullptr;
-  /// Cap on retained latency samples per worker (reservoir-free: excess
-  /// completions still count, they just stop being sampled).
-  std::size_t latency_sample_cap = 1u << 20;
 };
 
 struct LoadResult {
@@ -68,7 +64,8 @@ struct LoadResult {
   std::uint64_t push_promises = 0;
   std::uint64_t bytes_read = 0;
   double elapsed_s = 0;
-  std::vector<double> latency_ms;  ///< per completed request (sampled)
+  /// Per completed request, sampled: the first 2^20 per worker.
+  std::vector<double> latency_ms;
 
   double requests_per_sec() const noexcept {
     return elapsed_s > 0 ? static_cast<double>(requests_ok) / elapsed_s : 0;

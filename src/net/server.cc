@@ -54,16 +54,12 @@ class Server::Session {
     sc.store = cfg.store;
     sc.origins = cfg.origins;
     sc.policies = cfg.policies;
-    sc.interleaving = cfg.scheduler == SchedulerKind::kInterleaving;
     sc.default_authority = cfg.default_authority;
     sc.trace = trace_.get();
     sc.trace_track = track_;
     replay_ = std::make_unique<server::ReplayServer>(std::move(sc));
     replay_->set_write_ready([this] { pump(); });
 
-    Transport::Config tc;
-    tc.high_watermark = cfg.high_watermark;
-    tc.low_watermark = cfg.low_watermark;
     Transport::Handlers th;
     th.on_read = [this](std::span<const std::uint8_t> bytes) {
       touch();
@@ -85,8 +81,8 @@ class Server::Session {
       pump();
     };
     th.on_closed = [this](const std::string& reason) { closed(reason); };
-    transport_ = std::make_unique<Transport>(worker_.loop, fd, tc,
-                                             std::move(th));
+    transport_ = std::make_unique<Transport>(
+        worker_.loop, fd, Transport::Config{}, std::move(th));
     last_activity_ms_ = worker_.loop.now_ms();
     if (cfg.header_timeout_ms > 0) {
       header_timer_ = worker_.loop.schedule(cfg.header_timeout_ms, [this] {

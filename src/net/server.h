@@ -38,14 +38,13 @@ struct ServerConfig {
   /// Must outlive the server.
   const replay::RecordStore* store = nullptr;
   const replay::OriginMap* origins = nullptr;
+  /// Also picks the stream scheduler: interleaving if any policy
+  /// interleaves (server::ReplayServer::Config::policies).
   const std::map<std::string, server::PushPolicy>* policies = nullptr;
-  SchedulerKind scheduler = SchedulerKind::kParentFirst;
   std::string default_authority;
 
   std::uint64_t header_timeout_ms = 5000;  ///< accept → first request
   std::uint64_t idle_timeout_ms = 60000;   ///< no read/write activity
-  std::size_t high_watermark = 256 * 1024;
-  std::size_t low_watermark = 64 * 1024;
 
   /// Non-empty: write a Perfetto JSON timeline per connection into this
   /// directory on close (trace clock = wall ns since server start).

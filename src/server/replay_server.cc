@@ -1,5 +1,7 @@
 #include "server/replay_server.h"
 
+#include <algorithm>
+
 #include "http/url.h"
 #include "trace/trace.h"
 
@@ -25,8 +27,12 @@ ReplayServer::ReplayServer(Config config) : config_(std::move(config)) {
     }
   };
   conn_ = std::make_unique<h2::Connection>(cc, std::move(cbs));
-  if (config_.interleaving ||
-      (config_.policy && config_.policy->interleaving)) {
+  const auto interleaves = [](const auto& entry) {
+    return entry.second.interleaving;
+  };
+  if (config_.policies != nullptr &&
+      std::any_of(config_.policies->begin(), config_.policies->end(),
+                  interleaves)) {
     auto sched = std::make_unique<InterleavingScheduler>();
     interleaver_ = sched.get();
     conn_->set_scheduler(std::move(sched));
@@ -42,17 +48,12 @@ ReplayServer::ReplayServer(Config config) : config_(std::move(config)) {
 
 const PushPolicy* ReplayServer::match_policy(const std::string& authority,
                                              const std::string& path) const {
-  if (config_.policy && config_.policy->trigger_host == authority &&
-      config_.policy->trigger_path == path) {
-    return &*config_.policy;
+  if (config_.policies == nullptr) return nullptr;
+  const auto it = config_.policies->find(authority);
+  if (it == config_.policies->end() || it->second.trigger_path != path) {
+    return nullptr;
   }
-  if (config_.policies != nullptr) {
-    const auto it = config_.policies->find(authority);
-    if (it != config_.policies->end() && it->second.trigger_path == path) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return &it->second;
 }
 
 void ReplayServer::on_request(std::uint32_t stream,
@@ -143,8 +144,7 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
       continue;
     }
     // Cache digest: the client told us it already holds this resource.
-    if (policy.honor_cache_digest && has_digest_ &&
-        digest_.probably_contains(push_url)) {
+    if (has_digest_ && digest_.probably_contains(push_url)) {
       ++pushes_skipped_by_digest_;
       if (config_.trace != nullptr) {
         config_.trace->instant(config_.trace_track, "server",

@@ -3,9 +3,10 @@
 // One ReplayServer handles one H2 connection (Mahimahi spawns one server
 // per recorded IP; the testbed creates one session per client connection).
 // Requests are matched against the record store by :authority + :path — the
-// h2o-FastCGI module of the paper. When a request matches the push policy's
+// h2o-FastCGI module of the paper. When a request matches a push policy's
 // trigger (normally the landing page), the server issues PUSH_PROMISEs in
-// policy order, submits the pushed responses, and — if the policy asks for
+// policy order, skipping resources a received CACHE_DIGEST says the client
+// holds, submits the pushed responses, and — if the policy asks for
 // interleaving — configures the InterleavingScheduler with the parent
 // stream, byte offset, and the critical push set.
 #pragma once
@@ -13,7 +14,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,9 +42,6 @@ struct PushPolicy {
   /// trigger instead of (or besides) being pushed — the Vroom/MetaPush
   /// server-aided-hints baseline.
   std::vector<std::string> hint_urls;
-  /// Honor a received CACHE_DIGEST: skip pushing resources the digest says
-  /// the client already has.
-  bool honor_cache_digest = true;
 
   bool empty() const noexcept {
     return push_urls.empty() && hint_urls.empty();
@@ -56,18 +53,12 @@ class ReplayServer {
   struct Config {
     const replay::RecordStore* store = nullptr;
     const replay::OriginMap* origins = nullptr;
-    /// Push policy; only applied when the trigger request arrives on this
-    /// connection. Optional: plain serving otherwise.
-    std::optional<PushPolicy> policy;
-    /// Multi-site policy table (live daemon): trigger host → policy,
-    /// consulted when `policy` does not match. Not owned; must outlive the
-    /// session. Policies here apply when a request hits their
-    /// trigger_host + trigger_path.
+    /// Push policies: trigger host → policy. A policy applies when a
+    /// request hits its trigger_host + trigger_path. The session installs
+    /// the InterleavingScheduler when any policy interleaves, so that it
+    /// exists before the trigger request arrives. Not owned; must outlive
+    /// the session. Null = plain serving.
     const std::map<std::string, PushPolicy>* policies = nullptr;
-    /// Install the InterleavingScheduler even when `policy` alone would
-    /// not (required when any entry of `policies` interleaves: the
-    /// scheduler must exist before the trigger request arrives).
-    bool interleaving = false;
     /// Fallback :authority when the requested one has no record — lets
     /// off-the-shelf clients (nghttp, curl) that send "127.0.0.1:port" as
     /// authority reach a recorded site. Empty = strict matching.

@@ -103,8 +103,7 @@ TEST(Strategy, PushRecordedUsesMarkers) {
 
 TEST(CriticalCss, FindsBlockingAndAboveFoldResources) {
   const auto site = fixture_site();
-  browser::BrowserConfig bc;
-  const auto analysis = analyze_critical(site, bc);
+  const auto analysis = analyze_critical(site);
   EXPECT_TRUE(analysis.has_blocking_css);
   ASSERT_EQ(analysis.stylesheets.size(), 1u);
   ASSERT_EQ(analysis.blocking_js.size(), 1u);
@@ -119,8 +118,7 @@ TEST(CriticalCss, FindsBlockingAndAboveFoldResources) {
 
 TEST(CriticalCss, CriticalRulesMatchAboveFoldElements) {
   const auto site = fixture_site();
-  browser::BrowserConfig bc;
-  const auto analysis = analyze_critical(site, bc);
+  const auto analysis = analyze_critical(site);
   // The hero/paragraph rules survive; the generated filler rules (classes
   // .xN-*) never match above-the-fold elements.
   EXPECT_NE(analysis.critical_css_text.find(".t0"), std::string::npos);
@@ -139,8 +137,7 @@ TEST(CriticalCss, HeadEndOffsetPointsPastHead) {
 
 TEST(Optimize, RestructuresBlockingCss) {
   const auto site = fixture_site();
-  browser::BrowserConfig bc;
-  const auto optimized = apply_critical_css(site, bc);
+  const auto optimized = apply_critical_css(site);
   ASSERT_FALSE(optimized.critical_css_url.empty());
   const std::string& html =
       *optimized.site.find(optimized.site.main_url)->body;
@@ -168,8 +165,7 @@ TEST(Optimize, NoOpWithoutBlockingCss) {
   plan.inline_css_fraction = 0.2;
   plan.host_ip[plan.primary_host] = "10.0.0.1";
   const auto site = web::build_site(plan);
-  browser::BrowserConfig bc;
-  const auto optimized = apply_critical_css(site, bc);
+  const auto optimized = apply_critical_css(site);
   EXPECT_TRUE(optimized.critical_css_url.empty());
   EXPECT_EQ(optimized.site.plan.resources.size(),
             site.plan.resources.size());
@@ -177,8 +173,7 @@ TEST(Optimize, NoOpWithoutBlockingCss) {
 
 TEST(Optimize, Fig6ArmsHaveExpectedShapes) {
   const auto site = fixture_site();
-  browser::BrowserConfig bc;
-  const auto arms = make_fig6_arms(site, bc, web::resource_urls(site));
+  const auto arms = make_fig6_arms(site, web::resource_urls(site));
   const auto list = arms.arms();
   ASSERT_EQ(list.size(), 6u);
   EXPECT_FALSE(list[0].strategy.client_push_enabled);  // no push

@@ -227,8 +227,7 @@ TEST(Integration, DependencyAnalysisFindsAllSubresources) {
 
 TEST(Integration, CriticalCssExtractionIsSmallerAndCoversFonts) {
   auto site = web::build_site(small_plan());
-  browser::BrowserConfig bc;
-  const auto analysis = core::analyze_critical(site, bc);
+  const auto analysis = core::analyze_critical(site);
   ASSERT_FALSE(analysis.critical_css_text.empty());
   EXPECT_LT(analysis.critical_css_text.size(), analysis.original_css_bytes);
   ASSERT_EQ(analysis.fonts.size(), 1u);
@@ -239,10 +238,9 @@ TEST(Integration, CriticalCssExtractionIsSmallerAndCoversFonts) {
 
 TEST(Integration, OptimizedSiteLoadsAndInterleavingWorks) {
   auto site = web::build_site(small_plan());
-  browser::BrowserConfig bc;
   core::RunConfig cfg;
   const auto order = core::compute_push_order(site, cfg, 5);
-  const auto arms = core::make_fig6_arms(site, bc, order.order);
+  const auto arms = core::make_fig6_arms(site, order.order);
   for (const auto& arm : arms.arms()) {
     const auto result = core::run_page_load(*arm.site, arm.strategy, cfg);
     EXPECT_TRUE(result.complete) << arm.name;

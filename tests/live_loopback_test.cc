@@ -11,6 +11,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "http/url.h"
 #include "net/client.h"
@@ -31,13 +34,11 @@ LiveCorpusConfig corpus_config(SchedulerKind scheduler,
   return config;
 }
 
-ServerConfig server_config_for(const LiveCorpus& corpus,
-                               const LiveCorpusConfig& cc) {
+ServerConfig server_config_for(const LiveCorpus& corpus) {
   ServerConfig sc;
   sc.store = &corpus.store;
   sc.origins = &corpus.origins;
   sc.policies = &corpus.policies;
-  sc.scheduler = cc.scheduler;
   return sc;
 }
 
@@ -66,7 +67,7 @@ TEST(LiveLoopback, ParentFirstServesStoreByteIdentical) {
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
   ASSERT_GT(corpus.all_urls.size(), 10u);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
   expect_store_equality(corpus, server.port(), /*enable_push=*/false);
   server.shutdown(2000);
@@ -79,7 +80,7 @@ TEST(LiveLoopback, InterleavingServesStoreByteIdentical) {
   const auto cc = corpus_config(SchedulerKind::kInterleaving,
                                 PushStrategySpec::Kind::kAll);
   const LiveCorpus corpus = build_live_corpus(cc);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
   // Pushes disabled client-side: pure request/response under the modified
   // scheduler must still be byte-identical to the store.
@@ -92,7 +93,7 @@ TEST(LiveLoopback, PushedResourcesArriveByteIdentical) {
                                 PushStrategySpec::Kind::kAll);
   const LiveCorpus corpus = build_live_corpus(cc);
   ASSERT_FALSE(corpus.policies.empty());
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
 
   // Request only the first site's landing page, push enabled: every URL in
@@ -128,7 +129,7 @@ TEST(LiveLoopback, InterleavingSchedulerAlsoPushesByteIdentical) {
   const auto cc = corpus_config(SchedulerKind::kInterleaving,
                                 PushStrategySpec::Kind::kAll);
   const LiveCorpus corpus = build_live_corpus(cc);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
 
   const auto& [landing_host, landing_path] = corpus.landing_pages.front();
@@ -148,11 +149,50 @@ TEST(LiveLoopback, InterleavingSchedulerAlsoPushesByteIdentical) {
   server.shutdown(2000);
 }
 
+TEST(LiveLoopback, InterleavingCorpusIsServedInterleaved) {
+  // The corpus policies alone pick the scheduler: a server given an
+  // interleaving corpus and nothing else must interleave.
+  const auto cc = corpus_config(SchedulerKind::kInterleaving,
+                                PushStrategySpec::Kind::kAll);
+  const LiveCorpus corpus = build_live_corpus(cc);
+  const auto trace_dir = std::filesystem::temp_directory_path() /
+                         "h2push_live_interleave_test";
+  std::filesystem::remove_all(trace_dir);
+  std::filesystem::create_directories(trace_dir);
+  ServerConfig sc;
+  sc.store = &corpus.store;
+  sc.origins = &corpus.origins;
+  sc.policies = &corpus.policies;
+  sc.trace_dir = trace_dir.string();
+  Server server(sc);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  const auto& [landing_host, landing_path] = corpus.landing_pages.front();
+  FetchOptions options;
+  options.enable_push = true;
+  const auto fetched = fetch_urls("127.0.0.1", server.port(),
+                                  {{landing_host, landing_path}}, options);
+  ASSERT_TRUE(fetched.has_value()) << fetched.error();
+  server.shutdown(2000);
+
+  bool interleaved = false;
+  for (const auto& entry : std::filesystem::directory_iterator(trace_dir)) {
+    std::ifstream in(entry.path());
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (text.find("interleave.configure") != std::string::npos) {
+      interleaved = true;
+    }
+  }
+  EXPECT_TRUE(interleaved);
+  std::filesystem::remove_all(trace_dir);
+}
+
 TEST(LiveLoopback, MultiThreadLoadSmoke) {
   const auto cc = corpus_config(SchedulerKind::kParentFirst,
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
-  ServerConfig sc = server_config_for(corpus, cc);
+  ServerConfig sc = server_config_for(corpus);
   sc.threads = 2;
   Server server(sc);
   ASSERT_TRUE(server.start()) << server.error();
@@ -180,7 +220,7 @@ TEST(LiveLoopback, GracefulShutdownDrainsInFlightWork) {
   const auto cc = corpus_config(SchedulerKind::kParentFirst,
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
   // Serve something, then shut down; the drain path (GOAWAY, close on
   // quiescence) must terminate promptly with no connection left behind.
@@ -195,7 +235,7 @@ TEST(LiveLoopback, PerConnectionTraceFilesWritten) {
   const auto cc = corpus_config(SchedulerKind::kParentFirst,
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
-  ServerConfig sc = server_config_for(corpus, cc);
+  ServerConfig sc = server_config_for(corpus);
   const auto trace_dir =
       std::filesystem::temp_directory_path() / "h2push_live_trace_test";
   std::filesystem::remove_all(trace_dir);

@@ -186,34 +186,8 @@ TEST(RunKey, EveryKeyedConfigFieldChangesKey) {
        [](RunConfig& c) { c.net.server_think_mean = sim::from_ms(5); }},
       {"net.dynamic_content_prob",
        [](RunConfig& c) { c.net.dynamic_content_prob = 0.1; }},
-      {"browser.viewport_width",
-       [](RunConfig& c) { c.browser.viewport_width = 1024; }},
-      {"browser.viewport_height",
-       [](RunConfig& c) { c.browser.viewport_height = 600; }},
-      {"browser.chars_per_line",
-       [](RunConfig& c) { c.browser.chars_per_line = 80; }},
-      {"browser.line_height_px",
-       [](RunConfig& c) { c.browser.line_height_px = 20; }},
-      {"browser.default_image_height",
-       [](RunConfig& c) { c.browser.default_image_height = 100; }},
-      {"browser.parse_rate_bytes_per_ms",
-       [](RunConfig& c) { c.browser.parse_rate_bytes_per_ms = 1000; }},
-      {"browser.css_parse_rate_bytes_per_ms",
-       [](RunConfig& c) { c.browser.css_parse_rate_bytes_per_ms = 2000; }},
-      {"browser.js_exec_rate_bytes_per_ms",
-       [](RunConfig& c) { c.browser.js_exec_rate_bytes_per_ms = 300; }},
-      {"browser.task_jitter_sigma",
-       [](RunConfig& c) { c.browser.task_jitter_sigma = 0.2; }},
-      {"browser.paint_interval",
-       [](RunConfig& c) { c.browser.paint_interval = sim::from_ms(33.3); }},
-      {"browser.parse_slice_bytes",
-       [](RunConfig& c) { c.browser.parse_slice_bytes = 4096; }},
       {"browser.enable_push",
        [](RunConfig& c) { c.browser.enable_push = false; }},
-      {"browser.initial_stream_window",
-       [](RunConfig& c) { c.browser.initial_stream_window = 65535; }},
-      {"browser.connection_window_bonus",
-       [](RunConfig& c) { c.browser.connection_window_bonus = 0; }},
       {"browser.cached_urls",
        [](RunConfig& c) {
          c.browser.cached_urls = {"https://www.memo.test/a.css"};
@@ -222,13 +196,7 @@ TEST(RunKey, EveryKeyedConfigFieldChangesKey) {
        [](RunConfig& c) { c.browser.send_cache_digest = true; }},
       {"browser.delayable_throttling",
        [](RunConfig& c) { c.browser.delayable_throttling = true; }},
-      {"browser.delayable_probe_limit",
-       [](RunConfig& c) { c.browser.delayable_probe_limit = 2; }},
       {"browser.use_http1", [](RunConfig& c) { c.browser.use_http1 = true; }},
-      {"browser.h1_connections_per_origin",
-       [](RunConfig& c) { c.browser.h1_connections_per_origin = 2; }},
-      {"browser.load_deadline",
-       [](RunConfig& c) { c.browser.load_deadline = sim::from_seconds(60); }},
       {"seed", [](RunConfig& c) { c.seed = 2; }},
       {"run_index", [](RunConfig& c) { c.run_index = 1; }},
   };
@@ -247,6 +215,29 @@ TEST(RunKey, EveryKeyedConfigFieldChangesKey) {
   observed.browser.trace = &recorder;
   observed.browser.trace_track = 7;
   EXPECT_EQ(base, cache.key(site, strategy, observed));
+}
+
+TEST(RunKey, KeysArePinned) {
+  // Stored results outlive the code that wrote them. A change that moves
+  // these keys must bump kCacheFormatVersion, then re-pin them here.
+  const auto site = fixture_site();
+  RunCache cache;
+
+  const RunConfig testbed;
+  EXPECT_EQ(cache.key(site, no_push(), testbed).hex(),
+            "5c5be0ee2722b284a82bae895e3e334b");
+
+  Strategy interleaved = push_all(site, web::pushable_urls(site));
+  interleaved.interleaving = true;
+  RunConfig internet;
+  internet.net = sim::NetworkConditions::internet();
+  EXPECT_EQ(cache.key(site, interleaved, internet).hex(),
+            "fbfcbb84c52908489ba625b9b98b58dd");
+
+  RunConfig h1;
+  h1.browser.use_http1 = true;
+  EXPECT_EQ(cache.key(site, no_push(), h1).hex(),
+            "37e8c933c428d31165e04b48611c4c1c");
 }
 
 TEST(RunKey, CorpusContentChangesKey) {

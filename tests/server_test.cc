@@ -4,6 +4,10 @@
 // decisions with the stream scheduler rather than submission order.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+
 #include "h2/connection.h"
 #include "server/replay_server.h"
 #include "sim/simulator.h"
@@ -15,6 +19,7 @@ struct ServerHarness {
   sim::Simulator sim;
   replay::RecordStore store;
   replay::OriginMap origins;
+  std::map<std::string, PushPolicy> policies;
   std::unique_ptr<ReplayServer> server;
   std::unique_ptr<h2::Connection> client;
   std::map<std::uint32_t, std::string> bodies;
@@ -39,7 +44,10 @@ struct ServerHarness {
     ReplayServer::Config config;
     config.store = &store;
     config.origins = &origins;
-    config.policy = std::move(policy);
+    if (policy) {
+      policies.emplace(policy->trigger_host, std::move(*policy));
+      config.policies = &policies;
+    }
     if (think > 0) {
       // Server think time through the deferral hook, on the harness clock.
       config.defer = [this, think](std::function<void()> respond) {

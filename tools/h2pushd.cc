@@ -5,8 +5,7 @@
 // stream schedulers. Pair it with h2pushload, nghttp, or curl --http2-prior-
 // knowledge:
 //
-//   h2pushd --port 8443 --profile top100 --sites 4 --seed 1 \
-//           --scheduler interleaving --push-strategy all
+//   h2pushd --port 8443 --sites 4 --scheduler interleaving --push-strategy all
 //
 // SIGTERM/SIGINT trigger a graceful drain: listeners stop, every connection
 // gets a GOAWAY, streams finish, then the process exits with a stats line.
@@ -132,7 +131,6 @@ int main(int argc, char** argv) {
   server_config.store = &corpus.store;
   server_config.origins = &corpus.origins;
   server_config.policies = &corpus.policies;
-  server_config.scheduler = corpus_config.scheduler;
   if (server_config.default_authority.empty() &&
       !corpus.landing_pages.empty()) {
     server_config.default_authority = corpus.landing_pages.front().first;
