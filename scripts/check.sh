@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Full verification: a layering check on the serving code, the tier-1
-# build + test pass, then the same test suite under AddressSanitizer +
+# build + test pass, a build of the benchmark program in perfbench/, then
+# the same test suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer, then the threaded runner tests under
 # ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
 # not ABI-compatible with each other or the plain build; TSan in particular
 # excludes ASan).
 #
-#   scripts/check.sh            # layering + tier-1 + ASan/UBSan + TSan
-#   scripts/check.sh --fast     # layering + tier-1 only
+#   scripts/check.sh            # layering + tier-1 + perfbench + ASan/UBSan + TSan
+#   scripts/check.sh --fast     # layering + tier-1 + perfbench only
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -45,6 +46,14 @@ bench_bin=$(pwd)/build/bench/bench_fig3b_push_amount
   H2PUSH_CACHE="$cache_dir/store" H2PUSH_CACHE_VERIFY=all \
     "$bench_bin" --quick --jobs "$jobs" >/dev/null)
 echo "warm-cache verify pass OK"
+
+echo "=== perfbench: build the benchmark program (build-perfbench/) ==="
+# perfbench/ is the repository benchmark; it calls the library's public API
+# (h2/, sim/, browser/, net/) and is not edited alongside library changes.
+# A change that breaks that API fails here, not first in a benchmark run.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-perfbench -j "$jobs"
+echo "perfbench build OK"
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "=== OK (fast mode: sanitizer pass skipped) ==="

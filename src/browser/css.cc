@@ -179,16 +179,16 @@ void parse_into(std::string_view text, Stylesheet& sheet) {
     } else if (!prelude.empty() && prelude.front() == '@') {
       // Other at-rules ignored.
     } else {
-      CssRule rule;
-      rule.selectors.reserve(count_pieces(prelude, ','));
+      std::vector<Selector> selectors;
+      selectors.reserve(count_pieces(prelude, ','));
       for_each_piece(prelude, ',', [&](std::string_view sel) {
         auto parsed = parse_selector(sel);
-        if (!parsed.parts.empty()) rule.selectors.push_back(std::move(parsed));
+        if (!parsed.parts.empty()) selectors.push_back(std::move(parsed));
       });
-      if (!rule.selectors.empty()) {
-        rule.declarations = parse_declarations(body);
-        rule.text = rule_text;
-        sheet.rules.push_back(std::move(rule));
+      if (!selectors.empty()) {
+        sheet.rules.emplace_back(std::move(selectors),
+                                 parse_declarations(body),
+                                 std::string(rule_text));
       }
     }
     i = close + 1;
@@ -197,29 +197,27 @@ void parse_into(std::string_view text, Stylesheet& sheet) {
 
 }  // namespace
 
-std::string CssRule::font_family() const {
+CssRule::CssRule(std::vector<Selector> selectors_in,
+                 std::vector<Declaration> declarations_in, std::string text_in)
+    : selectors(std::move(selectors_in)),
+      declarations(std::move(declarations_in)),
+      text(std::move(text_in)) {
+  bool family_seen = false;
   for (const auto& d : declarations) {
-    if (d.property == "font-family") {
-      // First family in the list, unquoted.
+    if (d.property == "font-family" && !family_seen) {
+      // First family in the first font-family declaration, unquoted.
       const std::string_view v = d.value;
-      return std::string(unquote_family(strip(v.substr(0, v.find(',')))));
+      font_family_ = unquote_family(strip(v.substr(0, v.find(','))));
+      family_seen = true;
     }
+    for (auto& u : extract_urls(d.value)) urls_.push_back(std::move(u));
   }
-  return {};
-}
-
-std::vector<std::string> CssRule::urls() const {
-  std::vector<std::string> out;
-  for (const auto& d : declarations) {
-    for (auto& u : extract_urls(d.value)) out.push_back(std::move(u));
-  }
-  return out;
 }
 
 std::vector<std::string> Stylesheet::resource_urls() const {
   std::vector<std::string> out;
   for (const auto& r : rules) {
-    for (auto& u : r.urls()) out.push_back(std::move(u));
+    out.insert(out.end(), r.urls().begin(), r.urls().end());
   }
   for (const auto& f : font_faces) {
     if (!f.url.empty()) out.push_back(f.url);

@@ -46,14 +46,23 @@ struct Declaration {
 };
 
 struct CssRule {
+  /// Derives font_family() and urls() from `declarations` once, here: the
+  /// renderer asks for them on every layout pass.
+  CssRule(std::vector<Selector> selectors,
+          std::vector<Declaration> declarations, std::string text);
+
   std::vector<Selector> selectors;
   std::vector<Declaration> declarations;
   std::string text;  // original rule text (for critical-CSS reassembly)
 
   /// font-family value if declared, else empty.
-  std::string font_family() const;
+  const std::string& font_family() const noexcept { return font_family_; }
   /// url(...) references in the declarations (background images).
-  std::vector<std::string> urls() const;
+  const std::vector<std::string>& urls() const noexcept { return urls_; }
+
+ private:
+  std::string font_family_;
+  std::vector<std::string> urls_;
 };
 
 struct FontFace {

@@ -212,9 +212,9 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
 void FetchManager::pump(Group& g) {
   if (!g.connected || !g.transport) return;
   while (g.transport->writable() && g.conn->want_write()) {
-    auto bytes = g.conn->produce(g.transport->write_chunk());
-    if (bytes.empty()) break;
-    g.transport->send(bytes);
+    write_buf_.clear();
+    if (g.conn->produce(write_buf_, g.transport->write_chunk()) == 0) break;
+    g.transport->send(write_buf_);
   }
 }
 
@@ -298,9 +298,9 @@ void FetchManager::handle_response_headers(
 void FetchManager::h1_pump(H1Conn& c) {
   if (!c.connected || !c.transport) return;
   while (c.transport->writable() && c.conn->want_write()) {
-    auto bytes = c.conn->produce(c.transport->write_chunk());
-    if (bytes.empty()) break;
-    c.transport->send(bytes);
+    write_buf_.clear();
+    if (c.conn->produce(write_buf_, c.transport->write_chunk()) == 0) break;
+    c.transport->send(write_buf_);
   }
 }
 

@@ -37,6 +37,8 @@ class ClientTransport {
  public:
   virtual ~ClientTransport() = default;
   virtual void connect(std::function<void()> on_connected) = 0;
+  /// Queue bytes for the server. They are copied before send() returns or
+  /// calls back into the caller, so the caller may reuse its buffer.
   virtual void send(std::span<const std::uint8_t> bytes) = 0;
   virtual bool writable() const = 0;
   /// Preferred write granularity (the TCP watermark).
@@ -197,6 +199,10 @@ class FetchManager {
   std::vector<std::shared_ptr<Fetch>> fetches_;
   std::vector<std::shared_ptr<Fetch>> delayed_;  // throttled image requests
   std::function<void()> progress_;
+  // Every connection's writes go through this one buffer: a transport's
+  // send() copies the bytes before it can call back into a pump, so a
+  // nested pump may reuse it.
+  std::vector<std::uint8_t> write_buf_;
   std::uint64_t pushed_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::size_t promises_received_ = 0;

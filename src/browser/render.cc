@@ -456,7 +456,7 @@ std::optional<std::string> Renderer::required_font(
   for (const auto& sheet : sheets_) {
     if (!sheet.loaded) continue;
     for (const auto& rule : sheet.model->rules) {
-      const std::string family = rule.font_family();
+      const std::string& family = rule.font_family();
       if (family.empty()) continue;
       if (!matches(rule, unit.path)) continue;
       if (fonts_.count(family) != 0) return family;

@@ -199,7 +199,7 @@ CriticalAnalysis analyze_critical(const web::Site& site) {
       if (!is_critical) continue;
       critical += rule.text;
       critical += '\n';
-      const std::string family = rule.font_family();
+      const std::string& family = rule.font_family();
       if (!family.empty()) needed_fonts.insert(family);
       for (const auto& bg : rule.urls()) {
         out.bg_images.push_back(http::resolve(site.main_url, bg).str());

@@ -96,15 +96,18 @@ class SimTransport final : public browser::ClientTransport {
     auto& conn = server_.connection();
     while (tcp_->writable(TcpConnection::Side::kServer) &&
            conn.want_write()) {
-      auto bytes = conn.produce(write_chunk());
-      if (bytes.empty()) break;
-      tcp_->send(TcpConnection::Side::kServer, bytes);
+      // send() copies the bytes before it can call back into this pump,
+      // so a nested pump may reuse write_buf_.
+      write_buf_.clear();
+      if (conn.produce(write_buf_, write_chunk()) == 0) break;
+      tcp_->send(TcpConnection::Side::kServer, write_buf_);
     }
   }
 
   sim::Simulator& sim_;
   Server server_;
   std::unique_ptr<TcpConnection> tcp_;
+  std::vector<std::uint8_t> write_buf_;  // reused by every server write
   sim::Time connect_stagger_ = 0;
   std::function<void()> on_connected_;
   std::function<void(std::span<const std::uint8_t>)> receiver_;

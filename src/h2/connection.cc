@@ -335,20 +335,27 @@ std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
 std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
   std::vector<std::uint8_t> out;
   out.reserve(max_bytes);
+  produce(out, max_bytes);
+  return out;
+}
+
+std::size_t Connection::produce(std::vector<std::uint8_t>& out,
+                                std::size_t max_bytes) {
+  const std::size_t start = out.size();
   // 1. Control frames (SETTINGS, HEADERS, PUSH_PROMISE, RST, WINDOW_UPDATE):
   //    not flow controlled, sent ahead of DATA like real stacks do. A front
   //    chunk partially drained by produce_into() resumes at its offset.
-  while (!control_queue_.empty() && out.size() < max_bytes) {
+  while (!control_queue_.empty() && out.size() - start < max_bytes) {
     auto& chunk = control_queue_.front();
     out.insert(out.end(), chunk.begin() + control_offset_, chunk.end());
     control_offset_ = 0;
     control_queue_.pop_front();
   }
   // 2. Scheduler-chosen DATA frames, each as large as the windows allow.
-  while (out.size() < max_bytes) {
+  while (out.size() - start < max_bytes) {
     if (append_next_data_frame(out, SIZE_MAX) == 0) break;
   }
-  return out;
+  return out.size() - start;
 }
 
 std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
@@ -417,15 +424,28 @@ void Connection::receive(std::span<const std::uint8_t> bytes) {
     if (!rest.empty()) receive(rest);
     return;
   }
-  auto frames = parser_.feed(bytes);
-  if (!frames) {
-    connection_error(frames.error().code, frames.error().message);
-    return;
-  }
-  for (auto& frame : *frames) {
-    handle_frame(std::move(frame));
-    if (errored_) return;
-  }
+  // Frames are handled as they are parsed, in wire order: a malformed
+  // frame is reported only after the frames before it took effect (RFC
+  // 7540 §5.4.1), and handling stops at the first connection error.
+  struct Dispatch final : FrameParser::Handler {
+    Connection& c;
+    explicit Dispatch(Connection& conn) : c(conn) {}
+    bool on_data(const DataView& frame) override {
+      c.handle_data(frame);
+      return !c.errored_;
+    }
+    bool on_frame(Frame&& frame) override {
+      c.handle_frame(std::move(frame));
+      return !c.errored_;
+    }
+  } dispatch(*this);
+  // The parser is mid-chunk while a frame is handled; a callback that fed
+  // this connection again would corrupt it.
+  assert(!receiving_ && "Connection::receive re-entered from a callback");
+  receiving_ = true;
+  const auto error = parser_.parse(bytes, dispatch);
+  receiving_ = false;
+  if (error) connection_error(error->code, error->message);
 }
 
 void Connection::apply_remote_settings(const SettingsFrame& frame) {
@@ -475,6 +495,76 @@ void Connection::apply_remote_settings(const SettingsFrame& frame) {
   }
   queue_control(Frame{SettingsFrame{.ack = true, .settings = {}}});
   if (callbacks_.on_remote_settings) callbacks_.on_remote_settings();
+  signal_write();
+}
+
+void Connection::handle_data(const DataView& f) {
+  if (trace_) {
+    trace_->instant(trace_track_, "h2", "recv DATA",
+                    {{"stream", f.stream_id},
+                     {"bytes", static_cast<std::int64_t>(f.data.size())}});
+    ++trace_->summary().frames_received["DATA"];
+  }
+  auto sit = streams_.find(f.stream_id);
+  if (sit == streams_.end()) {
+    connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
+    return;
+  }
+  Stream& s = sit->second;
+  // RFC 7540 §6.9: the whole frame payload, including padding, counts
+  // against flow control — even for streams we have already reset or
+  // half-closed.
+  const auto n = static_cast<std::int64_t>(f.data.size() + f.padding_bytes);
+  recv_window_ -= n;
+  if (recv_window_ < 0) {
+    connection_error(ErrorCode::kFlowControlError,
+                     "connection flow control violated by peer");
+    return;
+  }
+  if (s.state == StreamState::kClosed) {
+    // Post-RST straggler: connection-level accounting only (§5.1).
+    recv_unacked_ += static_cast<std::uint64_t>(n);
+    return;
+  }
+  if (s.remote_done) {
+    // §5.1 half-closed (remote): DATA is a STREAM_CLOSED error.
+    submit_rst(f.stream_id, ErrorCode::kStreamClosed);
+    return;
+  }
+  s.recv_window -= n;
+  if (s.recv_window < 0) {
+    connection_error(ErrorCode::kFlowControlError,
+                     "stream flow control violated by peer");
+    return;
+  }
+  // Application consumes immediately; replenish at half-window.
+  s.recv_unacked += f.data.size() + f.padding_bytes;
+  recv_unacked_ += f.data.size() + f.padding_bytes;
+  if (!f.end_stream && s.recv_unacked > config_.initial_window / 2) {
+    queue_control(Frame{WindowUpdateFrame{
+        f.stream_id, static_cast<std::uint32_t>(s.recv_unacked)}});
+    s.recv_window += static_cast<std::int64_t>(s.recv_unacked);
+    s.recv_unacked = 0;
+  }
+  const std::uint64_t conn_threshold =
+      (static_cast<std::uint64_t>(kDefaultInitialWindow) +
+       config_.connection_window_bonus) / 2;
+  if (recv_unacked_ > conn_threshold) {
+    queue_control(Frame{WindowUpdateFrame{
+        0, static_cast<std::uint32_t>(recv_unacked_)}});
+    recv_window_ += static_cast<std::int64_t>(recv_unacked_);
+    recv_unacked_ = 0;
+  }
+  if (f.end_stream) {
+    s.remote_done = true;
+    if (s.state == StreamState::kOpen) {
+      s.state = StreamState::kHalfClosedRemote;
+    }
+  }
+  if (callbacks_.on_data) {
+    callbacks_.on_data(f.stream_id, f.data, f.end_stream);
+  }
+  maybe_close(f.stream_id);
   signal_write();
 }
 
@@ -550,72 +640,6 @@ void Connection::handle_frame(Frame frame) {
                                   f.end_stream);
           }
           maybe_close(f.stream_id);
-        } else if constexpr (std::is_same_v<T, DataFrame>) {
-          auto sit = streams_.find(f.stream_id);
-          if (sit == streams_.end()) {
-            connection_error(ErrorCode::kProtocolError,
-                             "DATA on idle stream");
-            return;
-          }
-          Stream& s = sit->second;
-          // RFC 7540 §6.9: the whole frame payload, including padding,
-          // counts against flow control — even for streams we have
-          // already reset or half-closed.
-          const auto n =
-              static_cast<std::int64_t>(f.data.size() + f.padding_bytes);
-          recv_window_ -= n;
-          if (recv_window_ < 0) {
-            connection_error(ErrorCode::kFlowControlError,
-                             "connection flow control violated by peer");
-            return;
-          }
-          if (s.state == StreamState::kClosed) {
-            // Post-RST straggler: connection-level accounting only (§5.1).
-            recv_unacked_ += static_cast<std::uint64_t>(n);
-            return;
-          }
-          if (s.remote_done) {
-            // §5.1 half-closed (remote): DATA is a STREAM_CLOSED error.
-            submit_rst(f.stream_id, ErrorCode::kStreamClosed);
-            return;
-          }
-          s.recv_window -= n;
-          if (s.recv_window < 0) {
-            connection_error(ErrorCode::kFlowControlError,
-                             "stream flow control violated by peer");
-            return;
-          }
-          // Application consumes immediately; replenish at half-window.
-          s.recv_unacked += f.data.size() + f.padding_bytes;
-          recv_unacked_ += f.data.size() + f.padding_bytes;
-          if (!f.end_stream &&
-              s.recv_unacked > config_.initial_window / 2) {
-            queue_control(Frame{WindowUpdateFrame{
-                f.stream_id, static_cast<std::uint32_t>(s.recv_unacked)}});
-            s.recv_window += static_cast<std::int64_t>(s.recv_unacked);
-            s.recv_unacked = 0;
-          }
-          const std::uint64_t conn_threshold =
-              (static_cast<std::uint64_t>(kDefaultInitialWindow) +
-               config_.connection_window_bonus) /
-              2;
-          if (recv_unacked_ > conn_threshold) {
-            queue_control(Frame{WindowUpdateFrame{
-                0, static_cast<std::uint32_t>(recv_unacked_)}});
-            recv_window_ += static_cast<std::int64_t>(recv_unacked_);
-            recv_unacked_ = 0;
-          }
-          if (f.end_stream) {
-            s.remote_done = true;
-            if (s.state == StreamState::kOpen) {
-              s.state = StreamState::kHalfClosedRemote;
-            }
-          }
-          if (callbacks_.on_data) {
-            callbacks_.on_data(f.stream_id, f.data, f.end_stream);
-          }
-          maybe_close(f.stream_id);
-          signal_write();
         } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
           if (config_.role != Role::kClient) {
             connection_error(ErrorCode::kProtocolError,

@@ -134,9 +134,13 @@ class Connection {
   // socket buffer has a fixed high watermark, so the live path needs the
   // hard cap of produce_into().
 
-  /// Produce up to ~max_bytes of wire bytes (may overshoot by one frame so
-  /// frames are never split across scheduling decisions). The simulator's
-  /// write path.
+  /// Append up to ~max_bytes of wire bytes to `out` (may overshoot by one
+  /// frame so frames are never split across scheduling decisions): whole
+  /// control frames, then DATA frames capped only by the windows and the
+  /// frame size. Returns the bytes appended. The simulator's write path;
+  /// a caller reusing `out` allocates nothing once it is warm.
+  std::size_t produce(std::vector<std::uint8_t>& out, std::size_t max_bytes);
+  /// produce(out, max_bytes) into a fresh buffer.
   std::vector<std::uint8_t> produce(std::size_t max_bytes);
   /// Partial-write variant for bounded socket buffers (src/net/): appends
   /// at most `max_bytes` bytes to `out` — a hard cap, never an overshoot.
@@ -208,7 +212,9 @@ class Connection {
   void trace_send(std::string_view name, std::uint32_t stream,
                   std::int64_t bytes);
   void connection_error(ErrorCode code, const std::string& message);
+  /// Every frame but DATA, which FrameParser hands over as a view.
   void handle_frame(Frame frame);
+  void handle_data(const DataView& frame);
   void apply_remote_settings(const SettingsFrame& frame);
   Stream& ensure_stream(std::uint32_t id);
   void maybe_close(std::uint32_t id);
@@ -253,6 +259,7 @@ class Connection {
   std::string last_error_;
   ErrorCode last_error_code_ = ErrorCode::kNoError;
   bool errored_ = false;
+  bool receiving_ = false;  // inside parser_.parse (re-entry guard)
 
   trace::TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_track_ = 0;

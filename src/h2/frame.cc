@@ -292,7 +292,7 @@ std::vector<std::uint8_t> serialize(const Frame& frame,
   return out;
 }
 
-util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
+util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
     std::span<const std::uint8_t> payload, std::uint8_t type,
     std::uint8_t flags, std::uint32_t stream_id) {
   const auto ft = static_cast<FrameType>(type);
@@ -306,7 +306,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
   switch (ft) {
     case FrameType::kData: {
       if (stream_id == 0) return parse_error(ErrorCode::kProtocolError, "DATA on stream 0");
-      DataFrame f;
+      DataView f;
       f.stream_id = stream_id;
       f.end_stream = flags & kFlagEndStream;
       std::size_t pos = 0;
@@ -321,10 +321,9 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
           return parse_error(ErrorCode::kProtocolError, "DATA: pad beyond frame");
         }
       }
-      f.data.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                    payload.end() - static_cast<std::ptrdiff_t>(pad));
+      f.data = payload.subspan(pos, payload.size() - pos - pad);
       f.padding_bytes = pos + pad;  // Pad-Length octet + padding
-      return std::optional<Frame>(std::move(f));
+      return Parsed(f);
     }
     case FrameType::kHeaders: {
       if (stream_id == 0) return parse_error(ErrorCode::kProtocolError, "HEADERS on stream 0");
@@ -354,11 +353,11 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       f.header_block.assign(
           payload.begin() + static_cast<std::ptrdiff_t>(pos),
           payload.end() - static_cast<std::ptrdiff_t>(pad));
-      if (flags & kFlagEndHeaders) return std::optional<Frame>(std::move(f));
+      if (flags & kFlagEndHeaders) return Parsed(Frame(std::move(f)));
       pending_headers_ = std::move(f);
       pending_is_push_promise_ = false;
       expecting_continuation_ = true;
-      return std::optional<Frame>(std::nullopt);
+      return Parsed();
     }
     case FrameType::kPriority: {
       if (stream_id == 0) {
@@ -370,7 +369,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       PriorityFrame f;
       f.stream_id = stream_id;
       f.priority = get_priority(payload, 0);
-      return std::optional<Frame>(std::move(f));
+      return Parsed(Frame(std::move(f)));
     }
     case FrameType::kRstStream: {
       if (stream_id == 0) {
@@ -382,7 +381,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       RstStreamFrame f;
       f.stream_id = stream_id;
       f.error = static_cast<ErrorCode>(get_u32(payload, 0));
-      return std::optional<Frame>(std::move(f));
+      return Parsed(Frame(std::move(f)));
     }
     case FrameType::kSettings: {
       if (stream_id != 0) {
@@ -402,7 +401,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
             (static_cast<std::uint16_t>(payload[i]) << 8) | payload[i + 1]);
         f.settings.emplace_back(id, get_u32(payload, i + 2));
       }
-      return std::optional<Frame>(std::move(f));
+      return Parsed(Frame(std::move(f)));
     }
     case FrameType::kPushPromise: {
       if (stream_id == 0) {
@@ -426,11 +425,11 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       f.header_block.assign(
           payload.begin() + static_cast<std::ptrdiff_t>(pos + 4),
           payload.end() - static_cast<std::ptrdiff_t>(pad));
-      if (flags & kFlagEndHeaders) return std::optional<Frame>(std::move(f));
+      if (flags & kFlagEndHeaders) return Parsed(Frame(std::move(f)));
       pending_push_ = std::move(f);
       pending_is_push_promise_ = true;
       expecting_continuation_ = true;
-      return std::optional<Frame>(std::nullopt);
+      return Parsed();
     }
     case FrameType::kPing: {
       if (stream_id != 0) {
@@ -443,7 +442,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       f.ack = flags & kFlagAck;
       f.opaque = 0;
       for (int i = 0; i < 8; ++i) f.opaque = (f.opaque << 8) | payload[i];
-      return std::optional<Frame>(std::move(f));
+      return Parsed(Frame(std::move(f)));
     }
     case FrameType::kGoaway: {
       if (stream_id != 0) {
@@ -456,7 +455,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       f.last_stream_id = get_u32(payload, 0) & 0x7fffffff;
       f.error = static_cast<ErrorCode>(get_u32(payload, 4));
       f.debug_data.assign(payload.begin() + 8, payload.end());
-      return std::optional<Frame>(std::move(f));
+      return Parsed(Frame(std::move(f)));
     }
     case FrameType::kWindowUpdate: {
       if (payload.size() != 4) {
@@ -469,7 +468,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
         return parse_error(ErrorCode::kProtocolError,
                            "WINDOW_UPDATE: zero increment");
       }
-      return std::optional<Frame>(std::move(f));
+      return Parsed(Frame(std::move(f)));
     }
     case FrameType::kContinuation: {
       if (!expecting_continuation_) {
@@ -491,11 +490,11 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       if (flags & kFlagEndHeaders) {
         expecting_continuation_ = false;
         if (pending_is_push_promise_) {
-          return std::optional<Frame>(std::move(pending_push_));
+          return Parsed(Frame(std::move(pending_push_)));
         }
-        return std::optional<Frame>(std::move(pending_headers_));
+        return Parsed(Frame(std::move(pending_headers_)));
       }
-      return std::optional<Frame>(std::nullopt);
+      return Parsed();
     }
   }
   // Unknown frame types are surfaced as extension frames; a connection
@@ -505,35 +504,102 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
   f.flags = flags;
   f.stream_id = stream_id;
   f.payload.assign(payload.begin(), payload.end());
-  return std::optional<Frame>(std::move(f));
+  return Parsed(Frame(std::move(f)));
+}
+
+util::Expected<bool, ParseError> FrameParser::dispatch(
+    std::span<const std::uint8_t> frame, Handler& handler) {
+  const std::uint8_t* p = frame.data();
+  auto parsed = parse_one(frame.subspan(kFrameHeader), p[3], p[4],
+                          get_u32(frame, 5) & 0x7fffffff);
+  if (!parsed) return util::make_unexpected(parsed.error());
+  if (auto* data = std::get_if<DataView>(&*parsed)) {
+    return handler.on_data(*data);
+  }
+  if (auto* other = std::get_if<Frame>(&*parsed)) {
+    return handler.on_frame(std::move(*other));
+  }
+  return true;  // header block continues in a CONTINUATION
+}
+
+std::optional<ParseError> FrameParser::parse(
+    std::span<const std::uint8_t> bytes, Handler& handler) {
+  if (!error_) error_ = parse_chunk(bytes, handler);
+  return error_;
+}
+
+std::optional<ParseError> FrameParser::parse_chunk(
+    std::span<const std::uint8_t> bytes, Handler& handler) {
+  // Total length of the frame starting at `p`, or 0 if its header is not
+  // complete yet; an oversized frame is an error as soon as its header is.
+  std::optional<ParseError> error;
+  const auto frame_size = [&](const std::uint8_t* p,
+                              std::size_t available) -> std::size_t {
+    if (available < kFrameHeader) return 0;
+    const std::size_t length = (static_cast<std::size_t>(p[0]) << 16) |
+                               (static_cast<std::size_t>(p[1]) << 8) | p[2];
+    if (length > max_frame_size_) {
+      error = ParseError{ErrorCode::kFrameSizeError,
+                         "frame exceeds max frame size"};
+      return 0;
+    }
+    return kFrameHeader + length;
+  };
+  const auto take = [&](std::size_t n) {
+    n = std::min(n, bytes.size());
+    buffer_.insert(buffer_.end(), bytes.begin(),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    bytes = bytes.subspan(n);
+  };
+
+  // 1. Complete the frame the previous chunk cut off, in buffer_.
+  if (!buffer_.empty()) {
+    take(kFrameHeader - std::min(kFrameHeader, buffer_.size()));
+    const std::size_t size = frame_size(buffer_.data(), buffer_.size());
+    if (error) return error;
+    if (size == 0) return std::nullopt;
+    take(size - buffer_.size());
+    if (buffer_.size() < size) return std::nullopt;
+    auto more = dispatch(buffer_, handler);
+    // The view into buffer_ has been handed over; the bytes can go.
+    buffer_.clear();
+    if (!more) return more.error();
+    if (!*more) return std::nullopt;
+  }
+  // 2. Whole frames straight from `bytes`.
+  while (true) {
+    const std::size_t size = frame_size(bytes.data(), bytes.size());
+    if (error) return error;
+    if (size == 0 || bytes.size() < size) break;
+    auto more = dispatch(bytes.first(size), handler);
+    if (!more) return more.error();
+    bytes = bytes.subspan(size);
+    if (!*more) return std::nullopt;
+  }
+  // 3. Keep the cut-off tail for the next chunk.
+  take(bytes.size());
+  return std::nullopt;
 }
 
 util::Expected<std::vector<Frame>, ParseError> FrameParser::feed(
     std::span<const std::uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  std::vector<Frame> frames;
-  std::size_t consumed = 0;
-  while (buffer_.size() - consumed >= 9) {
-    const std::uint8_t* p = buffer_.data() + consumed;
-    const std::size_t length = (static_cast<std::size_t>(p[0]) << 16) |
-                               (static_cast<std::size_t>(p[1]) << 8) | p[2];
-    if (length > max_frame_size_) {
-      return parse_error(ErrorCode::kFrameSizeError,
-                         "frame exceeds max frame size");
+  struct Collect final : Handler {
+    std::vector<Frame> frames;
+    bool on_data(const DataView& f) override {
+      frames.emplace_back(DataFrame{f.stream_id, f.end_stream,
+                                    {f.data.begin(), f.data.end()},
+                                    f.padding_bytes});
+      return true;
     }
-    if (buffer_.size() - consumed < 9 + length) break;
-    const std::uint8_t type = p[3];
-    const std::uint8_t flags = p[4];
-    const std::uint32_t stream_id =
-        get_u32({p + 5, 4}, 0) & 0x7fffffff;
-    auto result = parse_one({p + 9, length}, type, flags, stream_id);
-    if (!result) return util::make_unexpected(result.error());
-    if (result->has_value()) frames.push_back(std::move(**result));
-    consumed += 9 + length;
+    bool on_frame(Frame&& f) override {
+      frames.push_back(std::move(f));
+      return true;
+    }
+  } collect;
+  if (auto error = parse(bytes, collect)) {
+    return util::make_unexpected(std::move(*error));
   }
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
-  return frames;
+  return std::move(collect.frames);
 }
 
 }  // namespace h2push::h2

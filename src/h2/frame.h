@@ -210,16 +210,51 @@ void append_push_promise_frame(std::vector<std::uint8_t>& out,
                                std::uint32_t max_frame_size =
                                    kDefaultMaxFrameSize);
 
+/// A DATA frame as FrameParser::parse hands it over: `data` points into the
+/// bytes being parsed or into the parser's own buffer, so the view is valid
+/// only for the duration of the Handler::on_data call that receives it.
+/// DataFrame is the owning form.
+struct DataView {
+  std::uint32_t stream_id = 0;
+  bool end_stream = false;
+  std::span<const std::uint8_t> data;
+  /// Pad-Length octet + padding, as in DataFrame.
+  std::size_t padding_bytes = 0;
+};
+
 /// Incremental parser over the connection byte stream. The caller feeds
 /// arbitrary chunks; complete frames come back in order. The client
 /// connection preface must be consumed by the caller before feeding.
 class FrameParser {
  public:
+  /// Receives the frames of one parse() call in wire order. DATA frames
+  /// arrive as views, every other frame (with its header block already
+  /// reassembled from any CONTINUATIONs) as an owned Frame. Returning false
+  /// stops the parse; the parser must not be fed again after that.
+  class Handler {
+   public:
+    virtual bool on_data(const DataView& frame) = 0;
+    virtual bool on_frame(Frame&& frame) = 0;
+
+   protected:
+    ~Handler() = default;
+  };
+
   explicit FrameParser(std::uint32_t max_frame_size = kDefaultMaxFrameSize)
       : max_frame_size_(max_frame_size) {}
 
-  /// Feed bytes; returns the frames completed by this chunk, or a connection
-  /// error (the stream is poisoned afterwards).
+  /// Parse `bytes`, handing each frame to `handler` as soon as it is
+  /// complete. A frame that lies whole in `bytes` is read in place; only a
+  /// frame cut off by the end of a chunk is copied, into a buffer reused
+  /// across calls. On malformed input the frames before the bad one have
+  /// already been handled; the error is returned, now and by every later
+  /// call (the stream is poisoned).
+  std::optional<ParseError> parse(std::span<const std::uint8_t> bytes,
+                                  Handler& handler);
+
+  /// parse() collecting the frames, DATA payloads copied into DataFrames:
+  /// returns the frames completed by this chunk, or a connection error (no
+  /// frames; the stream is poisoned afterwards).
   util::Expected<std::vector<Frame>, ParseError> feed(
       std::span<const std::uint8_t> bytes);
 
@@ -235,11 +270,23 @@ class FrameParser {
   }
 
  private:
-  util::Expected<std::optional<Frame>, ParseError> parse_one(
+  /// One parsed frame: nothing yet (a header block awaiting CONTINUATION),
+  /// a DATA view, or any other frame.
+  using Parsed = std::variant<std::monostate, DataView, Frame>;
+
+  /// Parse and hand over the whole frame `frame` (header included). Returns
+  /// whether the handler wants more.
+  util::Expected<bool, ParseError> dispatch(
+      std::span<const std::uint8_t> frame, Handler& handler);
+  std::optional<ParseError> parse_chunk(std::span<const std::uint8_t> bytes,
+                                        Handler& handler);
+  util::Expected<Parsed, ParseError> parse_one(
       std::span<const std::uint8_t> payload, std::uint8_t type,
       std::uint8_t flags, std::uint32_t stream_id);
 
+  // A frame cut off by the end of the previous chunk (never a whole one).
   std::vector<std::uint8_t> buffer_;
+  std::optional<ParseError> error_;  // set once: the stream is poisoned
   std::uint32_t max_frame_size_;
   std::size_t max_header_block_ = 1 << 20;
   // CONTINUATION reassembly state.

@@ -121,13 +121,16 @@ std::uint32_t PriorityTree::pick_subtree(
   }
   // Weighted round-robin among children whose subtrees have ready streams.
   // Two passes: find eligible children, then serve the highest credit.
-  std::vector<std::uint32_t> eligible;
-  std::vector<std::uint32_t> chosen_cache;
+  // The scratch vectors are members so a warm pick allocates nothing; this
+  // level is done with them before it recurses.
+  std::vector<std::uint32_t>& eligible = eligible_scratch_;
+  eligible.clear();
   for (std::uint32_t child : node.children) {
     // Probe the subtree for readiness without consuming credits: a cheap
     // DFS that only evaluates `ready`.
     bool any = false;
-    std::vector<std::uint32_t> stack{child};
+    std::vector<std::uint32_t>& stack = probe_scratch_;
+    stack.assign(1, child);
     while (!stack.empty() && !any) {
       const std::uint32_t cur = stack.back();
       stack.pop_back();

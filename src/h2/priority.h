@@ -63,6 +63,8 @@ class PriorityTree {
   void attach(std::uint32_t id, std::uint32_t parent, bool exclusive);
 
   std::map<std::uint32_t, Node> nodes_;  // ordered for determinism
+  std::vector<std::uint32_t> eligible_scratch_;  // pick_subtree only
+  std::vector<std::uint32_t> probe_scratch_;     // pick_subtree only
 };
 
 /// Scheduler interface the Connection consults when emitting DATA frames.

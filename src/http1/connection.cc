@@ -1,5 +1,6 @@
 #include "http1/connection.h"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/strings.h"
@@ -101,6 +102,21 @@ std::vector<MessageParser::Message> MessageParser::feed(
   }
 }
 
+// ---------------------------------------------------------------- outbox
+
+std::size_t Outbox::drain_into(std::vector<std::uint8_t>& out,
+                               std::size_t max_bytes) {
+  const std::size_t n = std::min(max_bytes, bytes_.size() - read_);
+  const char* begin = bytes_.data() + read_;
+  out.insert(out.end(), begin, begin + n);
+  read_ += n;
+  if (read_ == bytes_.size()) {
+    bytes_.clear();
+    read_ = 0;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------- client
 
 void ClientConnection::submit_request(const http::Request& request) {
@@ -111,7 +127,7 @@ void ClientConnection::submit_request(const http::Request& request) {
 void ClientConnection::send_next() {
   if (queue_.empty() || in_flight_) return;
   in_flight_ = true;
-  outbox_ += serialize_request(queue_.front());
+  outbox_.append(serialize_request(queue_.front()));
   queue_.pop_front();
   if (callbacks_.on_write_ready) callbacks_.on_write_ready();
 }
@@ -182,20 +198,12 @@ void ClientConnection::receive(std::span<const std::uint8_t> bytes) {
   }
 }
 
-std::vector<std::uint8_t> ClientConnection::produce(std::size_t max_bytes) {
-  const std::size_t n = std::min(max_bytes, outbox_.size());
-  std::vector<std::uint8_t> out(outbox_.begin(),
-                                outbox_.begin() + static_cast<long>(n));
-  outbox_.erase(0, n);
-  return out;
-}
-
 // ---------------------------------------------------------------- server
 
 void ServerConnection::submit_response(const http::Response& head,
                                        const std::string& body) {
-  outbox_ += serialize_response_head(head);
-  outbox_ += body;
+  outbox_.append(serialize_response_head(head));
+  outbox_.append(body);
   if (callbacks_.on_write_ready) callbacks_.on_write_ready();
 }
 
@@ -203,14 +211,6 @@ void ServerConnection::receive(std::span<const std::uint8_t> bytes) {
   for (auto& message : parser_.feed(bytes)) {
     if (callbacks_.on_request) callbacks_.on_request(message);
   }
-}
-
-std::vector<std::uint8_t> ServerConnection::produce(std::size_t max_bytes) {
-  const std::size_t n = std::min(max_bytes, outbox_.size());
-  std::vector<std::uint8_t> out(outbox_.begin(),
-                                outbox_.begin() + static_cast<long>(n));
-  outbox_.erase(0, n);
-  return out;
 }
 
 }  // namespace h2push::http1

@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/message.h"
@@ -59,6 +60,22 @@ class MessageParser {
   bool error_ = false;
 };
 
+/// Bytes queued for the transport. Writes drain them from a read offset,
+/// so each byte is copied out once and never shifted; the storage is reset
+/// when the last byte has been drained.
+class Outbox {
+ public:
+  void append(std::string_view bytes) { bytes_ += bytes; }
+  bool empty() const noexcept { return read_ == bytes_.size(); }
+  /// Append up to `max_bytes` queued bytes to `out`; returns how many.
+  std::size_t drain_into(std::vector<std::uint8_t>& out,
+                         std::size_t max_bytes);
+
+ private:
+  std::string bytes_;
+  std::size_t read_ = 0;
+};
+
 /// A client-side H1.1 connection: serial request/response over one stream
 /// of bytes (keep-alive, no pipelining — matching 2018 browsers). Response
 /// bodies stream to the caller as they arrive, so the renderer can parse
@@ -84,7 +101,10 @@ class ClientConnection {
 
   void receive(std::span<const std::uint8_t> bytes);
   bool want_write() const noexcept { return !outbox_.empty(); }
-  std::vector<std::uint8_t> produce(std::size_t max_bytes);
+  /// Append up to `max_bytes` queued bytes to `out`; returns how many.
+  std::size_t produce(std::vector<std::uint8_t>& out, std::size_t max_bytes) {
+    return outbox_.drain_into(out, max_bytes);
+  }
 
  private:
   void send_next();
@@ -92,7 +112,7 @@ class ClientConnection {
   Callbacks callbacks_;
   std::deque<http::Request> queue_;
   bool in_flight_ = false;
-  std::string outbox_;
+  Outbox outbox_;
   // Incremental response state.
   std::string inbox_;
   bool reading_body_ = false;
@@ -114,12 +134,15 @@ class ServerConnection {
 
   void receive(std::span<const std::uint8_t> bytes);
   bool want_write() const noexcept { return !outbox_.empty(); }
-  std::vector<std::uint8_t> produce(std::size_t max_bytes);
+  /// Append up to `max_bytes` queued bytes to `out`; returns how many.
+  std::size_t produce(std::vector<std::uint8_t>& out, std::size_t max_bytes) {
+    return outbox_.drain_into(out, max_bytes);
+  }
 
  private:
   Callbacks callbacks_;
   MessageParser parser_;
-  std::string outbox_;
+  Outbox outbox_;
 };
 
 }  // namespace h2push::http1

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "trace/trace.h"
 
@@ -13,6 +14,60 @@ const char* side_name(TcpConnection::Side side) {
 }
 
 }  // namespace
+
+void TcpConnection::SendBuffer::append(std::span<const std::uint8_t> data) {
+  while (!data.empty()) {
+    std::size_t room = base_seq_ + chunks_.size() * kSendChunkBytes - end_seq_;
+    if (room == 0) {
+      chunks_.push_back(spare_ ? std::move(spare_)
+                               : std::make_unique_for_overwrite<
+                                     std::uint8_t[]>(kSendChunkBytes));
+      room = kSendChunkBytes;
+    }
+    const std::size_t n = std::min(room, data.size());
+    const std::size_t offset =
+        static_cast<std::size_t>((end_seq_ - base_seq_) % kSendChunkBytes);
+    std::memcpy(chunks_.back().get() + offset, data.data(), n);
+    end_seq_ += n;
+    data = data.subspan(n);
+  }
+}
+
+std::span<const std::uint8_t> TcpConnection::SendBuffer::view(
+    std::uint64_t from, std::uint64_t to,
+    std::vector<std::uint8_t>& scratch) const {
+  assert(base_seq_ <= from && from <= to && to <= end_seq_);
+  std::size_t index = static_cast<std::size_t>((from - base_seq_) /
+                                               kSendChunkBytes);
+  std::size_t offset = static_cast<std::size_t>((from - base_seq_) %
+                                                kSendChunkBytes);
+  const auto len = static_cast<std::size_t>(to - from);
+  if (offset + len <= kSendChunkBytes) {
+    return {chunks_[index].get() + offset, len};
+  }
+  scratch.clear();
+  while (scratch.size() < len) {
+    const std::size_t n =
+        std::min(kSendChunkBytes - offset, len - scratch.size());
+    const std::uint8_t* p = chunks_[index].get() + offset;
+    scratch.insert(scratch.end(), p, p + n);
+    ++index;
+    offset = 0;
+  }
+  return scratch;
+}
+
+void TcpConnection::SendBuffer::release_below(std::uint64_t acked) {
+  std::size_t released = 0;
+  while (released < chunks_.size() &&
+         base_seq_ + kSendChunkBytes <= acked) {
+    if (!spare_) spare_ = std::move(chunks_[released]);
+    ++released;
+    base_seq_ += kSendChunkBytes;
+  }
+  chunks_.erase(chunks_.begin(),
+                chunks_.begin() + static_cast<std::ptrdiff_t>(released));
+}
 
 TcpConnection::TcpConnection(Simulator& sim, TcpConfig config, Route up,
                              Route down, Callbacks callbacks)
@@ -86,7 +141,7 @@ void TcpConnection::advance_handshake(int arrived_step) {
 
 void TcpConnection::send(Side side, std::span<const std::uint8_t> data) {
   Half& h = half(side);
-  h.buffer.insert(h.buffer.end(), data.begin(), data.end());
+  h.buffer.append(data);
   h.app_end += data.size();
   if (unsent_bytes(side) >= config_.write_watermark) h.writable_low = false;
   try_send(side);
@@ -198,11 +253,8 @@ void TcpConnection::on_segment(Side sender, std::uint64_t seq,
   h.delivered += delivered;
   send_ack(sender);
   if (callbacks_.on_receive) {
-    assert(from >= h.base_seq &&
-           h.rcv_nxt - h.base_seq <= h.buffer.size());
-    callbacks_.on_receive(
-        receiver_of(sender),
-        {h.buffer.data() + (from - h.base_seq), delivered});
+    callbacks_.on_receive(receiver_of(sender),
+                          h.buffer.view(from, h.rcv_nxt, scratch_));
   }
 }
 
@@ -264,14 +316,7 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
         h.cwnd += acked_segments / h.cwnd;  // congestion avoidance
       }
     }
-    // Trim acknowledged bytes from the retransmission buffer once they are
-    // at least half of it, so each byte is moved O(1) times on average.
-    const std::size_t trim = static_cast<std::size_t>(h.snd_una - h.base_seq);
-    if (trim > 0 && 2 * trim >= h.buffer.size()) {
-      h.buffer.erase(h.buffer.begin(),
-                     h.buffer.begin() + static_cast<std::ptrdiff_t>(trim));
-      h.base_seq = h.snd_una;
-    }
+    h.buffer.release_below(h.snd_una);
     if (h.snd_una == h.app_end) {
       sim_.cancel(h.rto_timer);
       h.rto_timer = kInvalidEvent;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,14 +51,18 @@ class TcpConnection {
     std::function<void()> on_connected;
     /// Fires on the server half an RTT earlier (when its handshake ends).
     std::function<void()> on_accepted;
-    /// In-order application bytes arriving at `side`. The span aliases the
-    /// sending half's retransmission buffer (segments carry sequence ranges,
-    /// not bytes), so it is valid only during the callback: copy what must
-    /// outlive it.
+    /// In-order application bytes arriving at `side`, one contiguous span
+    /// per delivery. The span aliases the sending half's send buffer
+    /// (segments carry sequence ranges, not bytes), or the connection's
+    /// scratch buffer when the delivery straddles two of its chunks, so it
+    /// is valid only during the callback: copy what must outlive it.
     std::function<void(Side side, std::span<const std::uint8_t>)> on_receive;
     /// `side` may write again (unsent buffer below watermark).
     std::function<void(Side side)> on_writable;
   };
+
+  /// Bytes per send-buffer chunk (see SendBuffer).
+  static constexpr std::size_t kSendChunkBytes = 64 * 1024;
 
   /// `up` carries client→server packets, `down` server→client.
   TcpConnection(Simulator& sim, TcpConfig config, Route up, Route down,
@@ -90,17 +95,40 @@ class TcpConnection {
   }
 
  private:
+  // A sender's application bytes from the first not fully acknowledged
+  // chunk up to app_end, in fixed-size chunks: a stored byte is written
+  // once and never moved or reallocated. Chunk i holds the bytes from
+  // base_seq + i * kSendChunkBytes on. A chunk is released once every byte
+  // in it is acknowledged; one released chunk is kept for the next append,
+  // so a steady transfer allocates nothing.
+  class SendBuffer {
+   public:
+    void append(std::span<const std::uint8_t> data);
+    /// Bytes [from, to), which must be held: in place when they lie in one
+    /// chunk, otherwise assembled in `scratch`.
+    std::span<const std::uint8_t> view(std::uint64_t from, std::uint64_t to,
+                                       std::vector<std::uint8_t>& scratch)
+        const;
+    /// Release the chunks whose bytes all lie below `acked`.
+    void release_below(std::uint64_t acked);
+
+   private:
+    std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+    std::unique_ptr<std::uint8_t[]> spare_;
+    std::uint64_t base_seq_ = 0;  // sequence number of chunks_[0][0]
+    std::uint64_t end_seq_ = 0;   // one past the last byte appended
+  };
+
   // One direction of application data flow.
   struct Half {
     Route data_route;   // carries data segments
     Route ack_route;    // carries ACKs back to the sender
     // --- sender state ---
-    // Bytes [base_seq, app_end). Segments in flight carry only (seq, len);
-    // the receiver reads delivered bytes from here. Only bytes below
-    // snd_una are trimmed, and snd_una never passes the receiver's rcv_nxt,
-    // so every byte not yet delivered is still here.
-    std::vector<std::uint8_t> buffer;
-    std::uint64_t base_seq = 0;
+    // Segments in flight carry only (seq, len); the receiver reads
+    // delivered bytes from here. Only chunks below snd_una are released,
+    // and snd_una never passes the receiver's rcv_nxt, so every byte not
+    // yet delivered is still here.
+    SendBuffer buffer;
     std::uint64_t snd_una = 0;
     std::uint64_t snd_nxt = 0;
     std::uint64_t app_end = 0;
@@ -154,6 +182,8 @@ class TcpConnection {
   Callbacks callbacks_;
   Half up_;    // client → server
   Half down_;  // server → client
+  // Assembles a delivery that straddles two send-buffer chunks.
+  std::vector<std::uint8_t> scratch_;
   bool connected_ = false;
   Time connect_end_time_ = 0;
 

@@ -7,6 +7,11 @@
 #include "h2/connection.h"
 #include "server/interleaving.h"
 
+// WarmBulkTransferAllocatesNothingPerDataFrame asserts that DATA frames
+// cross the appending produce and the callback parse without touching the
+// heap.
+#include "counting_allocator.h"
+
 namespace h2push::h2 {
 namespace {
 
@@ -470,6 +475,128 @@ TEST(Connection, SubmitGoawayLetsStreamsFinish) {
   EXPECT_EQ(p.body(id).size(), 40000u);
   EXPECT_TRUE(p.server->send_quiescent());
   EXPECT_TRUE(p.client_error.empty());  // graceful GOAWAY, not an error
+}
+
+TEST(Connection, WarmBulkTransferAllocatesNothingPerDataFrame) {
+  // A 1 MB response between two connections wired like the simulator:
+  // each side writes through the appending produce into one reused buffer,
+  // and the reader gets it in MSS-sized pieces, so most DATA frames are
+  // cut across pieces and reassembled in the parser's buffer. Windows are
+  // large enough that no WINDOW_UPDATE is due. Once the buffers are warm
+  // (a first identical exchange), the second response's DATA allocates
+  // nothing.
+  constexpr std::size_t kBody = 251 * 4200;  // ~1 MB, whole pattern cycles
+  std::string pattern(kBody, '\0');
+  for (std::size_t i = 0; i < kBody; ++i) {
+    pattern[i] = static_cast<char>(i % 251);
+  }
+  const Body body = std::make_shared<const std::string>(std::move(pattern));
+
+  std::size_t received = 0;
+  std::size_t data_frames = 0;
+  bool mismatch = false;
+  bool done = false;
+  std::size_t allocations_at_headers = 0;
+  Connection::Config cc;
+  cc.role = Role::kClient;
+  cc.initial_window = 1u << 24;
+  cc.connection_window_bonus = 1u << 24;
+  Connection::Callbacks ccb;
+  ccb.on_headers = [&](std::uint32_t, http::HeaderBlock, bool) {
+    allocations_at_headers = test_allocation_count();
+  };
+  ccb.on_data = [&](std::uint32_t, std::span<const std::uint8_t> data,
+                    bool fin) {
+    for (const auto byte : data) {
+      if (byte != static_cast<std::uint8_t>(received++ % 251)) {
+        mismatch = true;
+      }
+    }
+    ++data_frames;
+    done = fin;
+  };
+  Connection client(cc, std::move(ccb));
+  std::vector<std::uint32_t> requests;
+  Connection::Config sc;
+  sc.role = Role::kServer;
+  Connection::Callbacks scb;
+  scb.on_headers = [&](std::uint32_t stream, http::HeaderBlock, bool) {
+    requests.push_back(stream);
+  };
+  Connection server(sc, std::move(scb));
+  client.start();
+  server.start();
+
+  std::vector<std::uint8_t> wire;
+  const auto pump = [&] {
+    for (bool any = true; any;) {
+      any = false;
+      for (auto [from, to] : {std::pair{&client, &server},
+                              std::pair{&server, &client}}) {
+        wire.clear();
+        if (from->produce(wire, 2 * 1460) == 0) continue;
+        any = true;
+        for (std::size_t pos = 0; pos < wire.size(); pos += 1460) {
+          to->receive({wire.data() + pos,
+                       std::min<std::size_t>(1460, wire.size() - pos)});
+        }
+      }
+    }
+  };
+  http::Request req;
+  req.url = http::Url{"https", "test.example", 443, "/bulk"};
+  http::Response resp;
+  resp.status = 200;
+  resp.body_size = kBody;
+  std::size_t allocations_after_headers = 0;
+  for (int round = 0; round < 2; ++round) {
+    received = 0;
+    data_frames = 0;
+    done = false;
+    client.submit_request(req.to_h2_headers());
+    pump();
+    ASSERT_EQ(requests.size(), static_cast<std::size_t>(round + 1));
+    server.submit_response(requests.back(), resp.to_h2_headers(), body);
+    pump();
+    allocations_after_headers =
+        test_allocation_count() - allocations_at_headers;
+    ASSERT_TRUE(done);
+    EXPECT_EQ(received, kBody);
+    EXPECT_FALSE(mismatch);
+  }
+  EXPECT_GE(data_frames, kBody / kDefaultMaxFrameSize);
+  EXPECT_EQ(allocations_after_headers, 0u)
+      << allocations_after_headers << " allocations for " << data_frames
+      << " DATA frames";
+  EXPECT_TRUE(client.last_error().empty());
+  EXPECT_TRUE(server.last_error().empty());
+}
+
+TEST(Connection, FramesBeforeAMalformedOneTakeEffectFirst) {
+  // A PING and then a DATA frame on stream 0 (a connection error) in one
+  // chunk: the PING is answered before the GOAWAY goes out, the order RFC
+  // 7540 §5.4.1 gives a receiver that processes frames as they arrive.
+  Pair p;
+  p.pump();
+  std::vector<std::uint8_t> chunk;
+  serialize_into(Frame{PingFrame{false, 99}}, chunk);
+  DataFrame bad;
+  bad.stream_id = 0;
+  bad.data = {1, 2, 3};
+  serialize_into(Frame{bad}, chunk);
+  p.server->receive(chunk);
+  EXPECT_EQ(p.server->last_error_code(), ErrorCode::kProtocolError);
+
+  FrameParser parser;
+  const auto frames = parser.feed(p.server->produce(1 << 20));
+  ASSERT_TRUE(frames.has_value());
+  ASSERT_EQ(frames->size(), 2u);
+  const auto* ack = std::get_if<PingFrame>(&(*frames)[0]);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_TRUE(ack->ack);
+  EXPECT_EQ(ack->opaque, 99u);
+  EXPECT_EQ(std::get<GoawayFrame>((*frames)[1]).error,
+            ErrorCode::kProtocolError);
 }
 
 TEST(Connection, BadPrefaceIsRejected) {

@@ -4,11 +4,39 @@
 #include <gtest/gtest.h>
 
 #include "h2/frame.h"
+#include "fuzz/gen_frame.h"
 #include "h2/cache_digest.h"
 #include "util/rng.h"
 
 namespace h2push::h2 {
 namespace {
+
+/// Collects the callback parse, DATA views copied while they are valid.
+struct Recorder final : FrameParser::Handler {
+  std::vector<Frame> frames;
+  bool on_data(const DataView& f) override {
+    frames.emplace_back(DataFrame{f.stream_id, f.end_stream,
+                                  {f.data.begin(), f.data.end()},
+                                  f.padding_bytes});
+    return true;
+  }
+  bool on_frame(Frame&& f) override {
+    frames.push_back(std::move(f));
+    return true;
+  }
+};
+
+/// Cut [0, size) into random chunks of 1..max_chunk bytes.
+std::vector<std::size_t> random_cuts(util::Rng& rng, std::size_t size,
+                                     std::int64_t max_chunk) {
+  std::vector<std::size_t> cuts;
+  for (std::size_t pos = 0; pos < size;) {
+    pos = std::min(size, pos + static_cast<std::size_t>(
+                                   rng.uniform_int(1, max_chunk)));
+    cuts.push_back(pos);
+  }
+  return cuts;
+}
 
 std::vector<Frame> parse_all(std::span<const std::uint8_t> wire) {
   FrameParser parser;
@@ -234,6 +262,101 @@ TEST(FrameCodec, ExtensionFrameRoundTrips) {
   const auto& e = std::get<ExtensionFrame>(frames[0]);
   EXPECT_EQ(e.type, kCacheDigestFrameType);
   EXPECT_EQ(e.payload, f.payload);
+}
+
+TEST(FrameParser, CallbackParseMatchesFeedAcrossChunkings) {
+  // 200 seeds of random frame sequences, some DATA frames padded, each cut
+  // into two independent random chunkings: feed() over one and the
+  // callback parse over the other yield the same frames in the same order,
+  // DATA compared by bytes.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    fuzz::Random gen(seed);
+    util::Rng rng(seed ^ 0x5eed);
+    std::vector<std::uint8_t> wire;
+    std::size_t expected = 0;
+    const auto count = static_cast<std::size_t>(gen.range(1, 40));
+    for (std::size_t i = 0; i < count; ++i, ++expected) {
+      if (gen.chance(0.15)) {
+        // Padded DATA: the serializer never pads, so build it raw.
+        auto payload = gen.bytes(1, 3000);
+        const auto pad = static_cast<std::uint8_t>(gen.range(0, 40));
+        payload[0] = pad;
+        payload.insert(payload.end(), pad, 0);
+        fuzz::append_raw_frame(wire,
+                               static_cast<std::uint32_t>(payload.size()),
+                               0x0, kFlagPadded, 7, payload);
+        continue;
+      }
+      serialize_into(fuzz::random_valid_frame(gen), wire);
+    }
+    const std::int64_t max_chunk = seed % 2 == 0 ? 64 : 4000;
+
+    FrameParser fed;
+    std::vector<Frame> via_feed;
+    std::size_t pos = 0;
+    for (const std::size_t cut : random_cuts(rng, wire.size(), max_chunk)) {
+      auto frames = fed.feed({wire.data() + pos, cut - pos});
+      ASSERT_TRUE(frames.has_value()) << "seed " << seed;
+      for (auto& f : *frames) via_feed.push_back(std::move(f));
+      pos = cut;
+    }
+
+    FrameParser parsed;
+    Recorder via_parse;
+    pos = 0;
+    for (const std::size_t cut : random_cuts(rng, wire.size(), max_chunk)) {
+      ASSERT_FALSE(parsed.parse({wire.data() + pos, cut - pos}, via_parse))
+          << "seed " << seed;
+      pos = cut;
+    }
+
+    ASSERT_EQ(via_feed.size(), expected) << "seed " << seed;
+    EXPECT_TRUE(via_feed == via_parse.frames) << "seed " << seed;
+  }
+}
+
+TEST(FrameParser, FramesBeforeAMalformedOneAreHandledFirst) {
+  // SETTINGS, PING, then DATA on stream 0 (a connection error), in one
+  // chunk. The callback parse hands over the two good frames before it
+  // reports the error, in wire order (RFC 7540 §5.4.1); feed() returns
+  // only the error; and the parser stays poisoned.
+  std::vector<std::uint8_t> wire;
+  serialize_into(Frame{SettingsFrame{false, {{SettingsId::kEnablePush, 0}}}},
+                 wire);
+  serialize_into(Frame{PingFrame{false, 42}}, wire);
+  const std::uint8_t payload[] = {1, 2, 3};
+  fuzz::append_raw_frame(wire, 3, 0x0, 0, 0, payload);
+
+  FrameParser parser;
+  Recorder recorder;
+  const auto error = parser.parse(wire, recorder);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, ErrorCode::kProtocolError);
+  ASSERT_EQ(recorder.frames.size(), 2u);
+  EXPECT_TRUE(std::holds_alternative<SettingsFrame>(recorder.frames[0]));
+  EXPECT_EQ(std::get<PingFrame>(recorder.frames[1]).opaque, 42u);
+
+  const auto ping = serialize(Frame{PingFrame{false, 43}});
+  EXPECT_TRUE(parser.parse(ping, recorder).has_value());
+  EXPECT_EQ(recorder.frames.size(), 2u);
+
+  FrameParser fed;
+  EXPECT_FALSE(fed.feed(wire).has_value());
+}
+
+TEST(FrameParser, HandlerCanStopTheParse) {
+  std::vector<std::uint8_t> wire;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    serialize_into(Frame{PingFrame{false, i}}, wire);
+  }
+  struct StopAfterFirst final : FrameParser::Handler {
+    int seen = 0;
+    bool on_data(const DataView&) override { return false; }
+    bool on_frame(Frame&&) override { return ++seen < 1; }
+  } handler;
+  FrameParser parser;
+  EXPECT_FALSE(parser.parse(wire, handler).has_value());
+  EXPECT_EQ(handler.seen, 1);
 }
 
 TEST(FrameCodec, ClientPrefaceIs24Bytes) {

@@ -3,10 +3,6 @@
 // recovery (content-verified), and determinism.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "fuzz/invariants.h"
 #include "sim/conditions.h"
 #include "sim/link.h"
@@ -14,37 +10,11 @@
 #include "sim/tcp.h"
 #include "trace/trace.h"
 
-// Counting global allocator: SteadyStateSchedulesWithoutHeapAllocation
-// asserts the schedule/fire hot path stops touching the heap once the event
-// pool and queue are warm, and SteadyTransferDoesNotAllocatePerSegment that
-// a warm TCP transfer does not allocate per segment. Only the plain forms
-// are replaced; the sized deletes forward here per the standard. GCC flags
-// free() on a pointer it watched come out of a new-expression — a false
-// positive once the global operators are replaced with malloc/free in this
-// TU.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-namespace {
-std::atomic<std::size_t> g_allocation_count{0};
-}  // namespace
-
-std::size_t test_allocation_count() {
-  return g_allocation_count.load(std::memory_order_relaxed);
-}
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// SteadyStateSchedulesWithoutHeapAllocation asserts the schedule/fire hot
+// path stops touching the heap once the event pool and queue are warm, and
+// SteadyTransferDoesNotAllocatePerSegment that a warm TCP transfer does not
+// allocate per segment.
+#include "counting_allocator.h"
 
 namespace h2push::sim {
 namespace {
@@ -511,6 +481,10 @@ struct TcpHarness {
   std::unique_ptr<TcpConnection> tcp;
   std::size_t client_received = 0;
   std::size_t server_received = 0;
+  std::size_t pattern_sent = 0;
+  // Deliveries of more than one segment (an in-order repair releasing the
+  // segments queued behind a hole) that straddle a send-buffer chunk.
+  std::size_t repairs_across_chunks = 0;
   bool mismatch = false;
   Time connected_at = -1;
   Time accepted_at = -1;
@@ -535,6 +509,12 @@ struct TcpHarness {
     cb.on_receive = [this](TcpConnection::Side side,
                            std::span<const std::uint8_t> data) {
       if (side == TcpConnection::Side::kClient) {
+        constexpr std::size_t kChunk = TcpConnection::kSendChunkBytes;
+        if (data.size() > TcpConfig{}.mss &&
+            client_received / kChunk !=
+                (client_received + data.size() - 1) / kChunk) {
+          ++repairs_across_chunks;
+        }
         for (const auto byte : data) {
           if (byte != static_cast<std::uint8_t>(client_received % 251)) {
             mismatch = true;
@@ -550,11 +530,13 @@ struct TcpHarness {
         std::move(cb));
   }
 
+  /// Send the next `total` bytes of the i % 251 pattern.
   void send_pattern(std::size_t total) {
     std::vector<std::uint8_t> buf(total);
     for (std::size_t i = 0; i < total; ++i) {
-      buf[i] = static_cast<std::uint8_t>(i % 251);
+      buf[i] = static_cast<std::uint8_t>((pattern_sent + i) % 251);
     }
+    pattern_sent += total;
     tcp->send(TcpConnection::Side::kServer, buf);
   }
 };
@@ -642,6 +624,31 @@ TEST(Tcp, SteadyTransferDoesNotAllocatePerSegment) {
   EXPECT_LT(allocations, segments / 10)
       << allocations << " allocations for " << segments << " segments";
   ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
+}
+
+TEST(Tcp, RepairDeliveryAcrossSendBufferChunksKeepsBytes) {
+  // Under loss, the retransmission that fills a hole delivers every
+  // segment queued behind it as one span. When that span straddles two
+  // send-buffer chunks it is assembled in the connection's scratch buffer.
+  // The sender writes in pieces while earlier bytes are still in flight,
+  // so chunks are released and recycled mid-transfer.
+  std::size_t repairs_across_chunks = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TcpHarness h(/*loss=*/0.02, seed, /*queue=*/64 * 1024);
+    h.tcp->connect();
+    h.sim.run(from_seconds(60));
+    ASSERT_GE(h.connected_at, 0) << "handshake never completed";
+    for (int piece = 0; piece < 12; ++piece) {
+      h.send_pattern(100'000);
+      h.sim.run(h.sim.now() + from_ms(150));
+    }
+    h.sim.run(h.sim.now() + from_seconds(300));
+    EXPECT_EQ(h.client_received, h.pattern_sent) << "seed " << seed;
+    EXPECT_FALSE(h.mismatch) << "seed " << seed;
+    EXPECT_GT(h.tcp->retransmissions(), 0u);
+    repairs_across_chunks += h.repairs_across_chunks;
+  }
+  EXPECT_GT(repairs_across_chunks, 0u);
 }
 
 class TcpLossRecovery : public ::testing::TestWithParam<std::uint64_t> {};
