@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: a layering check on the serving code, the tier-1
-# build + test pass, a build of the benchmark program in perfbench/, then
-# the same test suite under AddressSanitizer +
+# Full verification: layering checks on the codec and the serving code,
+# the tier-1 build + test pass, a build of the benchmark program in
+# perfbench/, then the same test suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer, then the threaded runner tests under
 # ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
 # not ABI-compatible with each other or the plain build; TSan in particular
@@ -16,12 +16,20 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "=== layering: no simulator in the serving layers ==="
+echo "=== layering: no simulator in the serving layers, codec below server ==="
 # src/server/ and src/net/ run inside the live daemon h2pushd; of the
 # simulator they may use only its time type.
 if grep -rnE '#include[[:space:]]*"sim/' src/server src/net |
     grep -v '"sim/time.h"'; then
   echo "src/server/ or src/net/ includes a sim/ header other than sim/time.h" >&2
+  exit 1
+fi
+# src/h2/ is the HTTP/2 codec both halves link: it may include only h2/,
+# http/, util/ and trace/ headers, so it never reaches up into push policy
+# in src/server/.
+if grep -rnE '#include[[:space:]]*"' src/h2 |
+    grep -vE '#include[[:space:]]*"(h2|http|util|trace)/'; then
+  echo "src/h2/ includes a header outside h2/, http/, util/ and trace/" >&2
   exit 1
 fi
 echo "layering OK"

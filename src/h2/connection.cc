@@ -59,16 +59,10 @@ Connection::Connection(Config config, Callbacks callbacks)
       parser_(config.max_frame_size),
       encoder_(config.header_table_size),
       decoder_(config.header_table_size),
-      scheduler_(std::make_unique<DefaultTreeScheduler>()),
       next_stream_id_(config.role == Role::kClient ? 1 : 2),
       preface_pending_(config.role == Role::kServer) {
   // The decoder's size-update cap is whatever we announce in SETTINGS.
   decoder_.set_max_table_size(config.header_table_size);
-}
-
-void Connection::set_scheduler(std::unique_ptr<StreamScheduler> scheduler) {
-  assert(streams_.empty() && "scheduler must be set before streams exist");
-  scheduler_ = std::move(scheduler);
 }
 
 void Connection::start() {
@@ -172,7 +166,7 @@ std::uint32_t Connection::submit_request(
   s.state = StreamState::kHalfClosedLocal;  // GET with END_STREAM
   s.local_done = true;
   queue_header_frame(id, headers, /*end_stream=*/true, priority);
-  scheduler_->on_stream_added(id, priority.value_or(PrioritySpec{}));
+  tree_.add(id, priority.value_or(PrioritySpec{}));
   signal_write();
   return id;
 }
@@ -201,7 +195,7 @@ void Connection::submit_rst(std::uint32_t stream, ErrorCode error) {
   s.state = StreamState::kClosed;
   s.body_pending = false;
   queue_control(Frame{RstStreamFrame{stream, error}});
-  scheduler_->on_stream_removed(stream);
+  unschedule(stream);
   signal_write();
 }
 
@@ -221,7 +215,7 @@ std::uint32_t Connection::submit_push_promise(
   queue_header_frame(parent, request_headers, /*end_stream=*/false,
                      std::nullopt, /*promised_id=*/id);
   // h2o: pushed streams depend on the associated (parent) stream.
-  scheduler_->on_stream_added(id, PrioritySpec{parent, 16, false});
+  tree_.add(id, PrioritySpec{parent, 16, false});
   signal_write();
   return id;
 }
@@ -240,8 +234,7 @@ void Connection::submit_response(std::uint32_t stream,
                      std::nullopt);
   if (empty_body) {
     s.local_done = true;
-    s.end_queued = true;
-    scheduler_->on_stream_finished(stream);
+    release_hold(stream);
     maybe_close(stream);
   } else {
     s.body = std::move(body);
@@ -251,11 +244,44 @@ void Connection::submit_response(std::uint32_t stream,
   signal_write();
 }
 
+void Connection::interleave(std::uint32_t parent, std::size_t offset,
+                            std::vector<std::uint32_t> critical) {
+  // A critical stream already done (e.g. a tiny push fully written before
+  // the caller finished its policy) must not wedge the parent.
+  std::erase_if(critical, [this](std::uint32_t id) {
+    const auto it = streams_.find(id);
+    return it == streams_.end() || it->second.local_done ||
+           it->second.state == StreamState::kClosed;
+  });
+  hold_parent_ = critical.empty() ? 0 : parent;
+  hold_offset_ = offset;
+  hold_critical_ = std::move(critical);
+  hold_paused_ = false;
+}
+
+void Connection::release_hold(std::uint32_t id) {
+  if (hold_parent_ == 0) return;
+  std::erase(hold_critical_, id);
+  if (!hold_critical_.empty()) return;
+  if (trace_ && hold_paused_) {
+    trace_->instant(trace_track_, "server", "interleave.resume",
+                    {{"parent", hold_parent_}});
+  }
+  hold_parent_ = 0;
+}
+
+void Connection::unschedule(std::uint32_t id) {
+  tree_.remove(id);
+  release_hold(id);  // a cancelled push must not wedge the parent
+}
+
 bool Connection::data_ready(std::uint32_t id) const {
   auto it = streams_.find(id);
   if (it == streams_.end()) return false;
   const Stream& s = it->second;
-  return s.body_pending && s.send_window > 0 && send_window_ > 0;
+  if (!s.body_pending || s.send_window <= 0 || send_window_ <= 0) return false;
+  // The held parent waits at the offset while the tree serves the rest.
+  return id != hold_parent_ || s.body_offset < hold_offset_;
 }
 
 bool Connection::send_quiescent() const {
@@ -278,10 +304,10 @@ bool Connection::want_write() const {
 std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
                                               std::size_t max_payload) {
   const std::uint32_t id =
-      scheduler_->pick([this](std::uint32_t sid) { return data_ready(sid); });
+      tree_.pick([this](std::uint32_t sid) { return data_ready(sid); });
   if (id == 0) return 0;
   if (trace_ && id != last_data_stream_) {
-    // The scheduler moved to a different stream: the switch points are
+    // The tree moved to a different stream: the switch points are
     // what make interleaving visible in a trace (paper Fig. 5a).
     trace_->instant(trace_track_, "h2", "data.switch",
                     {{"from", last_data_stream_}, {"to", id}});
@@ -292,7 +318,8 @@ std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
   std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
   n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
   n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
-  n = std::min<std::size_t>(n, scheduler_->max_bytes_for(id));
+  // A held parent stops exactly at the switch point.
+  if (id == hold_parent_) n = std::min(n, hold_offset_ - s.body_offset);
   n = std::min<std::size_t>(n, max_payload);
   // data_ready() guarantees n > 0 for every setting this connection can
   // reach, but an unvalidated limit reaching 0 here would emit empty
@@ -309,9 +336,14 @@ std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
   s.body_offset += n;
   s.send_window -= static_cast<std::int64_t>(n);
   send_window_ -= static_cast<std::int64_t>(n);
-  s.data_sent += n;
   total_data_sent_ += n;
-  scheduler_->on_data_sent(id, n);
+  if (trace_ && id == hold_parent_ && s.body_offset >= hold_offset_) {
+    hold_paused_ = true;
+    trace_->instant(trace_track_, "server", "interleave.pause",
+                    {{"parent", id},
+                     {"parent_sent", s.body_offset},
+                     {"pending_critical", hold_critical_.size()}});
+  }
   if (trace_) {
     trace_->instant(trace_track_, "h2", "send DATA",
                     {{"stream", id},
@@ -324,9 +356,8 @@ std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
   if (end_stream) {
     s.body_pending = false;
     s.local_done = true;
-    s.end_queued = true;
     s.body.reset();
-    scheduler_->on_stream_finished(id);
+    release_hold(id);
     maybe_close(id);
   }
   return n;
@@ -397,7 +428,7 @@ void Connection::maybe_close(std::uint32_t id) {
   Stream& s = it->second;
   if (s.local_done && s.remote_done && s.state != StreamState::kClosed) {
     s.state = StreamState::kClosed;
-    scheduler_->on_stream_removed(id);
+    unschedule(id);
     if (callbacks_.on_stream_closed) callbacks_.on_stream_closed(id);
   }
 }
@@ -625,9 +656,9 @@ void Connection::handle_frame(Frame frame) {
             s.state = StreamState::kHalfClosedLocal;
           }
           if (f.priority) {
-            scheduler_->on_reprioritized(f.stream_id, *f.priority);
+            tree_.reprioritize(f.stream_id, *f.priority);
           } else if (config_.role == Role::kServer) {
-            scheduler_->on_stream_added(f.stream_id, PrioritySpec{});
+            tree_.add(f.stream_id, PrioritySpec{});
           }
           if (f.end_stream) {
             s.remote_done = true;
@@ -685,7 +716,7 @@ void Connection::handle_frame(Frame frame) {
             }
             return;
           }
-          scheduler_->on_reprioritized(f.stream_id, f.priority);
+          tree_.reprioritize(f.stream_id, f.priority);
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
           if (streams_.find(f.stream_id) == streams_.end()) {
             connection_error(ErrorCode::kProtocolError,
@@ -696,7 +727,7 @@ void Connection::handle_frame(Frame frame) {
           s.state = StreamState::kClosed;
           s.body_pending = false;
           s.body.reset();
-          scheduler_->on_stream_removed(f.stream_id);
+          unschedule(f.stream_id);
           if (callbacks_.on_rst) callbacks_.on_rst(f.stream_id, f.error);
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
           if (f.stream_id == 0) {
@@ -768,17 +799,7 @@ StreamState Connection::stream_state(std::uint32_t stream) const {
 
 std::uint64_t Connection::data_bytes_sent(std::uint32_t stream) const {
   auto it = streams_.find(stream);
-  return it == streams_.end() ? 0 : it->second.data_sent;
-}
-
-std::int64_t Connection::stream_send_window(std::uint32_t stream) const {
-  auto it = streams_.find(stream);
-  return it == streams_.end() ? 0 : it->second.send_window;
-}
-
-bool Connection::stream_send_finished(std::uint32_t stream) const {
-  auto it = streams_.find(stream);
-  return it != streams_.end() && it->second.end_queued;
+  return it == streams_.end() ? 0 : it->second.body_offset;
 }
 
 }  // namespace h2push::h2

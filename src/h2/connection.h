@@ -2,7 +2,7 @@
 //
 // One Connection instance is either the client or the server end of an H2
 // session. It speaks real bytes: the write side serializes frames (control
-// frames first, then scheduler-chosen DATA), the read side runs the
+// frames first, then DATA in priority-tree order), the read side runs the
 // incremental FrameParser and HPACK decoder. Both endpoints in a simulation
 // are instances of this class wired together through the TCP model, so the
 // full framing/HPACK path is exercised on every simulated page load.
@@ -11,6 +11,10 @@
 // the per-stream and the connection window; the receive path auto-issues
 // WINDOW_UPDATEs assuming the application consumes data immediately (true
 // for both our browser and replay server).
+//
+// DATA is scheduled by the connection's RFC 7540 §5.3 dependency tree
+// (h2/priority.h), plus one server-side rule: the paper's §5 interleaving
+// hold (interleave()).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "h2/frame.h"
 #include "h2/hpack.h"
@@ -114,10 +119,17 @@ class Connection {
   /// Returns 0 if the peer disabled push or the parent is gone.
   std::uint32_t submit_push_promise(std::uint32_t parent,
                                     const http::HeaderBlock& request_headers);
-  /// Queue response HEADERS and hand the body to the scheduler-driven
+  /// Queue response HEADERS and hand the body to the tree-scheduled
   /// write path. An empty body closes the stream with the headers.
   void submit_response(std::uint32_t stream, const http::HeaderBlock& headers,
                        Body body);
+  /// The paper's §5 hard switch (Fig. 5a): once `parent` has sent `offset`
+  /// body bytes, hold it until every stream in `critical` has queued
+  /// END_STREAM or closed; meanwhile the tree serves the other streams.
+  /// Critical streams already done are dropped, and an empty set holds
+  /// nothing. Replaces any earlier hold. Traces interleave.pause / .resume.
+  void interleave(std::uint32_t parent, std::size_t offset,
+                  std::vector<std::uint32_t> critical);
 
   // --- transport glue ---
   void receive(std::span<const std::uint8_t> bytes);
@@ -152,11 +164,6 @@ class Connection {
   std::size_t produce_into(std::vector<std::uint8_t>& out,
                            std::size_t max_bytes);
 
-  /// Replace the DATA scheduler (server side: interleaving experiments).
-  /// Must be called before any stream exists.
-  void set_scheduler(std::unique_ptr<StreamScheduler> scheduler);
-  StreamScheduler& scheduler() { return *scheduler_; }
-
   /// Attach a trace recorder: per-frame send/recv instants, flow-control
   /// window counters, and DATA scheduling switch points on `track`.
   void set_trace(trace::TraceRecorder* recorder, std::uint32_t track) {
@@ -169,11 +176,6 @@ class Connection {
   StreamState stream_state(std::uint32_t stream) const;
   std::uint64_t data_bytes_sent(std::uint32_t stream) const;
   std::uint64_t total_data_sent() const noexcept { return total_data_sent_; }
-  std::int64_t connection_send_window() const noexcept {
-    return send_window_;
-  }
-  std::int64_t stream_send_window(std::uint32_t stream) const;
-  bool stream_send_finished(std::uint32_t stream) const;
   const std::string& last_error() const noexcept { return last_error_; }
   /// Error code of the GOAWAY we sent (kNoError while healthy).
   ErrorCode last_error_code() const noexcept { return last_error_code_; }
@@ -195,8 +197,6 @@ class Connection {
     Body body;
     std::size_t body_offset = 0;
     bool body_pending = false;   // response submitted, data left to send
-    bool end_queued = false;     // END_STREAM emitted
-    std::uint64_t data_sent = 0;
     bool local_done = false;   // we will send no more
     bool remote_done = false;  // peer sent END_STREAM
   };
@@ -218,8 +218,13 @@ class Connection {
   void apply_remote_settings(const SettingsFrame& frame);
   Stream& ensure_stream(std::uint32_t id);
   void maybe_close(std::uint32_t id);
+  /// The stream left the schedule (closed or reset): drop it from the tree
+  /// and from the hold.
+  void unschedule(std::uint32_t id);
+  /// `id` queued END_STREAM or closed: it no longer keeps the hold.
+  void release_hold(std::uint32_t id);
   bool data_ready(std::uint32_t id) const;
-  /// Append the scheduler's next DATA frame, its payload capped at
+  /// Append the tree's next DATA frame, its payload capped at
   /// `max_payload` and by the flow-control windows, and do the stream
   /// bookkeeping. Returns the payload size; 0 when no stream is ready.
   std::size_t append_next_data_frame(std::vector<std::uint8_t>& out,
@@ -231,7 +236,11 @@ class Connection {
   FrameParser parser_;
   HpackEncoder encoder_;
   HpackDecoder decoder_;
-  std::unique_ptr<StreamScheduler> scheduler_;
+  PriorityTree tree_;
+  // The interleaving hold (interleave()); hold_parent_ == 0 when none.
+  std::uint32_t hold_parent_ = 0;
+  std::size_t hold_offset_ = 0;
+  std::vector<std::uint32_t> hold_critical_;
 
   std::map<std::uint32_t, Stream> streams_;
   std::uint32_t next_stream_id_;  // odd (client) / even (server pushes)
@@ -264,6 +273,7 @@ class Connection {
   trace::TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_track_ = 0;
   std::uint32_t last_data_stream_ = 0;  // trace-only: DATA switch detection
+  bool hold_paused_ = false;  // trace-only: interleave.pause emitted
 };
 
 }  // namespace h2push::h2

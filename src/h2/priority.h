@@ -67,53 +67,4 @@ class PriorityTree {
   std::vector<std::uint32_t> probe_scratch_;     // pick_subtree only
 };
 
-/// Scheduler interface the Connection consults when emitting DATA frames.
-/// Implementations: DefaultTreeScheduler (below) and the server module's
-/// InterleavingScheduler (the paper's contribution).
-class StreamScheduler {
- public:
-  virtual ~StreamScheduler() = default;
-
-  virtual void on_stream_added(std::uint32_t id, const PrioritySpec& spec) = 0;
-  virtual void on_reprioritized(std::uint32_t id,
-                                const PrioritySpec& spec) = 0;
-  virtual void on_stream_removed(std::uint32_t id) = 0;
-  /// DATA bytes were emitted for `id` (post-pick accounting).
-  virtual void on_data_sent(std::uint32_t id, std::size_t bytes) = 0;
-  /// The stream's body finished (END_STREAM queued).
-  virtual void on_stream_finished(std::uint32_t id) = 0;
-  /// Choose the next stream among those where `ready` holds; 0 = none.
-  virtual std::uint32_t pick(
-      const std::function<bool(std::uint32_t)>& ready) = 0;
-  /// Cap on DATA bytes the connection may emit for `id` in the next frame
-  /// (lets a scheduler stop a stream at an exact byte offset).
-  virtual std::size_t max_bytes_for(std::uint32_t id) {
-    (void)id;
-    return static_cast<std::size_t>(-1);
-  }
-};
-
-/// h2o's default behaviour: schedule strictly by the dependency tree.
-class DefaultTreeScheduler final : public StreamScheduler {
- public:
-  void on_stream_added(std::uint32_t id, const PrioritySpec& spec) override {
-    tree_.add(id, spec);
-  }
-  void on_reprioritized(std::uint32_t id,
-                        const PrioritySpec& spec) override {
-    tree_.reprioritize(id, spec);
-  }
-  void on_stream_removed(std::uint32_t id) override { tree_.remove(id); }
-  void on_data_sent(std::uint32_t, std::size_t) override {}
-  void on_stream_finished(std::uint32_t) override {}
-  std::uint32_t pick(const std::function<bool(std::uint32_t)>& ready) override {
-    return tree_.pick(ready);
-  }
-
-  PriorityTree& tree() { return tree_; }
-
- private:
-  PriorityTree tree_;
-};
-
 }  // namespace h2push::h2

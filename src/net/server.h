@@ -4,7 +4,7 @@
 // N serving threads, each with its own EventLoop and SO_REUSEPORT Listener.
 // Every accepted socket becomes a ServerSession: a Transport (buffered
 // nonblocking socket, watermark backpressure) driving a server::ReplayServer
-// — the same session logic, stream schedulers, and push policies the
+// — the same session logic, DATA scheduling, and push policies the
 // simulator exercises, now over real TCP. Frames leave the codec through
 // h2::Connection::produce_into sized to the transport's write budget, so
 // per-connection memory stays bounded no matter how large the pushed
@@ -38,8 +38,8 @@ struct ServerConfig {
   /// Must outlive the server.
   const replay::RecordStore* store = nullptr;
   const replay::OriginMap* origins = nullptr;
-  /// Also picks the stream scheduler: interleaving if any policy
-  /// interleaves (server::ReplayServer::Config::policies).
+  /// Push policies by trigger host; a policy that interleaves holds its
+  /// own trigger's HTML (server::ReplayServer::Config::policies).
   const std::map<std::string, server::PushPolicy>* policies = nullptr;
   std::string default_authority;
 

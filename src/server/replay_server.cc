@@ -27,21 +27,8 @@ ReplayServer::ReplayServer(Config config) : config_(std::move(config)) {
     }
   };
   conn_ = std::make_unique<h2::Connection>(cc, std::move(cbs));
-  const auto interleaves = [](const auto& entry) {
-    return entry.second.interleaving;
-  };
-  if (config_.policies != nullptr &&
-      std::any_of(config_.policies->begin(), config_.policies->end(),
-                  interleaves)) {
-    auto sched = std::make_unique<InterleavingScheduler>();
-    interleaver_ = sched.get();
-    conn_->set_scheduler(std::move(sched));
-  }
   if (config_.trace != nullptr) {
     conn_->set_trace(config_.trace, config_.trace_track);
-    if (interleaver_ != nullptr) {
-      interleaver_->set_trace(config_.trace, config_.trace_track);
-    }
   }
   conn_->start();
 }
@@ -127,7 +114,7 @@ void ReplayServer::respond_with_hints(std::uint32_t stream,
 
 void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
                                      const PushPolicy& policy) {
-  std::set<std::uint32_t> critical;
+  std::vector<std::uint32_t> critical;
   std::size_t index = 0;
   for (const auto& push_url : policy.push_urls) {
     auto url = http::parse_url(push_url);
@@ -162,7 +149,6 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
       return;
     }
     ++push_promises_sent_;
-    ++pushed_streams_;
     if (config_.trace != nullptr) {
       config_.trace->instant(
           config_.trace_track, "server", "push_promise",
@@ -172,12 +158,12 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
     }
     conn_->submit_response(promised, exchange->response.to_h2_headers(),
                            exchange->body);
-    if (interleaver_ != nullptr && index < policy.critical_count) {
-      critical.insert(promised);
+    if (policy.interleaving && index < policy.critical_count) {
+      critical.push_back(promised);
     }
     ++index;
   }
-  if (interleaver_ != nullptr && !critical.empty()) {
+  if (!critical.empty()) {
     if (config_.trace != nullptr) {
       config_.trace->instant(
           config_.trace_track, "server", "interleave.configure",
@@ -185,8 +171,8 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
            {"offset", policy.interleave_offset},
            {"critical", critical.size()}});
     }
-    interleaver_->configure(parent_stream, policy.interleave_offset,
-                            std::move(critical));
+    conn_->interleave(parent_stream, policy.interleave_offset,
+                      std::move(critical));
   }
 }
 

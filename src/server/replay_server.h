@@ -7,8 +7,8 @@
 // trigger (normally the landing page), the server issues PUSH_PROMISEs in
 // policy order, skipping resources a received CACHE_DIGEST says the client
 // holds, submits the pushed responses, and — if the policy asks for
-// interleaving — configures the InterleavingScheduler with the parent
-// stream, byte offset, and the critical push set.
+// interleaving — has the connection hold the parent stream at the byte
+// offset until the critical pushes are sent (h2::Connection::interleave).
 #pragma once
 
 #include <functional>
@@ -21,7 +21,6 @@
 #include "h2/connection.h"
 #include "replay/origin.h"
 #include "replay/record.h"
-#include "server/interleaving.h"
 
 namespace h2push::server {
 
@@ -31,7 +30,8 @@ struct PushPolicy {
   std::string trigger_path = "/";
   /// Absolute URLs, in push order.
   std::vector<std::string> push_urls;
-  /// Use the modified (interleaving) scheduler.
+  /// Hold the parent at interleave_offset until the critical pushes are
+  /// sent (the paper's §5 scheduler change).
   bool interleaving = false;
   /// Bytes of the parent (HTML) to send before the hard switch.
   std::size_t interleave_offset = 4096;
@@ -54,10 +54,8 @@ class ReplayServer {
     const replay::RecordStore* store = nullptr;
     const replay::OriginMap* origins = nullptr;
     /// Push policies: trigger host → policy. A policy applies when a
-    /// request hits its trigger_host + trigger_path. The session installs
-    /// the InterleavingScheduler when any policy interleaves, so that it
-    /// exists before the trigger request arrives. Not owned; must outlive
-    /// the session. Null = plain serving.
+    /// request hits its trigger_host + trigger_path. Not owned; must
+    /// outlive the session. Null = plain serving.
     const std::map<std::string, PushPolicy>* policies = nullptr;
     /// Fallback :authority when the requested one has no record — lets
     /// off-the-shelf clients (nghttp, curl) that send "127.0.0.1:port" as
@@ -85,7 +83,6 @@ class ReplayServer {
   }
 
   std::uint64_t requests_served() const noexcept { return requests_served_; }
-  std::uint64_t pushed_streams() const noexcept { return pushed_streams_; }
   std::uint64_t push_promises_sent() const noexcept {
     return push_promises_sent_;
   }
@@ -107,13 +104,11 @@ class ReplayServer {
 
   Config config_;
   std::unique_ptr<h2::Connection> conn_;
-  InterleavingScheduler* interleaver_ = nullptr;  // owned by conn_ if set
   std::function<void()> write_ready_;
   bool corked_ = false;  // hold writes while a response is being assembled
   h2::CacheDigest digest_;
   bool has_digest_ = false;
   std::uint64_t requests_served_ = 0;
-  std::uint64_t pushed_streams_ = 0;
   std::uint64_t push_promises_sent_ = 0;
   std::uint64_t pushes_skipped_by_digest_ = 0;
 };

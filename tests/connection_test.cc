@@ -1,11 +1,12 @@
 // H2 Connection endpoint tests: a client/server pair wired through an
 // in-memory pipe — request/response flow, push promise lifecycle, push
 // cancellation, SETTINGS_ENABLE_PUSH, flow control enforcement, scheduler
-// interaction and the interleaving scheduler's hard switch.
+// interaction and the interleaving hold (Connection::interleave).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "h2/connection.h"
-#include "server/interleaving.h"
 
 // WarmBulkTransferAllocatesNothingPerDataFrame asserts that DATA frames
 // cross the appending produce and the callback parse without touching the
@@ -14,6 +15,10 @@
 
 namespace h2push::h2 {
 namespace {
+
+/// One DATA frame the server sent: (stream, payload bytes).
+using Sent = std::pair<std::uint32_t, std::size_t>;
+using DataFrames = std::vector<Sent>;
 
 struct Pair {
   std::unique_ptr<Connection> client;
@@ -106,7 +111,69 @@ struct Pair {
   static Body make_body(std::size_t n, char c = 'x') {
     return std::make_shared<const std::string>(std::string(n, c));
   }
+
+  /// Let the server write until it emits one DATA frame, delivering every
+  /// byte to the client. Returns that frame's (stream, payload size), or
+  /// {0, 0} when no stream may send DATA.
+  Sent next_server_data() {
+    while (server->want_write()) {
+      // produce(1) emits one control frame or one DATA frame, whole. A
+      // held parent still wants to write but produces nothing.
+      const auto bytes = server->produce(1);
+      if (bytes.empty()) break;
+      client->receive(bytes);
+      FrameParser sniff;
+      auto frames = sniff.feed(bytes);
+      EXPECT_TRUE(frames.has_value());
+      if (!frames.has_value()) break;
+      for (const auto& frame : *frames) {
+        if (const auto* data = std::get_if<DataFrame>(&frame)) {
+          return {data->stream_id, data->data.size()};
+        }
+      }
+    }
+    return {0, 0};
+  }
+
+  /// Every remaining server DATA frame, in wire order.
+  DataFrames drain_server_data() {
+    DataFrames frames;
+    for (auto frame = next_server_data(); frame.first != 0;
+         frame = next_server_data()) {
+      frames.push_back(frame);
+    }
+    return frames;
+  }
 };
+
+/// A landing page on the server side: a GET for "/" answered with a
+/// `parent_size`-byte body, after one push promise per `push_sizes` entry
+/// (0 = an empty pushed body, which closes the push with its HEADERS).
+struct Page {
+  std::uint32_t parent = 0;
+  std::vector<std::uint32_t> pushes;
+};
+
+Page serve_page(Pair& p, std::size_t parent_size,
+                const std::vector<std::size_t>& push_sizes) {
+  Page page;
+  page.parent = p.get("/");
+  p.pump();
+  http::Response resp;
+  for (const std::size_t size : push_sizes) {
+    http::Request push_req;
+    push_req.url = http::Url{"https", "test.example", 443,
+                             "/push" + std::to_string(page.pushes.size())};
+    const auto promised =
+        p.server->submit_push_promise(page.parent, push_req.to_h2_headers());
+    p.server->submit_response(promised, resp.to_h2_headers(),
+                              size == 0 ? nullptr : Pair::make_body(size));
+    page.pushes.push_back(promised);
+  }
+  p.server->submit_response(page.parent, resp.to_h2_headers(),
+                            Pair::make_body(parent_size));
+  return page;
+}
 
 TEST(Connection, BasicRequestResponse) {
   Pair p;
@@ -273,9 +340,6 @@ TEST(Connection, InterleavingSchedulerHardSwitch) {
   // The paper's Fig. 5a, at the connection level: parent HTML pauses at the
   // offset, the critical push drains completely, the parent resumes.
   Pair p;
-  auto scheduler = std::make_unique<server::InterleavingScheduler>();
-  auto* interleaver = scheduler.get();
-  p.server->set_scheduler(std::move(scheduler));
   const auto id = p.get("/");
   p.pump();
   http::Request push_req;
@@ -287,7 +351,7 @@ TEST(Connection, InterleavingSchedulerHardSwitch) {
                             Pair::make_body(8000, 'c'));
   p.server->submit_response(id, resp.to_h2_headers(),
                             Pair::make_body(50000, 'h'));
-  interleaver->configure(id, 4096, {promised});
+  p.server->interleave(id, 4096, {promised});
 
   // Drive the server byte by byte and track arrival order at the client.
   std::string arrival_tags;
@@ -311,6 +375,71 @@ TEST(Connection, InterleavingSchedulerHardSwitch) {
   // The parent stopped at the offset until the pushed stream finished.
   EXPECT_LE(html_before_css_done, 4096u);
   EXPECT_GT(html_before_css_done, 0u);
+}
+
+TEST(Connection, InterleaveUnsetKeepsTreeOrder) {
+  // Without interleave() the dependency tree rules: the parent is sent
+  // whole, in full-size frames, before its pushed child.
+  Pair p;
+  const Page page = serve_page(p, 20000, {1000});
+  EXPECT_EQ(p.drain_server_data(),
+            (DataFrames{{page.parent, kDefaultMaxFrameSize},
+                        {page.parent, 20000 - kDefaultMaxFrameSize},
+                        {page.pushes[0], 1000}}));
+}
+
+TEST(Connection, InterleavePausesParentAtOffset) {
+  Pair p;
+  const Page page = serve_page(p, 50000, {8000});
+  p.server->interleave(page.parent, 4096, {page.pushes[0]});
+  // The parent's last frame before the switch ends exactly at the offset,
+  // the critical push is sent whole, then the parent resumes uncapped.
+  EXPECT_EQ(p.next_server_data(), Sent(page.parent, 4096));
+  EXPECT_EQ(p.next_server_data(), Sent(page.pushes[0], 8000));
+  EXPECT_EQ(p.next_server_data(),
+            Sent(page.parent, kDefaultMaxFrameSize));
+}
+
+TEST(Connection, InterleaveDrainsEveryCriticalStream) {
+  Pair p;
+  const Page page = serve_page(p, 5000, {1000, 1000, 1000});
+  p.server->interleave(page.parent, 1000, page.pushes);
+  const DataFrames frames = p.drain_server_data();
+  ASSERT_EQ(frames.size(), 5u);
+  EXPECT_EQ(frames[0], Sent(page.parent, 1000));
+  std::set<std::uint32_t> drained;
+  for (std::size_t i = 1; i < 4; ++i) drained.insert(frames[i].first);
+  EXPECT_EQ(drained, std::set<std::uint32_t>(page.pushes.begin(),
+                                             page.pushes.end()));
+  EXPECT_EQ(frames[4], Sent(page.parent, 4000));
+}
+
+TEST(Connection, InterleaveIgnoresCriticalPushAlreadyDone) {
+  // A push with an empty body closes with its HEADERS, before the hold is
+  // set up; it must not wedge the parent at the offset.
+  Pair p;
+  const Page page = serve_page(p, 5000, {0});
+  p.server->interleave(page.parent, 100, {page.pushes[0]});
+  EXPECT_EQ(p.drain_server_data(), (DataFrames{{page.parent, 5000}}));
+}
+
+TEST(Connection, InterleaveReleasedWhenClientResetsCriticalPush) {
+  Pair p;
+  const Page page = serve_page(p, 5000, {8000});
+  p.server->interleave(page.parent, 100, {page.pushes[0]});
+  EXPECT_EQ(p.next_server_data(), Sent(page.parent, 100));
+  // The client cancels the critical push before any of it is sent.
+  p.client->submit_rst(page.pushes[0], ErrorCode::kCancel);
+  p.server->receive(p.client->produce(4096));
+  EXPECT_EQ(p.drain_server_data(), (DataFrames{{page.parent, 4900}}));
+}
+
+TEST(Connection, InterleaveOffsetLargerThanParentNeverPauses) {
+  Pair p;
+  const Page page = serve_page(p, 5000, {1000});
+  p.server->interleave(page.parent, 1 << 20, {page.pushes[0]});
+  EXPECT_EQ(p.drain_server_data(),
+            (DataFrames{{page.parent, 5000}, {page.pushes[0], 1000}}));
 }
 
 TEST(Connection, PingIsAcked) {

@@ -17,6 +17,8 @@
 #include "core/memo.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
+#include "trace/chrome_trace.h"
+#include "trace/trace.h"
 #include "util/sha256.h"
 #include "web/profiles.h"
 #include "web/site.h"
@@ -108,6 +110,30 @@ INSTANTIATE_TEST_SUITE_P(Runs, Golden, ::testing::ValuesIn(kCases),
                          [](const auto& param_info) {
                            return std::string(param_info.param.label);
                          });
+
+// One traced interleaved load. The Chrome trace export records what no
+// LoadResult field does: the order, timing and arguments of every frame and
+// of the server's interleave.configure / .pause / .resume instants. Moving
+// the hard switch between modules must leave this export as it is.
+TEST(TraceGolden, InterleavedLoadExportIsPinned) {
+  const web::Site site = web::make_w_site(3).site;
+  Strategy strategy = push_all(site, web::pushable_urls(site));
+  strategy.interleaving = true;
+  strategy.interleave_offset = head_end_offset(site);
+  trace::TraceRecorder recorder;
+  RunConfig config;
+  config.seed = 1;
+  config.trace = &recorder;
+  ASSERT_TRUE(run_page_load(site, strategy, config).complete);
+  const std::string json = trace::to_chrome_trace_json(recorder);
+  for (const char* name :
+       {"interleave.configure", "interleave.pause", "interleave.resume"}) {
+    EXPECT_NE(json.find('"' + std::string(name) + '"'), std::string::npos)
+        << name;
+  }
+  EXPECT_EQ(hex(util::sha256(json)),
+            "16ff8f9d7fa0ed4abd4eaddfef94ed2015960a1b9e46ebda0a0fe9ad65f2aa54");
+}
 
 }  // namespace
 }  // namespace h2push::core

@@ -1,111 +1,15 @@
-// Unit tests for the interleaving scheduler in isolation and the waterfall
-// renderer, plus cross-cutting determinism properties over the corpus.
+// Unit tests for the waterfall renderer, plus cross-cutting determinism
+// properties over the corpus. The interleaving hold is tested at the
+// connection level (connection_test.cc).
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "core/strategy.h"
 #include "core/testbed.h"
 #include "core/waterfall.h"
-#include "server/interleaving.h"
 #include "web/corpus.h"
 
 namespace h2push {
 namespace {
-
-using server::InterleavingScheduler;
-
-struct SchedulerFixture {
-  InterleavingScheduler scheduler;
-  std::set<std::uint32_t> ready;
-
-  std::uint32_t pick() {
-    return scheduler.pick(
-        [this](std::uint32_t id) { return ready.count(id) > 0; });
-  }
-};
-
-TEST(InterleavingScheduler, BehavesLikeTreeWhenUnconfigured) {
-  SchedulerFixture f;
-  f.scheduler.on_stream_added(1, h2::PrioritySpec{});
-  f.scheduler.on_stream_added(2, h2::PrioritySpec{1, 16, false});
-  f.ready = {1, 2};
-  EXPECT_EQ(f.pick(), 1u);  // parent first
-  f.ready = {2};
-  EXPECT_EQ(f.pick(), 2u);
-  EXPECT_EQ(f.scheduler.max_bytes_for(1), static_cast<std::size_t>(-1));
-}
-
-TEST(InterleavingScheduler, PausesParentAtOffset) {
-  SchedulerFixture f;
-  f.scheduler.on_stream_added(1, h2::PrioritySpec{});
-  f.scheduler.on_stream_added(2, h2::PrioritySpec{1, 16, false});
-  f.scheduler.configure(1, 4096, {2});
-  f.ready = {1, 2};
-  EXPECT_EQ(f.pick(), 1u);
-  EXPECT_EQ(f.scheduler.max_bytes_for(1), 4096u);  // capped at the offset
-  f.scheduler.on_data_sent(1, 4096);
-  EXPECT_TRUE(f.scheduler.paused(1));
-  EXPECT_EQ(f.pick(), 2u);  // hard switch to the critical push
-  // Critical drained → parent resumes.
-  f.scheduler.on_stream_finished(2);
-  f.ready = {1};
-  EXPECT_FALSE(f.scheduler.paused(1));
-  EXPECT_EQ(f.pick(), 1u);
-  EXPECT_EQ(f.scheduler.max_bytes_for(1), static_cast<std::size_t>(-1));
-}
-
-TEST(InterleavingScheduler, MultipleCriticalStreamsAllDrain) {
-  SchedulerFixture f;
-  f.scheduler.on_stream_added(1, h2::PrioritySpec{});
-  for (std::uint32_t id : {2u, 4u, 6u}) {
-    f.scheduler.on_stream_added(id, h2::PrioritySpec{1, 16, false});
-  }
-  f.scheduler.configure(1, 1000, {2, 4, 6});
-  f.scheduler.on_data_sent(1, 1000);
-  f.ready = {1, 2, 4, 6};
-  for (int i = 0; i < 3; ++i) {
-    const auto picked = f.pick();
-    EXPECT_NE(picked, 1u);
-    f.scheduler.on_stream_finished(picked);
-    f.ready.erase(picked);
-  }
-  EXPECT_EQ(f.pick(), 1u);
-}
-
-TEST(InterleavingScheduler, PreFinishedCriticalDoesNotWedge) {
-  SchedulerFixture f;
-  f.scheduler.on_stream_added(1, h2::PrioritySpec{});
-  f.scheduler.on_stream_added(2, h2::PrioritySpec{1, 16, false});
-  f.scheduler.on_stream_finished(2);  // tiny push fully written already
-  f.scheduler.configure(1, 100, {2});
-  f.scheduler.on_data_sent(1, 100);
-  f.ready = {1};
-  EXPECT_FALSE(f.scheduler.paused(1));
-  EXPECT_EQ(f.pick(), 1u);
-}
-
-TEST(InterleavingScheduler, CancelledCriticalUnblocksParent) {
-  SchedulerFixture f;
-  f.scheduler.on_stream_added(1, h2::PrioritySpec{});
-  f.scheduler.on_stream_added(2, h2::PrioritySpec{1, 16, false});
-  f.scheduler.configure(1, 100, {2});
-  f.scheduler.on_data_sent(1, 100);
-  EXPECT_TRUE(f.scheduler.paused(1));
-  f.scheduler.on_stream_removed(2);  // client RST the push
-  EXPECT_FALSE(f.scheduler.paused(1));
-}
-
-TEST(InterleavingScheduler, OffsetLargerThanParentNeverPauses) {
-  SchedulerFixture f;
-  f.scheduler.on_stream_added(1, h2::PrioritySpec{});
-  f.scheduler.on_stream_added(2, h2::PrioritySpec{1, 16, false});
-  f.scheduler.configure(1, 1 << 20, {2});
-  f.scheduler.on_data_sent(1, 5000);  // parent smaller than offset
-  EXPECT_FALSE(f.scheduler.paused(1));
-  f.ready = {1, 2};
-  EXPECT_EQ(f.pick(), 1u);
-}
 
 // ---------------------------------------------------------------- waterfall
 

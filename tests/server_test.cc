@@ -44,10 +44,8 @@ struct ServerHarness {
     ReplayServer::Config config;
     config.store = &store;
     config.origins = &origins;
-    if (policy) {
-      policies.emplace(policy->trigger_host, std::move(*policy));
-      config.policies = &policies;
-    }
+    if (policy) policies.emplace(policy->trigger_host, std::move(*policy));
+    if (!policies.empty()) config.policies = &policies;
     if (think > 0) {
       // Server think time through the deferral hook, on the harness clock.
       config.defer = [this, think](std::function<void()> respond) {
@@ -100,6 +98,28 @@ struct ServerHarness {
       if (!any && !sim.step()) return;
     }
     FAIL() << "did not settle";
+  }
+
+  /// Drive the session in small server writes until the `push_index`-th
+  /// promised push holds `push_size` body bytes. Returns how much of
+  /// `parent`'s body had arrived by then, or nullopt if the push never
+  /// completed.
+  std::optional<std::size_t> parent_bytes_when_push_completes(
+      std::uint32_t parent, std::size_t push_index, std::size_t push_size) {
+    auto req = client->produce(8192);
+    server->connection().receive(req);
+    for (int i = 0; i < 1000; ++i) {
+      auto bytes = server->connection().produce(2048);
+      if (bytes.empty()) break;
+      client->receive(bytes);
+      auto back = client->produce(8192);
+      if (!back.empty()) server->connection().receive(back);
+      if (promises.size() > push_index &&
+          bodies[promises[push_index].first].size() == push_size) {
+        return bodies[parent].size();
+      }
+    }
+    return std::nullopt;
   }
 
   std::uint32_t get(const std::string& host, const std::string& path) {
@@ -271,30 +291,64 @@ TEST(ReplayServer, InterleavingPolicyConfiguresScheduler) {
   policy.interleave_offset = 4096;
   h.start(policy);
   const auto main_id = h.get("a.test", "/");
-  // Drive manually: after the switch point, the pushed CSS must complete
-  // before the HTML body continues.
-  auto req = h.client->produce(8192);
-  h.server->connection().receive(req);
-  std::size_t html_at_css_done = 0;
-  bool css_done = false;
-  for (int i = 0; i < 1000; ++i) {
-    auto bytes = h.server->connection().produce(2048);
-    if (bytes.empty()) break;
-    h.client->receive(bytes);
-    auto back = h.client->produce(8192);
-    if (!back.empty()) h.server->connection().receive(back);
-    if (!css_done) {
-      const auto css_stream =
-          h.promises.empty() ? 0u : h.promises[0].first;
-      if (css_stream != 0 && h.bodies[css_stream].size() == 8000u) {
-        css_done = true;
-        html_at_css_done = h.bodies[main_id].size();
-      }
-    }
-  }
-  ASSERT_TRUE(css_done);
-  EXPECT_LE(html_at_css_done, 4096u);
+  // After the switch point, the pushed CSS must complete before the HTML
+  // body continues.
+  const auto html_at_css_done =
+      h.parent_bytes_when_push_completes(main_id, 0, 8000);
+  ASSERT_TRUE(html_at_css_done.has_value());
+  EXPECT_LE(*html_at_css_done, 4096u);
+  h.settle();
   EXPECT_EQ(h.bodies[main_id].size(), 50000u);
+}
+
+TEST(ReplayServer, PlainPolicyBesideInterleavingOneIsParentFirst) {
+  // Only the matched policy decides whether the parent is held: an
+  // interleaving policy for another host in the same table must not hold a
+  // plain policy's parent.
+  ServerHarness h;
+  h.origins.add_host("a.test", "10.0.0.1");
+  h.origins.add_host("b.test", "10.0.0.1");
+  h.add_resource("a.test", "/", 50000);
+  h.add_resource("a.test", "/c.css", 8000);
+  h.add_resource("b.test", "/", 50000);
+  h.add_resource("b.test", "/c.css", 8000);
+  PushPolicy interleaved;
+  interleaved.trigger_host = "a.test";
+  interleaved.push_urls = {"https://a.test/c.css"};
+  interleaved.interleaving = true;
+  interleaved.interleave_offset = 4096;
+  h.policies.emplace("a.test", interleaved);
+  PushPolicy plain;
+  plain.trigger_host = "b.test";
+  plain.push_urls = {"https://b.test/c.css"};
+  h.policies.emplace("b.test", plain);
+  h.start();
+  const auto main_id = h.get("b.test", "/");
+  EXPECT_EQ(h.parent_bytes_when_push_completes(main_id, 0, 8000), 50000u);
+}
+
+TEST(ReplayServer, SecondTriggerOnOneConnectionHoldsAtOffset) {
+  // Each trigger request gets its own hold: the second landing page on one
+  // connection is sent up to the offset, like the first, before its
+  // critical push drains.
+  ServerHarness h;
+  h.origins.add_host("a.test", "10.0.0.1");
+  h.add_resource("a.test", "/", 50000);
+  h.add_resource("a.test", "/c.css", 8000);
+  PushPolicy policy;
+  policy.trigger_host = "a.test";
+  policy.push_urls = {"https://a.test/c.css"};
+  policy.interleaving = true;
+  policy.interleave_offset = 4096;
+  h.start(policy);
+  const auto first = h.get("a.test", "/");
+  EXPECT_EQ(h.parent_bytes_when_push_completes(first, 0, 8000), 4096u);
+  h.settle();
+  ASSERT_EQ(h.bodies[first].size(), 50000u);
+  const auto second = h.get("a.test", "/");
+  EXPECT_EQ(h.parent_bytes_when_push_completes(second, 1, 8000), 4096u);
+  h.settle();
+  EXPECT_EQ(h.bodies[second].size(), 50000u);
 }
 
 }  // namespace
