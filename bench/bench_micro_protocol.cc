@@ -114,10 +114,10 @@ void BM_PriorityTreePick(benchmark::State& state) {
              h2::PrioritySpec{static_cast<std::uint32_t>(
                                   i > 1 ? (i - 1) * 2 + 1 : 0),
                               16, false});
+    tree.set_ready(static_cast<std::uint32_t>(i * 2 + 1), i % 2 == 0);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.pick([](std::uint32_t id) { return id % 4 == 1; }));
+    benchmark::DoNotOptimize(tree.pick());
   }
 }
 BENCHMARK(BM_PriorityTreePick)->Arg(16)->Arg(128);

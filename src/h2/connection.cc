@@ -63,16 +63,24 @@ Connection::Connection(Config config, Callbacks callbacks)
       preface_pending_(config.role == Role::kServer) {
   // The decoder's size-update cap is whatever we announce in SETTINGS.
   decoder_.set_max_table_size(config.header_table_size);
+  // Sized for the opening SETTINGS and a burst of header frames, so a
+  // short-lived connection grows neither buffer.
+  control_bytes_.reserve(1024);
+  control_ends_.reserve(16);
+  hpack_scratch_.reserve(256);
 }
 
 void Connection::start() {
   if (started_) return;
   started_ = true;
   if (config_.role == Role::kClient) {
-    auto preface = client_preface();
-    control_queue_.emplace_back(preface.begin(), preface.end());
+    const auto preface = client_preface();
+    control_bytes_.insert(control_bytes_.end(), preface.begin(),
+                          preface.end());
+    control_ends_.push_back(control_bytes_.size());
   }
   SettingsFrame settings;
+  settings.settings.reserve(4);
   settings.settings.emplace_back(SettingsId::kHeaderTableSize,
                                  static_cast<std::uint32_t>(
                                      config_.header_table_size));
@@ -84,7 +92,7 @@ void Connection::start() {
     settings.settings.emplace_back(SettingsId::kEnablePush,
                                    config_.enable_push ? 1u : 0u);
   }
-  queue_control(Frame{settings});
+  queue_control(Frame{std::move(settings)});
   if (config_.connection_window_bonus > 0) {
     queue_control(Frame{WindowUpdateFrame{0, config_.connection_window_bonus}});
     recv_window_ += config_.connection_window_bonus;
@@ -105,7 +113,31 @@ void Connection::queue_control(const Frame& frame) {
     const FrameTraceInfo info = frame_trace_info(frame);
     trace_send(info.name, info.stream, info.bytes);
   }
-  control_queue_.push_back(serialize(frame, peer_max_frame_size_));
+  serialize_into(frame, control_bytes_, peer_max_frame_size_);
+  control_ends_.push_back(control_bytes_.size());
+}
+
+void Connection::control_consumed() {
+  if (control_head_ == control_ends_.size()) {
+    // Drained: the buffers are reused from the start.
+    control_bytes_.clear();
+    control_ends_.clear();
+    control_head_ = 0;
+    control_pos_ = 0;
+  } else if (control_head_ >= 64 && 2 * control_head_ >= control_ends_.size()) {
+    // Never drained (a writer behind a slow socket): drop the sent prefix
+    // once it is most of the queue, so the buffers stay proportional to
+    // what is still queued.
+    control_bytes_.erase(
+        control_bytes_.begin(),
+        control_bytes_.begin() + static_cast<std::ptrdiff_t>(control_pos_));
+    control_ends_.erase(
+        control_ends_.begin(),
+        control_ends_.begin() + static_cast<std::ptrdiff_t>(control_head_));
+    for (std::size_t& end : control_ends_) end -= control_pos_;
+    control_head_ = 0;
+    control_pos_ = 0;
+  }
 }
 
 void Connection::queue_header_frame(std::uint32_t stream_id,
@@ -114,23 +146,22 @@ void Connection::queue_header_frame(std::uint32_t stream_id,
                                     const std::optional<PrioritySpec>& priority,
                                     std::uint32_t promised_id) {
   encoder_.encode_into(headers, hpack_scratch_);
-  std::vector<std::uint8_t> chunk;
   if (promised_id != 0) {
     if (trace_) {
       trace_send(to_string(FrameType::kPushPromise), stream_id,
                  static_cast<std::int64_t>(hpack_scratch_.size() + 4));
     }
-    append_push_promise_frame(chunk, stream_id, promised_id, hpack_scratch_,
-                              peer_max_frame_size_);
+    append_push_promise_frame(control_bytes_, stream_id, promised_id,
+                              hpack_scratch_, peer_max_frame_size_);
   } else {
     if (trace_) {
       trace_send(to_string(FrameType::kHeaders), stream_id,
                  static_cast<std::int64_t>(hpack_scratch_.size()));
     }
-    append_headers_frame(chunk, stream_id, end_stream, priority,
+    append_headers_frame(control_bytes_, stream_id, end_stream, priority,
                          hpack_scratch_, peer_max_frame_size_);
   }
-  control_queue_.push_back(std::move(chunk));
+  control_ends_.push_back(control_bytes_.size());
 }
 
 void Connection::signal_write() {
@@ -154,6 +185,57 @@ Connection::Stream& Connection::ensure_stream(std::uint32_t id) {
     it->second.recv_window = config_.initial_window;
   }
   return it->second;
+}
+
+bool Connection::was_opened(std::uint32_t id) const {
+  if (id == 0) return false;
+  if ((id & 1) == (next_stream_id_ & 1)) return id < next_stream_id_;
+  if (id > max_peer_stream_) return false;
+  // The last skipped range starting at or below `id`, if any.
+  const auto after = std::upper_bound(
+      skipped_peer_ids_.begin(), skipped_peer_ids_.end(), id,
+      [](std::uint32_t v, const auto& range) { return v < range.first; });
+  return after == skipped_peer_ids_.begin() || std::prev(after)->second < id;
+}
+
+void Connection::note_peer_stream(std::uint32_t id) {
+  const std::uint32_t expected =
+      max_peer_stream_ != 0 ? max_peer_stream_ + 2
+                            : (config_.role == Role::kServer ? 1 : 2);
+  if (id > expected) skipped_peer_ids_.emplace_back(expected, id - 2);
+  max_peer_stream_ = id;
+}
+
+void Connection::refresh(std::uint32_t id, Stream& s) {
+  const bool sendable = s.body_pending && s.send_window > 0;
+  // The held parent waits at the offset while the tree serves the rest.
+  const bool ready =
+      sendable && (id != hold_parent_ || s.body_offset < hold_offset_);
+  if (s.counted_pending != s.body_pending) {
+    s.counted_pending = s.body_pending;
+    s.body_pending ? ++pending_streams_ : --pending_streams_;
+  }
+  if (s.counted_sendable != sendable) {
+    s.counted_sendable = sendable;
+    sendable ? ++sendable_streams_ : --sendable_streams_;
+  }
+  if (s.marked_ready != ready) {
+    s.marked_ready = ready;
+    tree_.set_ready(id, ready);
+  }
+}
+
+void Connection::refresh(std::uint32_t id) {
+  const auto it = streams_.find(id);
+  if (it != streams_.end()) refresh(id, it->second);
+}
+
+void Connection::forget(std::uint32_t id) {
+  const auto it = streams_.find(id);
+  if (it == streams_.end()) return;
+  it->second.body_pending = false;
+  refresh(id, it->second);
+  streams_.erase(it);
 }
 
 std::uint32_t Connection::submit_request(
@@ -191,9 +273,7 @@ void Connection::submit_goaway(ErrorCode error, const std::string& debug_data) {
 }
 
 void Connection::submit_rst(std::uint32_t stream, ErrorCode error) {
-  Stream& s = ensure_stream(stream);
-  s.state = StreamState::kClosed;
-  s.body_pending = false;
+  forget(stream);
   queue_control(Frame{RstStreamFrame{stream, error}});
   unschedule(stream);
   signal_write();
@@ -224,8 +304,10 @@ void Connection::submit_response(std::uint32_t stream,
                                  const http::HeaderBlock& headers,
                                  Body body) {
   assert(config_.role == Role::kServer);
+  if (!streams_.contains(stream) && was_opened(stream)) {
+    return;  // closed, e.g. the client reset the push
+  }
   Stream& s = ensure_stream(stream);
-  if (s.state == StreamState::kClosed) return;  // e.g. client RST the push
   if (s.state == StreamState::kReservedLocal) {
     s.state = StreamState::kHalfClosedRemote;
   }
@@ -240,6 +322,7 @@ void Connection::submit_response(std::uint32_t stream,
     s.body = std::move(body);
     s.body_offset = 0;
     s.body_pending = true;
+    refresh(stream, s);
   }
   signal_write();
 }
@@ -253,10 +336,13 @@ void Connection::interleave(std::uint32_t parent, std::size_t offset,
     return it == streams_.end() || it->second.local_done ||
            it->second.state == StreamState::kClosed;
   });
+  const std::uint32_t old_parent = hold_parent_;
   hold_parent_ = critical.empty() ? 0 : parent;
   hold_offset_ = offset;
   hold_critical_ = std::move(critical);
   hold_paused_ = false;
+  refresh(old_parent);
+  refresh(hold_parent_);
 }
 
 void Connection::release_hold(std::uint32_t id) {
@@ -267,7 +353,9 @@ void Connection::release_hold(std::uint32_t id) {
     trace_->instant(trace_track_, "server", "interleave.resume",
                     {{"parent", hold_parent_}});
   }
+  const std::uint32_t parent = hold_parent_;
   hold_parent_ = 0;
+  refresh(parent);
 }
 
 void Connection::unschedule(std::uint32_t id) {
@@ -275,36 +363,20 @@ void Connection::unschedule(std::uint32_t id) {
   release_hold(id);  // a cancelled push must not wedge the parent
 }
 
-bool Connection::data_ready(std::uint32_t id) const {
-  auto it = streams_.find(id);
-  if (it == streams_.end()) return false;
-  const Stream& s = it->second;
-  if (!s.body_pending || s.send_window <= 0 || send_window_ <= 0) return false;
-  // The held parent waits at the offset while the tree serves the rest.
-  return id != hold_parent_ || s.body_offset < hold_offset_;
-}
-
 bool Connection::send_quiescent() const {
-  if (!control_queue_.empty()) return false;
-  for (const auto& [id, s] : streams_) {
-    if (s.body_pending) return false;
-  }
-  return true;
+  return !control_pending() && pending_streams_ == 0;
 }
 
 bool Connection::want_write() const {
-  if (!control_queue_.empty()) return true;
-  if (send_window_ <= 0) return false;
-  for (const auto& [id, s] : streams_) {
-    if (s.body_pending && s.send_window > 0) return true;
-  }
-  return false;
+  return control_pending() || (send_window_ > 0 && sendable_streams_ != 0);
 }
 
 std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
                                               std::size_t max_payload) {
-  const std::uint32_t id =
-      tree_.pick([this](std::uint32_t sid) { return data_ready(sid); });
+  // The tree holds only the streams with sendable data; the connection
+  // window gates them all.
+  if (send_window_ <= 0) return 0;
+  const std::uint32_t id = tree_.pick();
   if (id == 0) return 0;
   if (trace_ && id != last_data_stream_) {
     // The tree moved to a different stream: the switch points are
@@ -321,7 +393,7 @@ std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
   // A held parent stops exactly at the switch point.
   if (id == hold_parent_) n = std::min(n, hold_offset_ - s.body_offset);
   n = std::min<std::size_t>(n, max_payload);
-  // data_ready() guarantees n > 0 for every setting this connection can
+  // A ready stream guarantees n > 0 for every setting this connection can
   // reach, but an unvalidated limit reaching 0 here would emit empty
   // DATA frames forever (the NDEBUG builds used to rely on a compiled-out
   // assert). Stall instead of spinning.
@@ -357,6 +429,9 @@ std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
     s.body_pending = false;
     s.local_done = true;
     s.body.reset();
+  }
+  refresh(id, s);
+  if (end_stream) {
     release_hold(id);
     maybe_close(id);
   }
@@ -374,14 +449,18 @@ std::size_t Connection::produce(std::vector<std::uint8_t>& out,
                                 std::size_t max_bytes) {
   const std::size_t start = out.size();
   // 1. Control frames (SETTINGS, HEADERS, PUSH_PROMISE, RST, WINDOW_UPDATE):
-  //    not flow controlled, sent ahead of DATA like real stacks do. A front
-  //    chunk partially drained by produce_into() resumes at its offset.
-  while (!control_queue_.empty() && out.size() - start < max_bytes) {
-    auto& chunk = control_queue_.front();
-    out.insert(out.end(), chunk.begin() + control_offset_, chunk.end());
-    control_offset_ = 0;
-    control_queue_.pop_front();
+  //    not flow controlled, sent ahead of DATA like real stacks do. Whole
+  //    frames until max_bytes is reached; a front frame partially drained
+  //    by produce_into() resumes where it stopped.
+  std::size_t end = control_pos_;
+  while (control_pending() && end - control_pos_ < max_bytes) {
+    end = control_ends_[control_head_++];
   }
+  out.insert(out.end(),
+             control_bytes_.begin() + static_cast<std::ptrdiff_t>(control_pos_),
+             control_bytes_.begin() + static_cast<std::ptrdiff_t>(end));
+  control_pos_ = end;
+  control_consumed();
   // 2. Scheduler-chosen DATA frames, each as large as the windows allow.
   while (out.size() - start < max_bytes) {
     if (append_next_data_frame(out, SIZE_MAX) == 0) break;
@@ -396,20 +475,17 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
   // Control frames first (same policy as produce()), but split at byte
   // granularity so `max_bytes` is a hard cap: the socket buffer the net
   // layer fills has a fixed high watermark and cannot absorb overshoot.
-  while (!control_queue_.empty() && budget > 0) {
-    const auto& chunk = control_queue_.front();
+  while (control_pending() && budget > 0) {
     const std::size_t take =
-        std::min<std::size_t>(chunk.size() - control_offset_, budget);
-    const auto begin = chunk.begin() + static_cast<std::ptrdiff_t>(
-                                           control_offset_);
+        std::min(control_ends_[control_head_] - control_pos_, budget);
+    const auto begin = control_bytes_.begin() +
+                       static_cast<std::ptrdiff_t>(control_pos_);
     out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(take));
-    control_offset_ += take;
+    control_pos_ += take;
     budget -= take;
-    if (control_offset_ == chunk.size()) {
-      control_queue_.pop_front();
-      control_offset_ = 0;
-    }
+    if (control_pos_ == control_ends_[control_head_]) ++control_head_;
   }
+  control_consumed();
   // Scheduler-chosen DATA, each frame sized to the remaining budget. A
   // frame needs its 9-byte header plus at least one payload byte to be
   // worth emitting; below that we stop and wait for the buffer to drain.
@@ -430,6 +506,7 @@ void Connection::maybe_close(std::uint32_t id) {
     s.state = StreamState::kClosed;
     unschedule(id);
     if (callbacks_.on_stream_closed) callbacks_.on_stream_closed(id);
+    forget(id);
   }
 }
 
@@ -483,7 +560,10 @@ void Connection::apply_remote_settings(const SettingsFrame& frame) {
   for (const auto& [id, value] : frame.settings) {
     switch (id) {
       case SettingsId::kHeaderTableSize:
-        encoder_.set_table_size(value);
+        // Our encoder's table never outgrows our own decoder's: a peer
+        // announcing a huge table must not make us keep every header.
+        encoder_.set_table_size(
+            std::min<std::size_t>(value, config_.header_table_size));
         break;
       case SettingsId::kEnablePush:
         if (value > 1) {
@@ -500,12 +580,25 @@ void Connection::apply_remote_settings(const SettingsFrame& frame) {
                            "SETTINGS_INITIAL_WINDOW_SIZE above 2^31-1");
           return;
         }
-        // Adjust all open streams by the delta (RFC 7540 §6.9.2).
+        // Adjust all open streams by the delta (RFC 7540 §6.9.2). A delta
+        // that lifts any stream window above 2^31-1 is a connection
+        // FLOW_CONTROL_ERROR (RFC 9113 §6.9.2).
         const std::int64_t delta =
             static_cast<std::int64_t>(value) -
             static_cast<std::int64_t>(peer_initial_window_);
+        for (const auto& [sid, s] : streams_) {
+          if (s.send_window + delta > kMaxWindow) {
+            connection_error(ErrorCode::kFlowControlError,
+                             "SETTINGS_INITIAL_WINDOW_SIZE overflows a "
+                             "stream window");
+            return;
+          }
+        }
         peer_initial_window_ = value;
-        for (auto& [sid, s] : streams_) s.send_window += delta;
+        for (auto& [sid, s] : streams_) {
+          s.send_window += delta;
+          refresh(sid, s);
+        }
         break;
       }
       case SettingsId::kMaxFrameSize:
@@ -537,11 +630,10 @@ void Connection::handle_data(const DataView& f) {
     ++trace_->summary().frames_received["DATA"];
   }
   auto sit = streams_.find(f.stream_id);
-  if (sit == streams_.end()) {
+  if (sit == streams_.end() && !was_opened(f.stream_id)) {
     connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
     return;
   }
-  Stream& s = sit->second;
   // RFC 7540 §6.9: the whole frame payload, including padding, counts
   // against flow control — even for streams we have already reset or
   // half-closed.
@@ -552,11 +644,13 @@ void Connection::handle_data(const DataView& f) {
                      "connection flow control violated by peer");
     return;
   }
-  if (s.state == StreamState::kClosed) {
-    // Post-RST straggler: connection-level accounting only (§5.1).
+  if (sit == streams_.end()) {
+    // Closed stream, e.g. a post-RST straggler: connection-level
+    // accounting only (§5.1).
     recv_unacked_ += static_cast<std::uint64_t>(n);
     return;
   }
+  Stream& s = sit->second;
   if (s.remote_done) {
     // §5.1 half-closed (remote): DATA is a STREAM_CLOSED error.
     submit_rst(f.stream_id, ErrorCode::kStreamClosed);
@@ -621,7 +715,10 @@ void Connection::handle_frame(Frame frame) {
                              "hpack: " + block.error());
             return;
           }
-          if (streams_.find(f.stream_id) == streams_.end()) {
+          if (!streams_.contains(f.stream_id)) {
+            if (was_opened(f.stream_id)) {
+              return;  // late HEADERS on a closed stream: drop, keep HPACK
+            }
             if (config_.role == Role::kClient) {
               // Every legitimate response stream exists at the client (we
               // opened it or the peer promised it).
@@ -639,12 +736,9 @@ void Connection::handle_frame(Frame frame) {
                                "stream id not monotonically increasing");
               return;
             }
-            max_peer_stream_ = f.stream_id;
+            note_peer_stream(f.stream_id);
           }
           Stream& s = ensure_stream(f.stream_id);
-          if (s.state == StreamState::kClosed) {
-            return;  // late HEADERS after RST: drop, keep HPACK state
-          }
           if (s.remote_done) {
             // §5.1 half-closed (remote): further HEADERS are a stream
             // error of type STREAM_CLOSED.
@@ -688,8 +782,7 @@ void Connection::handle_frame(Frame frame) {
                              "hpack: " + block.error());
             return;
           }
-          auto parent = streams_.find(f.stream_id);
-          if (parent == streams_.end()) {
+          if (!streams_.contains(f.stream_id) && !was_opened(f.stream_id)) {
             connection_error(ErrorCode::kProtocolError,
                              "PUSH_PROMISE on idle stream");
             return;
@@ -700,7 +793,7 @@ void Connection::handle_frame(Frame frame) {
                              "promised stream id invalid");
             return;
           }
-          max_peer_stream_ = f.promised_id;
+          note_peer_stream(f.promised_id);
           Stream& s = ensure_stream(f.promised_id);
           s.state = StreamState::kReservedRemote;
           s.local_done = true;  // we never send on a pushed stream
@@ -711,22 +804,19 @@ void Connection::handle_frame(Frame frame) {
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
           if (f.priority.depends_on == f.stream_id) {
             // §5.3.1: a stream cannot depend on itself — stream error.
-            if (streams_.find(f.stream_id) != streams_.end()) {
+            if (streams_.contains(f.stream_id) || was_opened(f.stream_id)) {
               submit_rst(f.stream_id, ErrorCode::kProtocolError);
             }
             return;
           }
           tree_.reprioritize(f.stream_id, f.priority);
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          if (streams_.find(f.stream_id) == streams_.end()) {
+          if (!streams_.contains(f.stream_id) && !was_opened(f.stream_id)) {
             connection_error(ErrorCode::kProtocolError,
                              "RST_STREAM on idle stream");
             return;
           }
-          Stream& s = ensure_stream(f.stream_id);
-          s.state = StreamState::kClosed;
-          s.body_pending = false;
-          s.body.reset();
+          forget(f.stream_id);
           unschedule(f.stream_id);
           if (callbacks_.on_rst) callbacks_.on_rst(f.stream_id, f.error);
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
@@ -744,15 +834,19 @@ void Connection::handle_frame(Frame frame) {
           } else {
             auto sit = streams_.find(f.stream_id);
             if (sit == streams_.end()) {
-              connection_error(ErrorCode::kProtocolError,
-                               "WINDOW_UPDATE on idle stream");
-              return;
-            }
-            if (sit->second.send_window + f.increment > kMaxWindow) {
+              if (!was_opened(f.stream_id)) {
+                connection_error(ErrorCode::kProtocolError,
+                                 "WINDOW_UPDATE on idle stream");
+                return;
+              }
+              // Closed stream: the peer may still be crediting it (§6.9).
+            } else if (sit->second.send_window + f.increment > kMaxWindow) {
               submit_rst(f.stream_id, ErrorCode::kFlowControlError);
               return;
+            } else {
+              sit->second.send_window += f.increment;
+              refresh(f.stream_id, sit->second);
             }
-            sit->second.send_window += f.increment;
           }
           signal_write();
         } else if constexpr (std::is_same_v<T, PingFrame>) {
@@ -775,6 +869,9 @@ void Connection::handle_frame(Frame frame) {
 std::optional<std::string> Connection::check_invariants() const {
   if (recv_window_ < 0) return "connection recv window negative";
   if (send_window_ > kMaxWindow) return "connection send window above 2^31-1";
+  std::size_t pending = 0;
+  std::size_t sendable = 0;
+  std::size_t ready = 0;
   for (const auto& [id, s] : streams_) {
     const std::string tag = " (stream " + std::to_string(id) + ")";
     if (s.recv_window < 0) return "stream recv window negative" + tag;
@@ -785,16 +882,34 @@ std::optional<std::string> Connection::check_invariants() const {
       return "body cursor past end of body" + tag;
     }
     if (s.body_pending && !s.body) return "pending body missing" + tag;
-    if (s.state == StreamState::kClosed && s.body_pending) {
-      return "closed stream still scheduled for DATA" + tag;
+    if (s.state == StreamState::kClosed) {
+      return "closed stream still in the table" + tag;
+    }
+    // Readiness recomputed from scratch, against what refresh() counted.
+    const bool can_send = s.body_pending && s.send_window > 0;
+    const bool can_pick =
+        can_send && (id != hold_parent_ || s.body_offset < hold_offset_);
+    pending += s.body_pending ? 1 : 0;
+    sendable += can_send ? 1 : 0;
+    ready += can_pick ? 1 : 0;
+    if (tree_.is_ready(id) != can_pick) {
+      return std::string(can_pick ? "sendable stream not ready in the tree"
+                                  : "tree marks a stream that cannot send") +
+             tag;
     }
   }
-  return std::nullopt;
+  if (pending != pending_streams_) return "pending-body count out of step";
+  if (sendable != sendable_streams_) return "sendable-stream count out of step";
+  if (ready != tree_.ready_count()) {
+    return "tree marks a stream that is not in the table";
+  }
+  return tree_.check_ready_counts();
 }
 
 StreamState Connection::stream_state(std::uint32_t stream) const {
   auto it = streams_.find(stream);
-  return it == streams_.end() ? StreamState::kIdle : it->second.state;
+  if (it != streams_.end()) return it->second.state;
+  return was_opened(stream) ? StreamState::kClosed : StreamState::kIdle;
 }
 
 std::uint64_t Connection::data_bytes_sent(std::uint32_t stream) const {

@@ -18,13 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "h2/frame.h"
@@ -173,17 +172,24 @@ class Connection {
 
   // --- introspection ---
   bool push_enabled_by_peer() const noexcept { return peer_enable_push_; }
+  /// kClosed for a stream that was opened (or reserved) and is gone from
+  /// the stream table; kIdle for an id never used.
   StreamState stream_state(std::uint32_t stream) const;
+  /// Body bytes sent on a stream still in the table (0 once it closed).
   std::uint64_t data_bytes_sent(std::uint32_t stream) const;
   std::uint64_t total_data_sent() const noexcept { return total_data_sent_; }
   const std::string& last_error() const noexcept { return last_error_; }
   /// Error code of the GOAWAY we sent (kNoError while healthy).
   ErrorCode last_error_code() const noexcept { return last_error_code_; }
+  /// Streams in the table: a closed stream is erased as it closes.
   std::size_t stream_count() const noexcept { return streams_.size(); }
+  const PriorityTree& priority_tree() const noexcept { return tree_; }
+  const HpackEncoder& hpack_encoder() const noexcept { return encoder_; }
 
   /// Self-check of the connection's accounting invariants (receive windows
   /// never negative, send windows within RFC bounds, body cursors inside
-  /// their bodies, closed streams hold no send state). Returns a
+  /// their bodies, no closed stream left in the table, and the pending
+  /// counts and the tree's ready counts equal to a recount). Returns a
   /// description of the first violation, or nullopt when consistent. Used
   /// by the fuzzing harness after every chunk of adversarial input.
   std::optional<std::string> check_invariants() const;
@@ -199,12 +205,22 @@ class Connection {
     bool body_pending = false;   // response submitted, data left to send
     bool local_done = false;   // we will send no more
     bool remote_done = false;  // peer sent END_STREAM
+    // What refresh() last counted for this stream: in pending_streams_,
+    // in sendable_streams_, and marked ready in tree_.
+    bool counted_pending = false;
+    bool counted_sendable = false;
+    bool marked_ready = false;
   };
 
   void queue_control(const Frame& frame);
-  /// Encode `headers` into the reusable HPACK scratch buffer and queue a
-  /// HEADERS (or, with `promised_id`, PUSH_PROMISE) frame built directly in
-  /// its control-queue slot — no intermediate Frame variant or block copy.
+  bool control_pending() const noexcept {
+    return control_head_ != control_ends_.size();
+  }
+  /// After control bytes were taken: reset the queue once drained.
+  void control_consumed();
+  /// Encode `headers` into the reusable HPACK scratch buffer and append a
+  /// HEADERS (or, with `promised_id`, PUSH_PROMISE) frame straight to the
+  /// control buffer — no intermediate Frame variant or block copy.
   void queue_header_frame(std::uint32_t stream_id,
                           const http::HeaderBlock& headers, bool end_stream,
                           const std::optional<PrioritySpec>& priority,
@@ -217,13 +233,25 @@ class Connection {
   void handle_data(const DataView& frame);
   void apply_remote_settings(const SettingsFrame& frame);
   Stream& ensure_stream(std::uint32_t id);
+  /// For an id not in the table: was it opened or reserved before? Local
+  /// ids below next_stream_id_ were; peer ids up to max_peer_stream_ were
+  /// unless the peer skipped them (RFC 9113 §5.1.1).
+  bool was_opened(std::uint32_t id) const;
+  /// The peer opened (client role: promised) `id`, its highest so far.
+  void note_peer_stream(std::uint32_t id);
+  /// Bring the pending counts and the tree's ready mark in line with the
+  /// stream's body, send window and the hold. Called after every change to
+  /// any of them.
+  void refresh(std::uint32_t id, Stream& s);
+  void refresh(std::uint32_t id);
+  /// Erase a closed stream from the table.
+  void forget(std::uint32_t id);
   void maybe_close(std::uint32_t id);
   /// The stream left the schedule (closed or reset): drop it from the tree
   /// and from the hold.
   void unschedule(std::uint32_t id);
   /// `id` queued END_STREAM or closed: it no longer keeps the hold.
   void release_hold(std::uint32_t id);
-  bool data_ready(std::uint32_t id) const;
   /// Append the tree's next DATA frame, its payload capped at
   /// `max_payload` and by the flow-control windows, and do the stream
   /// bookkeeping. Returns the payload size; 0 when no stream is ready.
@@ -242,11 +270,16 @@ class Connection {
   std::size_t hold_offset_ = 0;
   std::vector<std::uint32_t> hold_critical_;
 
-  std::map<std::uint32_t, Stream> streams_;
+  std::unordered_map<std::uint32_t, Stream> streams_;  // not closed yet
+  std::size_t pending_streams_ = 0;   // streams with body_pending
+  std::size_t sendable_streams_ = 0;  // ... and a positive send window
   std::uint32_t next_stream_id_;  // odd (client) / even (server pushes)
-  // Highest stream id the peer has opened / promised; lower unknown ids are
-  // idle-by-definition and frames on them are protocol errors (§5.1.1).
+  // Highest stream id the peer has opened / promised. A lower id not in
+  // the table is closed, unless it lies in one of the ranges the peer
+  // jumped over: those are still idle, and frames on them are protocol
+  // errors (§5.1.1). A well-behaved peer skips no ids.
   std::uint32_t max_peer_stream_ = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> skipped_peer_ids_;
   bool preface_pending_ = false;  // server expects the client preface
   std::vector<std::uint8_t> preface_buf_;
   bool started_ = false;
@@ -260,9 +293,13 @@ class Connection {
   std::int64_t recv_window_ = kDefaultInitialWindow;
   std::uint64_t recv_unacked_ = 0;
 
-  std::deque<std::vector<std::uint8_t>> control_queue_;
-  std::size_t control_offset_ = 0;  // produce_into: bytes already emitted
-                                    // from the front control chunk
+  // Control frames queued ahead of DATA, back to back in one buffer that
+  // is reused once drained; frame i ends at control_ends_[i]. produce()
+  // sends whole frames; produce_into() may stop mid-frame.
+  std::vector<std::uint8_t> control_bytes_;
+  std::vector<std::size_t> control_ends_;
+  std::size_t control_head_ = 0;  // first frame not fully sent
+  std::size_t control_pos_ = 0;   // next byte of control_bytes_ to send
   std::vector<std::uint8_t> hpack_scratch_;  // reused per header block
   std::uint64_t total_data_sent_ = 0;
   std::string last_error_;

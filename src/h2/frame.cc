@@ -222,7 +222,11 @@ void append_push_promise_frame(std::vector<std::uint8_t>& out,
 
 void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out,
                     std::uint32_t max_frame_size) {
-  out.reserve(out.size() + serialized_size(frame, max_frame_size));
+  // Geometric growth: `out` may be a queue that frames are appended to.
+  const std::size_t needed = out.size() + serialized_size(frame, max_frame_size);
+  if (needed > out.capacity()) {
+    out.reserve(std::max(needed, 2 * out.capacity()));
+  }
   std::visit(
       [&](const auto& f) {
         using T = std::decay_t<decltype(f)>;

@@ -220,10 +220,22 @@ void huffman_encode(std::string_view s, std::vector<std::uint8_t>& out) {
 
 util::Expected<std::string, std::string> huffman_decode(
     std::span<const std::uint8_t> input) {
+  std::string out;
+  auto n = huffman_decode_into(input, out);
+  if (!n) return util::make_unexpected(n.error());
+  return out;
+}
+
+namespace {
+
+// Decode `input` into `dst`, which has room for 2 * input.size() symbols:
+// every code is at least 5 bits long, so each nibble completes at most one
+// symbol. Returns the number of symbols written.
+util::Expected<std::size_t, std::string> decode_symbols(
+    std::span<const std::uint8_t> input, char* dst) {
   const DecodeTable& table = decode_table();
   const DecodeTable::Entry* entries = table.entries.data();
-  std::string out;
-  out.reserve(input.size() * 2);
+  char* const begin = dst;
   std::uint32_t state = 0;
   for (std::uint8_t byte : input) {
     const DecodeTable::Entry hi = entries[state * 16 + (byte >> 4)];
@@ -232,20 +244,39 @@ util::Expected<std::string, std::string> huffman_decode(
                                        ? "huffman: EOS in stream"
                                        : "huffman: invalid code");
     }
-    if (hi.flags & DecodeTable::kEmit) out.push_back(static_cast<char>(hi.symbol));
+    if (hi.flags & DecodeTable::kEmit) *dst++ = static_cast<char>(hi.symbol);
     const DecodeTable::Entry lo = entries[hi.next * 16 + (byte & 0xf)];
     if (lo.flags & (DecodeTable::kFail | DecodeTable::kEos)) {
       return util::make_unexpected(lo.flags & DecodeTable::kEos
                                        ? "huffman: EOS in stream"
                                        : "huffman: invalid code");
     }
-    if (lo.flags & DecodeTable::kEmit) out.push_back(static_cast<char>(lo.symbol));
+    if (lo.flags & DecodeTable::kEmit) *dst++ = static_cast<char>(lo.symbol);
     state = lo.next;
   }
   if (!table.accept[state]) {
     return util::make_unexpected("huffman: invalid padding");
   }
-  return out;
+  return static_cast<std::size_t>(dst - begin);
+}
+
+}  // namespace
+
+util::Expected<std::size_t, std::string> huffman_decode_into(
+    std::span<const std::uint8_t> input, std::string& out) {
+  if (input.size() <= 64) {
+    // Short literals decode on the stack first, so a result that fits the
+    // string's inline buffer never touches the heap.
+    char buf[128];
+    auto n = decode_symbols(input, buf);
+    if (n) out.append(buf, *n);
+    return n;
+  }
+  const std::size_t start = out.size();
+  out.resize(start + input.size() * 2);
+  auto n = decode_symbols(input, out.data() + start);
+  out.resize(start + (n ? *n : 0));
+  return n;
 }
 
 }  // namespace h2push::h2

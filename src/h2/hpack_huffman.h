@@ -22,4 +22,9 @@ void huffman_encode(std::string_view s, std::vector<std::uint8_t>& out);
 util::Expected<std::string, std::string> huffman_decode(
     std::span<const std::uint8_t> input);
 
+/// Decode `input`, appending the symbols to `out`; returns how many were
+/// appended. On failure `out` is left as it was.
+util::Expected<std::size_t, std::string> huffman_decode_into(
+    std::span<const std::uint8_t> input, std::string& out);
+
 }  // namespace h2push::h2

@@ -5,170 +5,200 @@
 
 namespace h2push::h2 {
 
-PriorityTree::PriorityTree() {
-  nodes_[0] = Node{};  // stream 0 is the root
+PriorityTree::PriorityTree() : root_(&nodes_[0]) {}  // stream 0 is the root
+
+PriorityTree::Node* PriorityTree::find(std::uint32_t id) {
+  const auto it = nodes_.find(id);
+  return it == nodes_.end() ? nullptr : &it->second;
 }
 
-void PriorityTree::attach(std::uint32_t id, std::uint32_t parent,
-                          bool exclusive) {
-  if (nodes_.count(parent) == 0) {
+const PriorityTree::Node* PriorityTree::find(std::uint32_t id) const {
+  const auto it = nodes_.find(id);
+  return it == nodes_.end() ? nullptr : &it->second;
+}
+
+void PriorityTree::add_ready(Node* node, std::int64_t delta) {
+  for (; node != nullptr; node = node->parent) {
+    node->ready_count = static_cast<std::uint32_t>(node->ready_count + delta);
+  }
+}
+
+void PriorityTree::link(Node* child, Node* parent) {
+  child->parent = parent;
+  parent->children.push_back(child);
+  if (child->ready_count != 0) add_ready(parent, child->ready_count);
+}
+
+void PriorityTree::unlink(Node* child) {
+  Node* parent = child->parent;
+  parent->children.erase(
+      std::remove(parent->children.begin(), parent->children.end(), child),
+      parent->children.end());
+  child->parent = nullptr;
+  if (child->ready_count != 0) {
+    add_ready(parent, -static_cast<std::int64_t>(child->ready_count));
+  }
+}
+
+void PriorityTree::attach(Node* node, std::uint32_t parent, bool exclusive) {
+  Node* p = find(parent);
+  if (p == nullptr) {
     // Dependency on an unknown stream: create a default placeholder under
     // the root (RFC 7540 §5.3.1 allows idle-parent creation).
-    attach(parent, 0, false);
-    nodes_[parent].weight = 16;
+    p = &nodes_[parent];
+    p->id = parent;
+    link(p, root_);
   }
-  Node& p = nodes_[parent];
-  Node& n = nodes_[id];
   if (exclusive) {
-    // Adopt all of the parent's current children.
-    for (std::uint32_t child : p.children) {
-      nodes_[child].parent = id;
-      n.children.push_back(child);
+    // Adopt all of the parent's current children, with their ready counts.
+    std::uint32_t moved = 0;
+    for (Node* child : p->children) {
+      child->parent = node;
+      node->children.push_back(child);
+      moved += child->ready_count;
     }
-    p.children.clear();
+    p->children.clear();
+    if (moved != 0) add_ready(p, -static_cast<std::int64_t>(moved));
+    node->ready_count += moved;
   }
-  n.parent = parent;
-  p.children.push_back(id);
-}
-
-void PriorityTree::detach(std::uint32_t id) {
-  Node& n = nodes_[id];
-  Node& p = nodes_[n.parent];
-  p.children.erase(std::remove(p.children.begin(), p.children.end(), id),
-                   p.children.end());
+  link(node, p);
 }
 
 void PriorityTree::add(std::uint32_t id, const PrioritySpec& spec) {
-  if (nodes_.count(id) != 0) {
+  if (id == 0) return;
+  if (contains(id)) {
     reprioritize(id, spec);
     return;
   }
-  nodes_[id] = Node{};
-  nodes_[id].weight = spec.weight == 0 ? 16 : spec.weight;
+  Node& n = nodes_[id];
+  n.id = id;
+  n.weight = spec.weight == 0 ? 16 : spec.weight;
   // Self-dependency is a protocol error upstream; treat as default parent
   // so the tree can never contain a cycle (§5.3.1).
   const std::uint32_t parent = spec.depends_on == id ? 0 : spec.depends_on;
-  attach(id, parent, spec.exclusive);
+  attach(&n, parent, spec.exclusive);
 }
 
 void PriorityTree::reprioritize(std::uint32_t id, const PrioritySpec& spec) {
-  if (nodes_.count(id) == 0) {
+  Node* n = find(id);
+  if (n == nullptr) {
     add(id, spec);
     return;
   }
-  if (spec.depends_on == id) return;  // self-dependency: ignore (error upstream)
+  if (id == 0 || spec.depends_on == id) return;  // self-dependency: ignore
   // §5.3.3: if the new parent is a descendant of `id`, first move that
   // descendant up to `id`'s old parent.
   if (is_ancestor(id, spec.depends_on)) {
-    const std::uint32_t old_parent = nodes_[id].parent;
-    detach(spec.depends_on);
-    nodes_[spec.depends_on].parent = old_parent;
-    nodes_[old_parent].children.push_back(spec.depends_on);
+    Node* old_parent = n->parent;
+    Node* descendant = find(spec.depends_on);
+    unlink(descendant);
+    link(descendant, old_parent);
   }
-  detach(id);
-  nodes_[id].weight = spec.weight == 0 ? 16 : spec.weight;
-  attach(id, spec.depends_on, spec.exclusive);
+  unlink(n);
+  n->weight = spec.weight == 0 ? 16 : spec.weight;
+  attach(n, spec.depends_on, spec.exclusive);
 }
 
 void PriorityTree::remove(std::uint32_t id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end() || id == 0) return;
-  const std::uint32_t parent = it->second.parent;
-  detach(id);
+  Node* n = id == 0 ? nullptr : find(id);
+  if (n == nullptr) return;
+  Node* parent = n->parent;
+  unlink(n);
   // Reparent children in place, preserving order.
-  for (std::uint32_t child : it->second.children) {
-    nodes_[child].parent = parent;
-    nodes_[parent].children.push_back(child);
-  }
-  nodes_.erase(it);
+  for (Node* child : n->children) link(child, parent);
+  nodes_.erase(id);
+}
+
+void PriorityTree::set_ready(std::uint32_t id, bool ready) {
+  Node* n = id == 0 ? nullptr : find(id);
+  if (n == nullptr || n->ready == ready) return;
+  n->ready = ready;
+  add_ready(n, ready ? 1 : -1);
+}
+
+bool PriorityTree::is_ready(std::uint32_t id) const {
+  const Node* n = find(id);
+  return n != nullptr && n->ready;
 }
 
 std::uint32_t PriorityTree::parent_of(std::uint32_t id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? 0 : it->second.parent;
+  const Node* n = find(id);
+  return n == nullptr || n->parent == nullptr ? 0 : n->parent->id;
 }
 
 std::uint16_t PriorityTree::weight_of(std::uint32_t id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? 16 : it->second.weight;
+  const Node* n = find(id);
+  return n == nullptr ? 16 : n->weight;
+}
+
+double PriorityTree::credit_of(std::uint32_t id) const {
+  const Node* n = find(id);
+  return n == nullptr ? 0 : n->credit;
 }
 
 std::vector<std::uint32_t> PriorityTree::children_of(std::uint32_t id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? std::vector<std::uint32_t>{}
-                            : it->second.children;
+  std::vector<std::uint32_t> ids;
+  if (const Node* n = find(id)) {
+    for (const Node* child : n->children) ids.push_back(child->id);
+  }
+  return ids;
 }
 
 bool PriorityTree::is_ancestor(std::uint32_t ancestor,
                                std::uint32_t id) const {
-  std::uint32_t cur = id;
-  while (cur != 0) {
-    auto it = nodes_.find(cur);
-    if (it == nodes_.end()) return false;
-    cur = it->second.parent;
-    if (cur == ancestor) return true;
+  if (id == 0) return ancestor == 0;
+  const Node* cur = find(id);
+  if (cur == nullptr) return false;
+  for (cur = cur->parent; cur != nullptr; cur = cur->parent) {
+    if (cur->id == ancestor) return true;
   }
-  return ancestor == 0;
+  return false;
 }
 
-std::uint32_t PriorityTree::pick_subtree(
-    std::uint32_t id, const std::function<bool(std::uint32_t)>& ready,
-    bool& subtree_ready) {
-  Node& node = nodes_[id];
-  if (id != 0 && ready(id)) {
-    subtree_ready = true;
-    return id;  // parent before children
-  }
-  // Weighted round-robin among children whose subtrees have ready streams.
-  // Two passes: find eligible children, then serve the highest credit.
-  // The scratch vectors are members so a warm pick allocates nothing; this
-  // level is done with them before it recurses.
-  std::vector<std::uint32_t>& eligible = eligible_scratch_;
-  eligible.clear();
-  for (std::uint32_t child : node.children) {
-    // Probe the subtree for readiness without consuming credits: a cheap
-    // DFS that only evaluates `ready`.
-    bool any = false;
-    std::vector<std::uint32_t>& stack = probe_scratch_;
-    stack.assign(1, child);
-    while (!stack.empty() && !any) {
-      const std::uint32_t cur = stack.back();
-      stack.pop_back();
-      if (ready(cur)) {
-        any = true;
-        break;
-      }
-      const Node& cn = nodes_[cur];
-      stack.insert(stack.end(), cn.children.begin(), cn.children.end());
+std::uint32_t PriorityTree::pick() {
+  Node* node = root_;
+  if (node->ready_count == 0) return 0;
+  while (node == root_ || !node->ready) {
+    // Weighted round-robin among the children whose subtrees hold a ready
+    // stream: credit accumulates in proportion to weight, and the largest
+    // credit is served.
+    double total_weight = 0;
+    for (const Node* child : node->children) {
+      if (child->ready_count != 0) total_weight += child->weight;
     }
-    if (any) eligible.push_back(child);
+    Node* best = nullptr;
+    for (Node* child : node->children) {
+      if (child->ready_count == 0) continue;
+      child->credit += static_cast<double>(child->weight) / total_weight;
+      if (best == nullptr || child->credit > best->credit + 1e-12) {
+        best = child;
+      }
+    }
+    assert(best != nullptr);
+    best->credit -= 1.0;
+    node = best;
   }
-  if (eligible.empty()) {
-    subtree_ready = false;
-    return 0;
-  }
-  subtree_ready = true;
-  // Credit accumulation proportional to weight; serve the largest credit.
-  double total_weight = 0;
-  for (std::uint32_t child : eligible)
-    total_weight += nodes_[child].weight;
-  std::uint32_t best = eligible.front();
-  for (std::uint32_t child : eligible) {
-    Node& cn = nodes_[child];
-    cn.credit += static_cast<double>(cn.weight) / total_weight;
-    if (cn.credit > nodes_[best].credit + 1e-12) best = child;
-  }
-  nodes_[best].credit -= 1.0;
-  bool dummy = false;
-  const std::uint32_t picked = pick_subtree(best, ready, dummy);
-  assert(picked != 0);
-  return picked;
+  return node->id;
 }
 
-std::uint32_t PriorityTree::pick(
-    const std::function<bool(std::uint32_t)>& ready) {
-  bool dummy = false;
-  return pick_subtree(0, ready, dummy);
+std::optional<std::string> PriorityTree::check_ready_counts() const {
+  for (const auto& [id, node] : nodes_) {
+    std::uint64_t expected = node.ready ? 1 : 0;
+    for (const Node* child : node.children) {
+      if (child->parent != &node) {
+        return "tree: child " + std::to_string(child->id) +
+               " does not point back to " + std::to_string(id);
+      }
+      expected += child->ready_count;
+    }
+    if (node.ready_count != expected) {
+      return "tree: ready count of " + std::to_string(id) + " is " +
+             std::to_string(node.ready_count) + ", expected " +
+             std::to_string(expected);
+    }
+  }
+  if (root_->ready) return "tree: root marked ready";
+  return std::nullopt;
 }
 
 }  // namespace h2push::h2

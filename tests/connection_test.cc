@@ -4,6 +4,7 @@
 // interaction and the interleaving hold (Connection::interleave).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
 #include "h2/connection.h"
@@ -328,12 +329,23 @@ TEST(Connection, DataBytesSentTracksPerStream) {
   const auto b = p.get("/b");
   p.pump();
   http::Response resp;
-  p.server->submit_response(a, resp.to_h2_headers(), Pair::make_body(1000));
-  p.server->submit_response(b, resp.to_h2_headers(), Pair::make_body(3000));
-  p.pump();
-  EXPECT_EQ(p.server->data_bytes_sent(a), 1000u);
-  EXPECT_EQ(p.server->data_bytes_sent(b), 3000u);
-  EXPECT_EQ(p.server->total_data_sent(), 4000u);
+  const std::map<std::uint32_t, std::size_t> size{{a, 20000}, {b, 30000}};
+  p.server->submit_response(a, resp.to_h2_headers(),
+                            Pair::make_body(size.at(a)));
+  p.server->submit_response(b, resp.to_h2_headers(),
+                            Pair::make_body(size.at(b)));
+  // Each body takes two frames. A stream still sending reports its count
+  // after every frame; a finished stream is closed and forgotten.
+  std::map<std::uint32_t, std::size_t> sent;
+  for (auto [stream, bytes] = p.next_server_data(); stream != 0;
+       std::tie(stream, bytes) = p.next_server_data()) {
+    sent[stream] += bytes;
+    const bool done = sent[stream] == size.at(stream);
+    EXPECT_EQ(p.server->data_bytes_sent(stream), done ? 0u : sent[stream]);
+    EXPECT_EQ(p.server->stream_state(stream) == StreamState::kClosed, done);
+  }
+  EXPECT_EQ(sent, size);
+  EXPECT_EQ(p.server->total_data_sent(), 50000u);
 }
 
 TEST(Connection, InterleavingSchedulerHardSwitch) {
@@ -440,6 +452,27 @@ TEST(Connection, InterleaveOffsetLargerThanParentNeverPauses) {
   p.server->interleave(page.parent, 1 << 20, {page.pushes[0]});
   EXPECT_EQ(p.drain_server_data(),
             (DataFrames{{page.parent, 5000}, {page.pushes[0], 1000}}));
+}
+
+TEST(Connection, InterleaveAtOffsetZeroHoldsParentFromTheStart) {
+  Pair p;
+  const Page page = serve_page(p, 5000, {1000});
+  p.server->interleave(page.parent, 0, {page.pushes[0]});
+  EXPECT_EQ(p.drain_server_data(),
+            (DataFrames{{page.pushes[0], 1000}, {page.parent, 5000}}));
+}
+
+TEST(Connection, InterleaveReplacedByAnotherHoldFreesTheOldParent) {
+  Pair p;
+  const Page page = serve_page(p, 5000, {1000, 1000});
+  p.server->interleave(page.parent, 0, {page.pushes[0]});
+  // The new hold is on the first push, until the second is done; the
+  // parent is free again and goes first, as the tree's parent.
+  p.server->interleave(page.pushes[0], 0, {page.pushes[1]});
+  EXPECT_EQ(p.drain_server_data(),
+            (DataFrames{{page.parent, 5000},
+                        {page.pushes[1], 1000},
+                        {page.pushes[0], 1000}}));
 }
 
 TEST(Connection, PingIsAcked) {
@@ -699,6 +732,143 @@ TEST(Connection, WarmBulkTransferAllocatesNothingPerDataFrame) {
       << " DATA frames";
   EXPECT_TRUE(client.last_error().empty());
   EXPECT_TRUE(server.last_error().empty());
+}
+
+/// A client and a server connection with their own configs, exchanging
+/// whole produce() outputs through one reused buffer.
+struct Session {
+  std::unique_ptr<Connection> client;
+  std::unique_ptr<Connection> server;
+  std::uint32_t last_request = 0;  // stream of the newest request served
+  std::size_t responses = 0;       // responses the client saw complete
+  std::vector<std::uint8_t> wire;
+
+  explicit Session(std::size_t client_table_size = 4096) {
+    Connection::Config cc;
+    cc.role = Role::kClient;
+    cc.header_table_size = client_table_size;
+    Connection::Callbacks ccb;
+    ccb.on_headers = [this](std::uint32_t, http::HeaderBlock, bool fin) {
+      if (fin) ++responses;
+    };
+    ccb.on_data = [this](std::uint32_t, std::span<const std::uint8_t>,
+                         bool fin) {
+      if (fin) ++responses;
+    };
+    client = std::make_unique<Connection>(cc, std::move(ccb));
+    Connection::Config sc;
+    sc.role = Role::kServer;
+    Connection::Callbacks scb;
+    scb.on_headers = [this](std::uint32_t stream, http::HeaderBlock, bool) {
+      last_request = stream;
+    };
+    server = std::make_unique<Connection>(sc, std::move(scb));
+    client->start();
+    server->start();
+  }
+
+  void pump() {
+    for (bool any = true; any;) {
+      any = false;
+      for (auto [from, to] : {std::pair{client.get(), server.get()},
+                              std::pair{server.get(), client.get()}}) {
+        wire.clear();
+        if (from->produce(wire, 1 << 16) == 0) continue;
+        any = true;
+        to->receive(wire);
+      }
+    }
+  }
+
+  /// One request and its response, each delivered in full.
+  void exchange(const http::HeaderBlock& request,
+                const http::HeaderBlock& response, const Body& body) {
+    client->submit_request(request);
+    pump();
+    server->submit_response(last_request, response, body);
+    pump();
+  }
+};
+
+http::HeaderBlock numbered_request(std::size_t i) {
+  char path[16];
+  std::snprintf(path, sizeof(path), "/r/%06zu", i);
+  return {{":method", "GET"},
+          {":scheme", "https"},
+          {":authority", "test.example"},
+          {":path", path}};
+}
+
+// The ROADMAP acceptance test for bounded per-connection state: 100k
+// sequential requests at the default priority on one connection. Closed
+// streams leave both the stream table and the tree, and once warm a
+// request costs the same allocations at the end as at the start.
+TEST(Connection, LongLivedConnectionKeepsStateFlat) {
+  constexpr std::size_t kWarmup = 1000;
+  constexpr std::size_t kRequests = 100000;
+  constexpr std::size_t kWindow = 1000;
+  Session session;
+  const http::HeaderBlock response{{":status", "200"},
+                                   {"content-type", "text/plain"}};
+  const Body body = std::make_shared<const std::string>(188, 'x');
+  std::size_t first_window = 0;
+  std::size_t last_window = 0;
+  std::size_t window_start = 0;
+  for (std::size_t i = 0; i < kWarmup + kRequests; ++i) {
+    const std::size_t run = i >= kWarmup ? i - kWarmup : kRequests;
+    if (run == 0 || run == kRequests - kWindow) {
+      window_start = test_allocation_count();
+    }
+    session.client->submit_request(numbered_request(i));
+    session.pump();
+    // One request in flight: open at the client, and at the server until
+    // its response is written.
+    ASSERT_LE(session.client->stream_count(), 1u);
+    ASSERT_LE(session.server->stream_count(), 1u);
+    session.server->submit_response(session.last_request, response, body);
+    session.pump();
+    ASSERT_EQ(session.responses, i + 1);
+    ASSERT_EQ(session.client->stream_count(), 0u);
+    ASSERT_EQ(session.server->stream_count(), 0u);
+    ASSERT_EQ(session.client->priority_tree().node_count(), 1u);  // the root
+    ASSERT_EQ(session.server->priority_tree().node_count(), 1u);
+    if (run == kWindow - 1) first_window = test_allocation_count() - window_start;
+    if (run == kRequests - 1) last_window = test_allocation_count() - window_start;
+  }
+  EXPECT_GT(first_window, 0u);
+  EXPECT_EQ(last_window, first_window)
+      << "allocations per " << kWindow << " requests grew";
+  EXPECT_EQ(session.client->stream_state(1), StreamState::kClosed);
+  EXPECT_TRUE(session.client->last_error().empty());
+  EXPECT_TRUE(session.server->last_error().empty());
+  EXPECT_EQ(session.server->check_invariants(), std::nullopt);
+
+  // A warm encoder re-encoding a block it has already indexed allocates
+  // nothing.
+  HpackEncoder encoder;
+  std::vector<std::uint8_t> out;
+  const auto block = numbered_request(7);
+  encoder.encode_into(block, out);
+  const std::size_t before = test_allocation_count();
+  encoder.encode_into(block, out);
+  EXPECT_EQ(test_allocation_count(), before);
+}
+
+// The server's HPACK encoder keeps at most our own table size, whatever
+// the peer announces: 10k distinct response headers after a client
+// announced a 1 GiB table leave 4096 bytes in it.
+TEST(Connection, EncoderTableCappedByOwnHeaderTableSize) {
+  Session session(/*client_table_size=*/1u << 30);
+  const Body body = std::make_shared<const std::string>(10, 'x');
+  for (std::size_t i = 0; i < 10000; ++i) {
+    const http::HeaderBlock response{{":status", "200"},
+                                     {"etag", "\"" + std::to_string(i) + "\""}};
+    session.exchange(numbered_request(i), response, body);
+    ASSERT_LE(session.server->hpack_encoder().table().size(), 4096u);
+  }
+  EXPECT_EQ(session.server->hpack_encoder().table().max_size(), 4096u);
+  EXPECT_EQ(session.responses, 10000u);
+  EXPECT_TRUE(session.client->last_error().empty());
 }
 
 TEST(Connection, FramesBeforeAMalformedOneTakeEffectFirst) {

@@ -38,6 +38,11 @@ struct ServerProbe {
   bool sent_goaway = false;
   ErrorCode goaway_code = ErrorCode::kNoError;
   std::size_t headers_seen = 0;
+  std::vector<std::string> paths;  // :path of every request block handled
+  std::vector<std::pair<std::uint32_t, ErrorCode>> resets_received;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> window_updates;
+  std::vector<std::uint32_t> data_streams;  // stream of every DATA sent
+  std::size_t data_bytes = 0;                // payload of every DATA sent
   std::size_t produced = 0;
   h2::FrameParser out_parser;
   h2::Connection conn;
@@ -51,8 +56,14 @@ struct ServerProbe {
             }(),
             [this] {
               h2::Connection::Callbacks cbs;
-              cbs.on_headers = [this](std::uint32_t, http::HeaderBlock,
-                                      bool) { ++headers_seen; };
+              cbs.on_headers = [this](std::uint32_t,
+                                      http::HeaderBlock headers, bool) {
+                ++headers_seen;
+                paths.emplace_back(http::find_header(headers, ":path"));
+              };
+              cbs.on_rst = [this](std::uint32_t stream, ErrorCode code) {
+                resets_received.emplace_back(stream, code);
+              };
               return cbs;
             }()) {
     conn.start();
@@ -80,6 +91,12 @@ struct ServerProbe {
         } else if (const auto* rst =
                        std::get_if<h2::RstStreamFrame>(&frame)) {
           resets.emplace_back(rst->stream_id, rst->error);
+        } else if (const auto* update =
+                       std::get_if<h2::WindowUpdateFrame>(&frame)) {
+          window_updates.emplace_back(update->stream_id, update->increment);
+        } else if (const auto* data = std::get_if<h2::DataFrame>(&frame)) {
+          data_streams.push_back(data->stream_id);
+          data_bytes += data->data.size();
         }
       }
     }
@@ -185,6 +202,221 @@ TEST(ConnectionConformance, RstStreamOnIdleStreamIsProtocolError) {
   auto wire = preface_and_settings();
   h2::serialize_into(
       h2::Frame{h2::RstStreamFrame{9, ErrorCode::kCancel}}, wire);
+  probe.feed(wire);
+  EXPECT_TRUE(probe.sent_goaway);
+  EXPECT_EQ(probe.goaway_code, ErrorCode::kProtocolError);
+}
+
+// A peer may raise SETTINGS_INITIAL_WINDOW_SIZE only as far as every open
+// stream's send window stays within 2^31-1. Stream 1 sits at exactly
+// 2^31-1 after its WINDOW_UPDATE; the delta of +1 used to be applied
+// unchecked, leaving a window of 2^31 for the invariant checker to find.
+// RFC 9113 §6.9.2: a connection FLOW_CONTROL_ERROR. Reproducer:
+// corpus/connection/settings-window-delta-overflow.bin.
+TEST(ConnectionConformance, SettingsInitialWindowDeltaOverflowIsFlowControlError) {
+  ServerProbe probe;
+  auto wire = preface_and_settings();
+  h2::HpackEncoder enc;
+  append_headers(wire, 1, encoded_request(enc, "/"), false);  // left open
+  h2::serialize_into(
+      h2::Frame{h2::WindowUpdateFrame{
+          1, h2::kMaxWindow - h2::kDefaultInitialWindow}},
+      wire);
+  h2::serialize_into(
+      h2::Frame{h2::SettingsFrame{
+          false,
+          {{h2::SettingsId::kInitialWindowSize,
+            h2::kDefaultInitialWindow + 1}}}},
+      wire);
+  probe.feed(wire);
+  EXPECT_TRUE(probe.sent_goaway);
+  EXPECT_EQ(probe.goaway_code, ErrorCode::kFlowControlError);
+  EXPECT_EQ(probe.conn.check_invariants(), std::nullopt);
+}
+
+// A stream whose send window is spent waits; a WINDOW_UPDATE, or a larger
+// SETTINGS_INITIAL_WINDOW_SIZE, makes it sendable again, and a smaller one
+// can spend it again.
+TEST(ConnectionConformance, StreamWindowChangesStopAndResumeData) {
+  ServerProbe probe;
+  auto wire = preface_and_settings();
+  h2::serialize_into(
+      h2::Frame{h2::SettingsFrame{
+          false, {{h2::SettingsId::kInitialWindowSize, 100}}}},
+      wire);
+  h2::HpackEncoder enc;
+  append_headers(wire, 1, encoded_request(enc, "/"), true);
+  append_headers(wire, 3, encoded_request(enc, "/other"), true);
+  probe.feed(wire);
+  const auto body = std::make_shared<const std::string>(400, 'x');
+  probe.conn.submit_response(1, {{":status", "200"}}, body);
+  probe.drain();
+  EXPECT_EQ(probe.data_bytes, 100u);
+  EXPECT_FALSE(probe.conn.want_write());
+  EXPECT_FALSE(probe.conn.send_quiescent());
+  wire.clear();
+  h2::serialize_into(h2::Frame{h2::WindowUpdateFrame{1, 100}}, wire);
+  probe.feed(wire);
+  EXPECT_EQ(probe.data_bytes, 200u);
+  EXPECT_EQ(probe.conn.check_invariants(), std::nullopt);
+  // A window cut to -100, then lifted back to exactly 0: still waiting.
+  probe.conn.submit_response(3, {{":status", "200"}}, body);
+  wire.clear();
+  h2::serialize_into(
+      h2::Frame{h2::SettingsFrame{
+          false, {{h2::SettingsId::kInitialWindowSize, 0}}}},
+      wire);
+  h2::serialize_into(h2::Frame{h2::WindowUpdateFrame{1, 100}}, wire);
+  probe.feed(wire);
+  EXPECT_EQ(probe.data_bytes, 200u);
+  EXPECT_FALSE(probe.conn.want_write());
+  EXPECT_EQ(probe.conn.check_invariants(), std::nullopt);
+  wire.clear();
+  h2::serialize_into(
+      h2::Frame{h2::SettingsFrame{
+          false, {{h2::SettingsId::kInitialWindowSize, 400}}}},
+      wire);
+  probe.feed(wire);
+  EXPECT_EQ(probe.data_bytes, 200u + 200u + 400u);
+  EXPECT_TRUE(probe.conn.send_quiescent());
+  EXPECT_EQ(probe.conn.stream_state(1), h2::StreamState::kClosed);
+  EXPECT_EQ(probe.conn.check_invariants(), std::nullopt);
+  EXPECT_FALSE(probe.sent_goaway);
+}
+
+// --- frames on closed streams --------------------------------------------
+// A closed stream is gone from the connection's stream table; every frame
+// that still names it keeps its RFC 7540 §5.1 meaning.
+
+/// A server that answered stream 1 (GET "/done") with an empty 204, which
+/// closed it. `enc` is the client's HPACK encoder, in step with the
+/// server's decoder.
+struct ClosedStreamProbe : ServerProbe {
+  h2::HpackEncoder enc;
+
+  ClosedStreamProbe() {
+    auto wire = preface_and_settings();
+    append_headers(wire, 1, encoded_request(enc, "/done"), true);
+    feed(wire);
+    conn.submit_response(1, {{":status", "204"}}, nullptr);
+    drain();
+  }
+
+  void expect_healthy() {
+    EXPECT_FALSE(sent_goaway);
+    EXPECT_TRUE(resets.empty());
+    EXPECT_EQ(conn.stream_state(1), h2::StreamState::kClosed);
+    EXPECT_EQ(conn.check_invariants(), std::nullopt);
+  }
+};
+
+// Late HEADERS are dropped, but their block still updates the HPACK table
+// (§4.3): the next request's block refers to the entry it added.
+TEST(ConnectionConformance, LateHeadersOnClosedStreamAreDropped) {
+  ClosedStreamProbe probe;
+  ASSERT_EQ(probe.conn.stream_state(1), h2::StreamState::kClosed);
+  std::vector<std::uint8_t> wire;
+  append_headers(wire, 1, encoded_request(probe.enc, "/late"), true);
+  append_headers(wire, 3, encoded_request(probe.enc, "/late"), true);
+  probe.feed(wire);
+  probe.expect_healthy();
+  EXPECT_EQ(probe.paths, (std::vector<std::string>{"/done", "/late"}));
+}
+
+// DATA on a closed stream still debits the connection window and counts
+// toward the connection-level WINDOW_UPDATE: here it is what lifts the
+// unacknowledged bytes past half the 65535-byte window.
+TEST(ConnectionConformance, DataOnClosedStreamFeedsConnectionWindowUpdate) {
+  ClosedStreamProbe probe;
+  std::vector<std::uint8_t> wire;
+  append_headers(wire, 3, encoded_request(probe.enc, "/upload"), false);
+  const std::vector<std::uint8_t> straggler(16000, 's');
+  fuzz::append_raw_frame(wire, 16000, 0x0, 0, 1, straggler);
+  const std::vector<std::uint8_t> body(16384, 'b');
+  fuzz::append_raw_frame(wire, 16384, 0x0, 0, 3, body);
+  const std::vector<std::uint8_t> tail(1000, 't');
+  fuzz::append_raw_frame(wire, 1000, 0x0, 0, 3, tail);
+  probe.feed(wire);
+  probe.expect_healthy();
+  EXPECT_EQ(probe.window_updates,
+            (std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+                {0, 16000 + 16384 + 1000}}));
+}
+
+TEST(ConnectionConformance, DataOnClosedStreamCanOverrunConnectionWindow) {
+  ClosedStreamProbe probe;
+  std::vector<std::uint8_t> wire;
+  const std::vector<std::uint8_t> payload(16384, 's');
+  for (int i = 0; i < 4; ++i) {  // 65536 bytes > the 65535-byte window
+    fuzz::append_raw_frame(wire, 16384, 0x0, 0, 1, payload);
+  }
+  probe.feed(wire);
+  EXPECT_TRUE(probe.sent_goaway);
+  EXPECT_EQ(probe.goaway_code, ErrorCode::kFlowControlError);
+}
+
+// §6.9: a WINDOW_UPDATE can trail a closed stream; it is not an error.
+TEST(ConnectionConformance, WindowUpdateOnClosedStreamIsIgnored) {
+  ClosedStreamProbe probe;
+  std::vector<std::uint8_t> wire;
+  h2::serialize_into(h2::Frame{h2::WindowUpdateFrame{1, 1000}}, wire);
+  probe.feed(wire);
+  probe.expect_healthy();
+}
+
+TEST(ConnectionConformance, RstStreamOnClosedStreamReachesOnRst) {
+  ClosedStreamProbe probe;
+  std::vector<std::uint8_t> wire;
+  h2::serialize_into(h2::Frame{h2::RstStreamFrame{1, ErrorCode::kCancel}},
+                     wire);
+  probe.feed(wire);
+  probe.expect_healthy();
+  EXPECT_EQ(probe.resets_received,
+            (std::vector<std::pair<std::uint32_t, ErrorCode>>{
+                {1, ErrorCode::kCancel}}));
+}
+
+// PRIORITY may name a closed stream (§5.3.4) and still moves the tree: node
+// 1 comes back with weight 1 and stream 5 goes under it, so stream 3 (weight
+// 16) takes the first frames. Had the frame on 1 been dropped, 5's parent
+// would be a weight-16 placeholder and 3 and 5 would alternate.
+TEST(ConnectionConformance, PriorityOnClosedStreamMovesTree) {
+  ClosedStreamProbe probe;
+  std::vector<std::uint8_t> wire;
+  h2::serialize_into(
+      h2::Frame{h2::SettingsFrame{
+          false, {{h2::SettingsId::kInitialWindowSize, 1u << 20}}}},
+      wire);
+  h2::serialize_into(h2::Frame{h2::WindowUpdateFrame{0, 1u << 20}}, wire);
+  append_headers(wire, 3, encoded_request(probe.enc, "/three"), true);
+  append_headers(wire, 5, encoded_request(probe.enc, "/five"), true);
+  h2::serialize_into(h2::Frame{h2::PriorityFrame{1, {0, 1, false}}}, wire);
+  h2::serialize_into(h2::Frame{h2::PriorityFrame{5, {1, 16, false}}}, wire);
+  probe.feed(wire);
+  const auto body = std::make_shared<const std::string>(4 * 16384, 'x');
+  probe.conn.submit_response(3, {{":status", "200"}}, body);
+  probe.conn.submit_response(5, {{":status", "200"}}, body);
+  probe.drain();
+  probe.expect_healthy();
+  EXPECT_EQ(probe.data_streams,
+            (std::vector<std::uint32_t>{3, 3, 3, 3, 5, 5, 5, 5}));
+}
+
+// Ids the peer jumped over stay idle after a higher stream closed: DATA on
+// one is still a PROTOCOL_ERROR (§5.1), not a closed-stream straggler.
+TEST(ConnectionConformance, DataOnSkippedStreamIdIsProtocolError) {
+  ServerProbe probe;
+  auto wire = preface_and_settings();
+  h2::HpackEncoder enc;
+  append_headers(wire, 5, encoded_request(enc, "/five"), true);  // skips 1, 3
+  probe.feed(wire);
+  probe.conn.submit_response(5, {{":status", "204"}}, nullptr);
+  probe.drain();
+  EXPECT_EQ(probe.conn.stream_state(5), h2::StreamState::kClosed);
+  EXPECT_EQ(probe.conn.stream_state(3), h2::StreamState::kIdle);
+  wire.clear();
+  const std::vector<std::uint8_t> payload{'x'};
+  fuzz::append_raw_frame(wire, 1, 0x0, 0, 3, payload);
   probe.feed(wire);
   EXPECT_TRUE(probe.sent_goaway);
   EXPECT_EQ(probe.goaway_code, ErrorCode::kProtocolError);

@@ -2,6 +2,8 @@
 // tables, encoder/decoder round trips, and RFC 7541 error cases.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "h2/hpack.h"
 #include "h2/hpack_huffman.h"
 #include "util/rng.h"
@@ -274,6 +276,164 @@ TEST_P(HpackFuzzRoundTrip, RandomHeaderBlocksSurviveSharedState) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HpackFuzzRoundTrip, ::testing::Range(0, 8));
+
+// --- differential check against the linear-scan encoder ------------------
+
+// The encoder as it was before its tables were indexed: a FIFO of owned
+// entries searched front to back, and a linear static-table scan. Kept
+// here only as the reference the indexed encoder must match byte for byte.
+class ReferenceEncoder {
+ public:
+  explicit ReferenceEncoder(std::size_t max_size) : max_size_(max_size) {}
+
+  void set_table_size(std::size_t max) {
+    max_size_ = max;
+    evict_to(max_size_);
+    pending_size_update_ = true;
+    pending_size_ = max;
+  }
+
+  std::vector<std::uint8_t> encode(const http::HeaderBlock& block,
+                                   bool use_huffman) {
+    std::vector<std::uint8_t> out;
+    if (pending_size_update_) {
+      hpack_encode_int(pending_size_, 5, 0x20, out);
+      pending_size_update_ = false;
+    }
+    const std::size_t statics = hpack_static_table_size();
+    for (const auto& h : block) {
+      std::size_t static_name = 0;
+      std::size_t static_exact = 0;
+      for (std::size_t i = 1; i <= statics; ++i) {
+        const auto [name, value] = hpack_static_at(i);
+        if (name != h.name) continue;
+        if (static_name == 0) static_name = i;
+        if (value == h.value) {
+          static_exact = i;
+          break;
+        }
+      }
+      if (static_exact != 0) {
+        hpack_encode_int(static_exact, 7, 0x80, out);
+        continue;
+      }
+      std::size_t dyn_name = kNone;
+      std::size_t dyn_exact = kNone;
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].name != h.name) continue;
+        if (dyn_name == kNone) dyn_name = i;
+        if (entries_[i].value == h.value) {
+          dyn_exact = i;
+          break;
+        }
+      }
+      if (dyn_exact != kNone) {
+        hpack_encode_int(statics + 1 + dyn_exact, 7, 0x80, out);
+        continue;
+      }
+      if (static_name != 0) {
+        hpack_encode_int(static_name, 6, 0x40, out);
+      } else if (dyn_name != kNone) {
+        hpack_encode_int(statics + 1 + dyn_name, 6, 0x40, out);
+      } else {
+        out.push_back(0x40);
+        encode_string(h.name, use_huffman, out);
+      }
+      encode_string(h.value, use_huffman, out);
+      add(h);
+    }
+    return out;
+  }
+
+  std::size_t entry_count() const { return entries_.size(); }
+  std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  static void encode_string(const std::string& s, bool use_huffman,
+                            std::vector<std::uint8_t>& out) {
+    if (use_huffman && huffman_encoded_size(s) <= s.size()) {
+      hpack_encode_int(huffman_encoded_size(s), 7, 0x80, out);
+      huffman_encode(s, out);
+      return;
+    }
+    hpack_encode_int(s.size(), 7, 0x00, out);
+    out.insert(out.end(), s.begin(), s.end());
+  }
+
+  void add(const http::Header& h) {
+    const std::size_t entry_size = h.name.size() + h.value.size() + 32;
+    if (entry_size > max_size_) {
+      evict_to(0);
+      return;
+    }
+    evict_to(max_size_ - entry_size);
+    size_ += entry_size;
+    entries_.push_front(h);
+  }
+
+  void evict_to(std::size_t limit) {
+    while (size_ > limit && !entries_.empty()) {
+      const auto& oldest = entries_.back();
+      size_ -= oldest.name.size() + oldest.value.size() + 32;
+      entries_.pop_back();
+    }
+  }
+
+  std::deque<http::Header> entries_;  // front = newest
+  std::size_t size_ = 0;
+  std::size_t max_size_;
+  bool pending_size_update_ = false;
+  std::size_t pending_size_ = 0;
+};
+
+// Header blocks drawn from small pools, so names and whole fields repeat
+// (duplicate table entries, name-only hits, static names with new values),
+// through small tables that evict constantly, with size updates between
+// blocks. The indexed encoder must emit the reference's bytes, and a
+// decoder must read them back.
+TEST(Hpack, IndexedEncoderMatchesLinearScanReference) {
+  const std::vector<std::string> names{
+      ":path",  ":authority", "content-type", "etag", "cache-control",
+      "x-a",    "x-b",        "x-longer-custom-header-name", "accept"};
+  const std::vector<std::string> values{"",     "/",        "a",
+                                        "text/html",      "no-cache",
+                                        "/images/logo.png", "v1", "v2",
+                                        "a-much-longer-value-for-eviction"};
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    util::Rng rng(0x5eed0000 + seed);
+    const std::size_t table = rng.bernoulli(0.5) ? 4096 : 256;
+    HpackEncoder encoder(table);
+    ReferenceEncoder reference(table);
+    HpackDecoder decoder(table);
+    for (int block_i = 0; block_i < 200; ++block_i) {
+      if (rng.bernoulli(0.05)) {
+        const auto size =
+            static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(table)));
+        encoder.set_table_size(size);
+        reference.set_table_size(size);
+      }
+      http::HeaderBlock block;
+      for (int f = rng.uniform_int(1, 10); f > 0; --f) {
+        block.push_back(
+            {names[static_cast<std::size_t>(
+                 rng.uniform_int(0, static_cast<int>(names.size()) - 1))],
+             values[static_cast<std::size_t>(
+                 rng.uniform_int(0, static_cast<int>(values.size()) - 1))]});
+      }
+      const bool huffman = rng.bernoulli(0.5);
+      const auto wire = encoder.encode(block, huffman);
+      ASSERT_EQ(wire, reference.encode(block, huffman))
+          << "seed " << seed << " block " << block_i;
+      ASSERT_EQ(encoder.table().entry_count(), reference.entry_count());
+      ASSERT_EQ(encoder.table().size(), reference.size());
+      auto decoded = decoder.decode(wire);
+      ASSERT_TRUE(decoded.has_value()) << decoded.error();
+      ASSERT_EQ(*decoded, block);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace h2push::h2

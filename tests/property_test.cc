@@ -186,12 +186,11 @@ TEST(PropertyPriorityTree, RandomReparentingKeepsTreeConsistent) {
     for (const auto id : ids) {
       if (tree.contains(id) && r.chance(0.5)) ready_set.insert(id);
     }
-    const auto ready = [&ready_set](std::uint32_t id) {
-      return ready_set.count(id) != 0;
-    };
+    for (const auto id : ready_set) tree.set_ready(id, true);
+    ASSERT_EQ(tree.check_ready_counts(), std::nullopt) << seed_msg(seed);
     std::set<std::uint32_t> picked;
     for (std::size_t j = 0; j < 4 * (ready_set.size() + 1); ++j) {
-      const auto got = tree.pick(ready);
+      const auto got = tree.pick();
       if (got == 0) break;
       ASSERT_TRUE(ready_set.count(got))
           << "pick returned non-ready stream " << got << seed_msg(seed);

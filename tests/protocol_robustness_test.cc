@@ -61,7 +61,8 @@ TEST(ProtocolRobustness, SelfDependencyInAddDoesNotCycle) {
   tree.add(3, PrioritySpec{3, 16, false});  // self-dependency
   EXPECT_EQ(tree.parent_of(3), 0u);
   EXPECT_FALSE(tree.is_ancestor(3, 3));  // terminates
-  EXPECT_EQ(tree.pick([](std::uint32_t id) { return id == 3; }), 3u);
+  tree.set_ready(3, true);
+  EXPECT_EQ(tree.pick(), 3u);
   tree.remove(3);  // no UB / crash
   EXPECT_FALSE(tree.contains(3));
 }
