@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "=== layering: no simulator in the serving layers, codec below server ==="
+echo "=== layering: no simulator in the serving layers, codec below server, one write path ==="
 # src/server/ and src/net/ run inside the live daemon h2pushd; of the
 # simulator they may use only its time type.
 if grep -rnE '#include[[:space:]]*"sim/' src/server src/net |
@@ -30,6 +30,14 @@ fi
 if grep -rnE '#include[[:space:]]*"' src/h2 |
     grep -vE '#include[[:space:]]*"(h2|http|util|trace)/'; then
   echo "src/h2/ includes a header outside h2/, http/, util/ and trace/" >&2
+  exit 1
+fi
+# One write path: h2::Connection::produce(out, max) sends whole frames for
+# the simulator and the live daemon alike. produce_into is an alias kept
+# for perfbench/'s client alone, so no other code may call it.
+if grep -rnE '(\.|->|::)[[:space:]]*produce_into\b' \
+    src tests bench examples tools fuzz; then
+  echo "produce_into is called outside perfbench/; call produce(out, max)" >&2
   exit 1
 fi
 echo "layering OK"

@@ -56,7 +56,6 @@ FrameTraceInfo frame_trace_info(const Frame& frame) {
 Connection::Connection(Config config, Callbacks callbacks)
     : config_(config),
       callbacks_(std::move(callbacks)),
-      parser_(config.max_frame_size),
       encoder_(config.header_table_size),
       decoder_(config.header_table_size),
       next_stream_id_(config.role == Role::kClient ? 1 : 2),
@@ -87,7 +86,7 @@ void Connection::start() {
   settings.settings.emplace_back(SettingsId::kInitialWindowSize,
                                  config_.initial_window);
   settings.settings.emplace_back(SettingsId::kMaxFrameSize,
-                                 config_.max_frame_size);
+                                 kDefaultMaxFrameSize);
   if (config_.role == Role::kClient) {
     settings.settings.emplace_back(SettingsId::kEnablePush,
                                    config_.enable_push ? 1u : 0u);
@@ -113,7 +112,7 @@ void Connection::queue_control(const Frame& frame) {
     const FrameTraceInfo info = frame_trace_info(frame);
     trace_send(info.name, info.stream, info.bytes);
   }
-  serialize_into(frame, control_bytes_, peer_max_frame_size_);
+  serialize_into(frame, control_bytes_);
   control_ends_.push_back(control_bytes_.size());
 }
 
@@ -123,20 +122,19 @@ void Connection::control_consumed() {
     control_bytes_.clear();
     control_ends_.clear();
     control_head_ = 0;
-    control_pos_ = 0;
   } else if (control_head_ >= 64 && 2 * control_head_ >= control_ends_.size()) {
     // Never drained (a writer behind a slow socket): drop the sent prefix
     // once it is most of the queue, so the buffers stay proportional to
     // what is still queued.
+    const std::size_t sent = control_sent();
     control_bytes_.erase(
         control_bytes_.begin(),
-        control_bytes_.begin() + static_cast<std::ptrdiff_t>(control_pos_));
+        control_bytes_.begin() + static_cast<std::ptrdiff_t>(sent));
     control_ends_.erase(
         control_ends_.begin(),
         control_ends_.begin() + static_cast<std::ptrdiff_t>(control_head_));
-    for (std::size_t& end : control_ends_) end -= control_pos_;
+    for (std::size_t& end : control_ends_) end -= sent;
     control_head_ = 0;
-    control_pos_ = 0;
   }
 }
 
@@ -152,14 +150,14 @@ void Connection::queue_header_frame(std::uint32_t stream_id,
                  static_cast<std::int64_t>(hpack_scratch_.size() + 4));
     }
     append_push_promise_frame(control_bytes_, stream_id, promised_id,
-                              hpack_scratch_, peer_max_frame_size_);
+                              hpack_scratch_);
   } else {
     if (trace_) {
       trace_send(to_string(FrameType::kHeaders), stream_id,
                  static_cast<std::int64_t>(hpack_scratch_.size()));
     }
     append_headers_frame(control_bytes_, stream_id, end_stream, priority,
-                         hpack_scratch_, peer_max_frame_size_);
+                         hpack_scratch_);
   }
   control_ends_.push_back(control_bytes_.size());
 }
@@ -371,8 +369,8 @@ bool Connection::want_write() const {
   return control_pending() || (send_window_ > 0 && sendable_streams_ != 0);
 }
 
-std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
-                                              std::size_t max_payload) {
+std::size_t Connection::append_next_data_frame(
+    std::vector<std::uint8_t>& out) {
   // The tree holds only the streams with sendable data; the connection
   // window gates them all.
   if (send_window_ <= 0) return 0;
@@ -387,12 +385,11 @@ std::size_t Connection::append_next_data_frame(std::vector<std::uint8_t>& out,
   }
   Stream& s = streams_.at(id);
   const std::size_t remaining = s.body->size() - s.body_offset;
-  std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
+  std::size_t n = std::min<std::size_t>(remaining, kDefaultMaxFrameSize);
   n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
   n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
   // A held parent stops exactly at the switch point.
   if (id == hold_parent_) n = std::min(n, hold_offset_ - s.body_offset);
-  n = std::min<std::size_t>(n, max_payload);
   // A ready stream guarantees n > 0 for every setting this connection can
   // reach, but an unvalidated limit reaching 0 here would emit empty
   // DATA frames forever (the NDEBUG builds used to rely on a compiled-out
@@ -450,50 +447,20 @@ std::size_t Connection::produce(std::vector<std::uint8_t>& out,
   const std::size_t start = out.size();
   // 1. Control frames (SETTINGS, HEADERS, PUSH_PROMISE, RST, WINDOW_UPDATE):
   //    not flow controlled, sent ahead of DATA like real stacks do. Whole
-  //    frames until max_bytes is reached; a front frame partially drained
-  //    by produce_into() resumes where it stopped.
-  std::size_t end = control_pos_;
-  while (control_pending() && end - control_pos_ < max_bytes) {
+  //    frames until max_bytes is reached.
+  const std::size_t begin = control_sent();
+  std::size_t end = begin;
+  while (control_pending() && end - begin < max_bytes) {
     end = control_ends_[control_head_++];
   }
   out.insert(out.end(),
-             control_bytes_.begin() + static_cast<std::ptrdiff_t>(control_pos_),
+             control_bytes_.begin() + static_cast<std::ptrdiff_t>(begin),
              control_bytes_.begin() + static_cast<std::ptrdiff_t>(end));
-  control_pos_ = end;
   control_consumed();
-  // 2. Scheduler-chosen DATA frames, each as large as the windows allow.
+  // 2. Scheduler-chosen DATA frames, each as large as the windows and
+  //    kDefaultMaxFrameSize allow.
   while (out.size() - start < max_bytes) {
-    if (append_next_data_frame(out, SIZE_MAX) == 0) break;
-  }
-  return out.size() - start;
-}
-
-std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
-                                     std::size_t max_bytes) {
-  const std::size_t start = out.size();
-  std::size_t budget = max_bytes;
-  // Control frames first (same policy as produce()), but split at byte
-  // granularity so `max_bytes` is a hard cap: the socket buffer the net
-  // layer fills has a fixed high watermark and cannot absorb overshoot.
-  while (control_pending() && budget > 0) {
-    const std::size_t take =
-        std::min(control_ends_[control_head_] - control_pos_, budget);
-    const auto begin = control_bytes_.begin() +
-                       static_cast<std::ptrdiff_t>(control_pos_);
-    out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(take));
-    control_pos_ += take;
-    budget -= take;
-    if (control_pos_ == control_ends_[control_head_]) ++control_head_;
-  }
-  control_consumed();
-  // Scheduler-chosen DATA, each frame sized to the remaining budget. A
-  // frame needs its 9-byte header plus at least one payload byte to be
-  // worth emitting; below that we stop and wait for the buffer to drain.
-  while (budget > kFrameHeaderSize) {
-    const std::size_t n =
-        append_next_data_frame(out, budget - kFrameHeaderSize);
-    if (n == 0) break;
-    budget -= kFrameHeaderSize + n;
+    if (append_next_data_frame(out) == 0) break;
   }
   return out.size() - start;
 }
@@ -602,15 +569,15 @@ void Connection::apply_remote_settings(const SettingsFrame& frame) {
         break;
       }
       case SettingsId::kMaxFrameSize:
+        // §6.5.2: outside [2^14, 2^24-1] is a PROTOCOL_ERROR. A valid
+        // value is not kept: our frames stay within kDefaultMaxFrameSize,
+        // which every peer must accept (RFC 9113 §4.2), so a peer's larger
+        // limit never grows them past the live daemon's write watermark.
         if (value < kDefaultMaxFrameSize || value > 0xffffff) {
-          // §6.5.2: outside [2^14, 2^24-1] is a PROTOCOL_ERROR. Applying a
-          // zero frame size used to drive produce() into an endless stream
-          // of empty DATA frames (fuzz seed settings-max-frame-size-zero).
           connection_error(ErrorCode::kProtocolError,
                            "SETTINGS_MAX_FRAME_SIZE out of range");
           return;
         }
-        peer_max_frame_size_ = value;
         break;
       case SettingsId::kMaxConcurrentStreams:
       case SettingsId::kMaxHeaderListSize:

@@ -57,7 +57,6 @@ class Connection {
  public:
   struct Config {
     Role role = Role::kClient;
-    std::uint32_t max_frame_size = kDefaultMaxFrameSize;
     /// Our SETTINGS_INITIAL_WINDOW_SIZE (receive direction). Chromium-like
     /// clients announce large windows so server push is not window-bound.
     std::uint32_t initial_window = kDefaultInitialWindow;
@@ -137,31 +136,25 @@ class Connection {
   /// even flow-control-blocked data want_write() would not report. The
   /// drain-safe close condition for the live daemon.
   bool send_quiescent() const;
-  // Two write entry points over one DATA emitter, because the simulator
-  // and the live daemon need different size limits. The simulated TCP
-  // model accepts whole frames that overshoot its write chunk; forcing it
-  // onto the strict cap splits frames differently and moves results (the
-  // fig2b --quick median PLT shifts from 1288.063 to 1266.563 ms). A real
-  // socket buffer has a fixed high watermark, so the live path needs the
-  // hard cap of produce_into().
-
-  /// Append up to ~max_bytes of wire bytes to `out` (may overshoot by one
-  /// frame so frames are never split across scheduling decisions): whole
-  /// control frames, then DATA frames capped only by the windows and the
-  /// frame size. Returns the bytes appended. The simulator's write path;
-  /// a caller reusing `out` allocates nothing once it is warm.
+  /// The one write path, for the simulator and the live daemon alike:
+  /// append whole frames to `out` until at least `max_bytes` were appended
+  /// or nothing more may be sent — control frames first, then DATA frames
+  /// capped by the windows and kDefaultMaxFrameSize. The last frame may
+  /// overshoot `max_bytes` by up to its own size: one DATA frame (16,393
+  /// bytes) or one of our control frames (a header block with its
+  /// CONTINUATIONs counts as one), so frame boundaries never depend on the
+  /// caller's budget. Returns the bytes appended; a caller reusing `out`
+  /// allocates nothing once it is warm.
   std::size_t produce(std::vector<std::uint8_t>& out, std::size_t max_bytes);
   /// produce(out, max_bytes) into a fresh buffer.
   std::vector<std::uint8_t> produce(std::size_t max_bytes);
-  /// Partial-write variant for bounded socket buffers (src/net/): appends
-  /// at most `max_bytes` bytes to `out` — a hard cap, never an overshoot.
-  /// Control frames are split at byte granularity across calls (the
-  /// continuation resumes mid-frame on the next call); DATA frames are
-  /// sized down to the remaining budget. Returns the bytes appended. When
-  /// it returns 0 with want_write() still true, the budget was too small
-  /// to fit a DATA frame header — call again once the socket drains.
+  /// Same as produce(out, max_bytes). Kept because the benchmark's client
+  /// (perfbench/src/open_loop.cc), which is not edited alongside the
+  /// library, calls it by this name.
   std::size_t produce_into(std::vector<std::uint8_t>& out,
-                           std::size_t max_bytes);
+                           std::size_t max_bytes) {
+    return produce(out, max_bytes);
+  }
 
   /// Attach a trace recorder: per-frame send/recv instants, flow-control
   /// window counters, and DATA scheduling switch points on `track`.
@@ -216,7 +209,11 @@ class Connection {
   bool control_pending() const noexcept {
     return control_head_ != control_ends_.size();
   }
-  /// After control bytes were taken: reset the queue once drained.
+  /// Bytes of control_bytes_ already sent: the end of the last sent frame.
+  std::size_t control_sent() const noexcept {
+    return control_head_ == 0 ? 0 : control_ends_[control_head_ - 1];
+  }
+  /// After control frames were taken: reset the queue once drained.
   void control_consumed();
   /// Encode `headers` into the reusable HPACK scratch buffer and append a
   /// HEADERS (or, with `promised_id`, PUSH_PROMISE) frame straight to the
@@ -252,11 +249,10 @@ class Connection {
   void unschedule(std::uint32_t id);
   /// `id` queued END_STREAM or closed: it no longer keeps the hold.
   void release_hold(std::uint32_t id);
-  /// Append the tree's next DATA frame, its payload capped at
-  /// `max_payload` and by the flow-control windows, and do the stream
+  /// Append the tree's next DATA frame, its payload capped by the
+  /// flow-control windows and kDefaultMaxFrameSize, and do the stream
   /// bookkeeping. Returns the payload size; 0 when no stream is ready.
-  std::size_t append_next_data_frame(std::vector<std::uint8_t>& out,
-                                     std::size_t max_payload);
+  std::size_t append_next_data_frame(std::vector<std::uint8_t>& out);
   void signal_write();
 
   Config config_;
@@ -284,8 +280,9 @@ class Connection {
   std::vector<std::uint8_t> preface_buf_;
   bool started_ = false;
 
-  // Peer-announced settings governing our send path.
-  std::uint32_t peer_max_frame_size_ = kDefaultMaxFrameSize;
+  // Peer-announced settings governing our send path. The peer's
+  // SETTINGS_MAX_FRAME_SIZE is range-checked but not kept: we never send
+  // a frame above kDefaultMaxFrameSize, which every peer must accept.
   std::uint32_t peer_initial_window_ = kDefaultInitialWindow;
   bool peer_enable_push_ = true;
 
@@ -294,12 +291,10 @@ class Connection {
   std::uint64_t recv_unacked_ = 0;
 
   // Control frames queued ahead of DATA, back to back in one buffer that
-  // is reused once drained; frame i ends at control_ends_[i]. produce()
-  // sends whole frames; produce_into() may stop mid-frame.
+  // is reused once drained; frame i ends at control_ends_[i].
   std::vector<std::uint8_t> control_bytes_;
   std::vector<std::size_t> control_ends_;
-  std::size_t control_head_ = 0;  // first frame not fully sent
-  std::size_t control_pos_ = 0;   // next byte of control_bytes_ to send
+  std::size_t control_head_ = 0;  // first frame not sent
   std::vector<std::uint8_t> hpack_scratch_;  // reused per header block
   std::uint64_t total_data_sent_ = 0;
   std::string last_error_;

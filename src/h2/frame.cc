@@ -68,17 +68,25 @@ util::Unexpected<ParseError> parse_error(ErrorCode code, std::string message) {
 
 /// Wire size of a HEADERS/PUSH_PROMISE carrying `block` bytes whose first
 /// frame has `first_cap` payload capacity, plus CONTINUATION overhead.
-std::size_t header_block_wire_size(std::size_t block, std::size_t first_cap,
-                                   std::uint32_t max_frame_size) {
-  if (block <= first_cap) return kFrameHeader + block;
-  std::size_t size = kFrameHeader + first_cap;
-  std::size_t remaining = block - first_cap;
-  while (remaining > 0) {
-    const std::size_t n = std::min<std::size_t>(max_frame_size, remaining);
-    size += kFrameHeader + n;
-    remaining -= n;
+std::size_t header_block_wire_size(std::size_t block, std::size_t first_cap) {
+  const std::size_t rest = block > first_cap ? block - first_cap : 0;
+  const std::size_t continuations =
+      (rest + kDefaultMaxFrameSize - 1) / kDefaultMaxFrameSize;
+  return kFrameHeader * (1 + continuations) + block;
+}
+
+/// Write `rest` of a header block as CONTINUATION frames of at most
+/// kDefaultMaxFrameSize, the last one carrying END_HEADERS.
+void put_continuations(std::uint8_t* p, std::uint32_t stream_id,
+                       std::span<const std::uint8_t> rest) {
+  while (!rest.empty()) {
+    const std::size_t n =
+        std::min<std::size_t>(kDefaultMaxFrameSize, rest.size());
+    p = put_frame_header(p, n, FrameType::kContinuation,
+                         n == rest.size() ? kFlagEndHeaders : 0, stream_id);
+    p = put_bytes(p, rest.data(), n);
+    rest = rest.subspan(n);
   }
-  return size;
 }
 
 PrioritySpec get_priority(std::span<const std::uint8_t> in, std::size_t pos) {
@@ -114,8 +122,7 @@ std::span<const std::uint8_t> client_preface() {
   return {kPreface, 24};
 }
 
-std::size_t serialized_size(const Frame& frame,
-                            std::uint32_t max_frame_size) {
+std::size_t serialized_size(const Frame& frame) {
   return std::visit(
       [&](const auto& f) -> std::size_t {
         using T = std::decay_t<decltype(f)>;
@@ -123,9 +130,9 @@ std::size_t serialized_size(const Frame& frame,
           return kFrameHeader + f.data.size();
         } else if constexpr (std::is_same_v<T, HeadersFrame>) {
           const std::size_t prio_len = f.priority ? 5 : 0;
-          return prio_len + header_block_wire_size(f.header_block.size(),
-                                                   max_frame_size - prio_len,
-                                                   max_frame_size);
+          return prio_len +
+                 header_block_wire_size(f.header_block.size(),
+                                        kDefaultMaxFrameSize - prio_len);
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
           return kFrameHeader + 5;
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
@@ -134,8 +141,7 @@ std::size_t serialized_size(const Frame& frame,
           return kFrameHeader + (f.ack ? 0 : f.settings.size() * 6);
         } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
           return 4 + header_block_wire_size(f.header_block.size(),
-                                            max_frame_size - 4,
-                                            max_frame_size);
+                                            kDefaultMaxFrameSize - 4);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
           return kFrameHeader + 8;
         } else if constexpr (std::is_same_v<T, GoawayFrame>) {
@@ -163,10 +169,9 @@ void append_data_frame(std::vector<std::uint8_t>& out,
 void append_headers_frame(std::vector<std::uint8_t>& out,
                           std::uint32_t stream_id, bool end_stream,
                           const std::optional<PrioritySpec>& priority,
-                          std::span<const std::uint8_t> header_block,
-                          std::uint32_t max_frame_size) {
+                          std::span<const std::uint8_t> header_block) {
   const std::size_t prio_len = priority ? 5 : 0;
-  const std::size_t first_cap = max_frame_size - prio_len;
+  const std::size_t first_cap = kDefaultMaxFrameSize - prio_len;
   const bool fits = header_block.size() <= first_cap;
   const std::size_t first_len = fits ? header_block.size() : first_cap;
   std::uint8_t flags = 0;
@@ -175,55 +180,33 @@ void append_headers_frame(std::vector<std::uint8_t>& out,
   if (fits) flags |= kFlagEndHeaders;
   std::uint8_t* p =
       grow(out, prio_len + header_block_wire_size(header_block.size(),
-                                                  first_cap, max_frame_size));
+                                                  first_cap));
   p = put_frame_header(p, first_len + prio_len, FrameType::kHeaders, flags,
                        stream_id);
   if (priority) p = put_priority(p, *priority);
   p = put_bytes(p, header_block.data(), first_len);
-  // CONTINUATION frames for the remainder.
-  std::size_t pos = first_len;
-  while (pos < header_block.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(max_frame_size, header_block.size() - pos);
-    const bool last = pos + n == header_block.size();
-    p = put_frame_header(p, n, FrameType::kContinuation,
-                         last ? kFlagEndHeaders : 0, stream_id);
-    p = put_bytes(p, header_block.data() + pos, n);
-    pos += n;
-  }
+  put_continuations(p, stream_id, header_block.subspan(first_len));
 }
 
 void append_push_promise_frame(std::vector<std::uint8_t>& out,
                                std::uint32_t stream_id,
                                std::uint32_t promised_id,
-                               std::span<const std::uint8_t> header_block,
-                               std::uint32_t max_frame_size) {
-  const std::size_t first_cap = max_frame_size - 4;
+                               std::span<const std::uint8_t> header_block) {
+  const std::size_t first_cap = kDefaultMaxFrameSize - 4;
   const bool fits = header_block.size() <= first_cap;
   const std::size_t first_len = fits ? header_block.size() : first_cap;
   std::uint8_t* p =
-      grow(out, 4 + header_block_wire_size(header_block.size(), first_cap,
-                                           max_frame_size));
+      grow(out, 4 + header_block_wire_size(header_block.size(), first_cap));
   p = put_frame_header(p, first_len + 4, FrameType::kPushPromise,
                        fits ? kFlagEndHeaders : 0, stream_id);
   p = put_u32(p, promised_id & 0x7fffffff);
   p = put_bytes(p, header_block.data(), first_len);
-  std::size_t pos = first_len;
-  while (pos < header_block.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(max_frame_size, header_block.size() - pos);
-    const bool last = pos + n == header_block.size();
-    p = put_frame_header(p, n, FrameType::kContinuation,
-                         last ? kFlagEndHeaders : 0, stream_id);
-    p = put_bytes(p, header_block.data() + pos, n);
-    pos += n;
-  }
+  put_continuations(p, stream_id, header_block.subspan(first_len));
 }
 
-void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out,
-                    std::uint32_t max_frame_size) {
+void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out) {
   // Geometric growth: `out` may be a queue that frames are appended to.
-  const std::size_t needed = out.size() + serialized_size(frame, max_frame_size);
+  const std::size_t needed = out.size() + serialized_size(frame);
   if (needed > out.capacity()) {
     out.reserve(std::max(needed, 2 * out.capacity()));
   }
@@ -234,7 +217,7 @@ void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out,
           append_data_frame(out, f.stream_id, f.end_stream, f.data);
         } else if constexpr (std::is_same_v<T, HeadersFrame>) {
           append_headers_frame(out, f.stream_id, f.end_stream, f.priority,
-                               f.header_block, max_frame_size);
+                               f.header_block);
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
           std::uint8_t* p = grow(out, kFrameHeader + 5);
           p = put_frame_header(p, 5, FrameType::kPriority, 0, f.stream_id);
@@ -256,7 +239,7 @@ void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out,
           }
         } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
           append_push_promise_frame(out, f.stream_id, f.promised_id,
-                                    f.header_block, max_frame_size);
+                                    f.header_block);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
           std::uint8_t* p = grow(out, kFrameHeader + 8);
           p = put_frame_header(p, 8, FrameType::kPing, f.ack ? kFlagAck : 0,
@@ -289,10 +272,9 @@ void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out,
       frame);
 }
 
-std::vector<std::uint8_t> serialize(const Frame& frame,
-                                    std::uint32_t max_frame_size) {
+std::vector<std::uint8_t> serialize(const Frame& frame) {
   std::vector<std::uint8_t> out;
-  serialize_into(frame, out, max_frame_size);
+  serialize_into(frame, out);
   return out;
 }
 
@@ -486,7 +468,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       if (stream_id != expected_stream) {
         return parse_error(ErrorCode::kProtocolError, "CONTINUATION: wrong stream");
       }
-      if (block.size() + payload.size() > max_header_block_) {
+      if (block.size() + payload.size() > kMaxHeaderBlock) {
         return parse_error(ErrorCode::kEnhanceYourCalm,
                            "header block exceeds reassembly cap");
       }
@@ -542,7 +524,7 @@ std::optional<ParseError> FrameParser::parse_chunk(
     if (available < kFrameHeader) return 0;
     const std::size_t length = (static_cast<std::size_t>(p[0]) << 16) |
                                (static_cast<std::size_t>(p[1]) << 8) | p[2];
-    if (length > max_frame_size_) {
+    if (length > kDefaultMaxFrameSize) {
       error = ParseError{ErrorCode::kFrameSizeError,
                          "frame exceeds max frame size"};
       return 0;

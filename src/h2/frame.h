@@ -168,29 +168,24 @@ using Frame = std::variant<DataFrame, HeadersFrame, PriorityFrame,
                            ExtensionFrame>;
 
 /// Exact wire size of `frame` (header + payload + any CONTINUATIONs).
-std::size_t serialized_size(const Frame& frame,
-                            std::uint32_t max_frame_size =
-                                kDefaultMaxFrameSize);
+std::size_t serialized_size(const Frame& frame);
 
 /// Append the serialization of `frame` to `out`, splitting header blocks
 /// into HEADERS/PUSH_PROMISE + CONTINUATION when they exceed
-/// `max_frame_size`. DATA frames must already respect max_frame_size (the
+/// kDefaultMaxFrameSize. DATA frames must already fit in it (the
 /// connection chunks them). Reserves the exact wire size up front and
 /// writes with bulk copies, so a caller reusing `out` pays no per-byte
 /// work and no allocation once the buffer is warm.
-void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out,
-                    std::uint32_t max_frame_size = kDefaultMaxFrameSize);
+void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out);
 
 /// Serialize any frame into a fresh buffer (exact-size allocation).
-std::vector<std::uint8_t> serialize(const Frame& frame,
-                                    std::uint32_t max_frame_size =
-                                        kDefaultMaxFrameSize);
+std::vector<std::uint8_t> serialize(const Frame& frame);
 
 // Allocation-free appenders for the connection's hot send paths: they
 // build the frame directly in the caller's buffer, skipping the Frame
 // variant and its owned payload vectors entirely.
 
-/// Append one DATA frame carrying `payload` (must fit max_frame_size).
+/// Append one DATA frame carrying `payload` (at most kDefaultMaxFrameSize).
 void append_data_frame(std::vector<std::uint8_t>& out,
                        std::uint32_t stream_id, bool end_stream,
                        std::span<const std::uint8_t> payload);
@@ -199,16 +194,13 @@ void append_data_frame(std::vector<std::uint8_t>& out,
 void append_headers_frame(std::vector<std::uint8_t>& out,
                           std::uint32_t stream_id, bool end_stream,
                           const std::optional<PrioritySpec>& priority,
-                          std::span<const std::uint8_t> header_block,
-                          std::uint32_t max_frame_size = kDefaultMaxFrameSize);
+                          std::span<const std::uint8_t> header_block);
 
 /// Append a PUSH_PROMISE frame (+ CONTINUATIONs) carrying an encoded block.
 void append_push_promise_frame(std::vector<std::uint8_t>& out,
                                std::uint32_t stream_id,
                                std::uint32_t promised_id,
-                               std::span<const std::uint8_t> header_block,
-                               std::uint32_t max_frame_size =
-                                   kDefaultMaxFrameSize);
+                               std::span<const std::uint8_t> header_block);
 
 /// A DATA frame as FrameParser::parse hands it over: `data` points into the
 /// bytes being parsed or into the parser's own buffer, so the view is valid
@@ -224,7 +216,9 @@ struct DataView {
 
 /// Incremental parser over the connection byte stream. The caller feeds
 /// arbitrary chunks; complete frames come back in order. The client
-/// connection preface must be consumed by the caller before feeding.
+/// connection preface must be consumed by the caller before feeding. A
+/// frame longer than kDefaultMaxFrameSize, the SETTINGS_MAX_FRAME_SIZE
+/// every Connection announces, is a FRAME_SIZE_ERROR.
 class FrameParser {
  public:
   /// Receives the frames of one parse() call in wire order. DATA frames
@@ -239,9 +233,6 @@ class FrameParser {
    protected:
     ~Handler() = default;
   };
-
-  explicit FrameParser(std::uint32_t max_frame_size = kDefaultMaxFrameSize)
-      : max_frame_size_(max_frame_size) {}
 
   /// Parse `bytes`, handing each frame to `handler` as soon as it is
   /// complete. A frame that lies whole in `bytes` is read in place; only a
@@ -258,18 +249,12 @@ class FrameParser {
   util::Expected<std::vector<Frame>, ParseError> feed(
       std::span<const std::uint8_t> bytes);
 
-  void set_max_frame_size(std::uint32_t size) noexcept {
-    max_frame_size_ = size;
-  }
-
+ private:
   /// Cap on a reassembled (post-CONTINUATION) header block. An adversarial
   /// peer can otherwise grow the pending block without bound — the
   /// SETTINGS_MAX_HEADER_LIST_SIZE limit is advisory, this one is not.
-  void set_max_header_block(std::size_t bytes) noexcept {
-    max_header_block_ = bytes;
-  }
+  static constexpr std::size_t kMaxHeaderBlock = 1 << 20;
 
- private:
   /// One parsed frame: nothing yet (a header block awaiting CONTINUATION),
   /// a DATA view, or any other frame.
   using Parsed = std::variant<std::monostate, DataView, Frame>;
@@ -287,8 +272,6 @@ class FrameParser {
   // A frame cut off by the end of the previous chunk (never a whole one).
   std::vector<std::uint8_t> buffer_;
   std::optional<ParseError> error_;  // set once: the stream is poisoned
-  std::uint32_t max_frame_size_;
-  std::size_t max_header_block_ = 1 << 20;
   // CONTINUATION reassembly state.
   bool expecting_continuation_ = false;
   bool pending_is_push_promise_ = false;

@@ -49,7 +49,7 @@ class ByteBuffer {
     head_ = 0;
   }
 
-  /// Append-target access for produce_into()-style writers.
+  /// Append-target access for Connection::produce()-style writers.
   std::vector<std::uint8_t>& tail() noexcept { return data_; }
 
  private:

@@ -163,7 +163,7 @@ fetch_urls(const std::string& addr, std::uint16_t port,
     }
     while (conn.want_write()) {
       out.clear();
-      conn.produce_into(out, 256 * 1024);
+      conn.produce(out, 256 * 1024);
       if (out.empty()) break;
       std::size_t sent = 0;
       while (sent < out.size()) {
@@ -309,7 +309,7 @@ class LoadConnection {
     while (transport_->open()) {
       const std::size_t budget = transport_->writable_budget();
       if (budget == 0) break;
-      if (conn_->produce_into(transport_->write_tail(), budget) == 0) break;
+      if (conn_->produce(transport_->write_tail(), budget) == 0) break;
       transport_->flush();
     }
   }

@@ -6,7 +6,7 @@
 // that touches connections). run() owns the thread until stop().
 //
 // Level-triggered is a deliberate choice over edge-triggered: the H2 write
-// path already batches (produce_into fills the socket buffer to its
+// path already batches (produce fills the socket buffer to its
 // watermark), so the extra epoll_wait returns LT costs are negligible,
 // and LT removes the entire starved-wakeup class of bugs that ET + partial
 // reads invite.

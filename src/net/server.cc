@@ -124,7 +124,7 @@ class Server::Session {
     while (transport_->open()) {
       const std::size_t budget = transport_->writable_budget();
       if (budget == 0) break;
-      const std::size_t produced = replay_->connection().produce_into(
+      const std::size_t produced = replay_->connection().produce(
           transport_->write_tail(), budget);
       if (produced == 0) break;
       touch();

@@ -6,9 +6,9 @@
 // nonblocking socket, watermark backpressure) driving a server::ReplayServer
 // — the same session logic, DATA scheduling, and push policies the
 // simulator exercises, now over real TCP. Frames leave the codec through
-// h2::Connection::produce_into sized to the transport's write budget, so
-// per-connection memory stays bounded no matter how large the pushed
-// responses are.
+// h2::Connection::produce, the simulator's write path, pulled while the
+// transport's write budget lasts, so per-connection memory stays bounded
+// no matter how large the pushed responses are.
 //
 // Lifecycle: start() binds and spawns the threads; shutdown() performs a
 // graceful drain (stop accepting, GOAWAY on every connection, close as

@@ -54,12 +54,6 @@ void Transport::close_after_flush(const std::string& reason) {
   deferred_close_reason_ = reason;
 }
 
-void Transport::write(std::span<const std::uint8_t> bytes) {
-  if (fd_ < 0) return;
-  out_.append(bytes);
-  flush();
-}
-
 void Transport::flush() {
   if (fd_ < 0) return;
   while (!out_.empty()) {

@@ -6,12 +6,13 @@
 // opportunistically, registering EPOLLOUT only while bytes are pending.
 //
 // Backpressure contract: the session asks writable_budget() before pulling
-// frames out of the H2 codec (Connection::produce_into) and stops at zero;
+// frames out of the H2 codec (Connection::produce) and stops at zero;
 // once the kernel drains the buffer below the low watermark the transport
-// fires on_drained and the session pulls again. This bounds per-connection
-// memory at high_watermark + one read chunk regardless of response sizes —
-// the unbounded-buffer assumption the simulator used to make is exactly
-// what this replaces.
+// fires on_drained and the session pulls again. produce() appends whole
+// frames and may pass its budget by one frame, at most 16,393 bytes of
+// DATA or one of our own control frames, so per-connection memory is
+// bounded at high_watermark + one frame + one read chunk regardless of
+// response sizes.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +59,8 @@ class Transport {
   bool open() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
 
-  /// Queue bytes and flush what the socket will take right now.
-  void write(std::span<const std::uint8_t> bytes);
-  /// Append-access for zero-copy produce_into, then call flush().
+  /// Append-access for Connection::produce, then call flush(), which
+  /// sends what the socket will take right now.
   std::vector<std::uint8_t>& write_tail() noexcept { return out_.tail(); }
   void flush();
 

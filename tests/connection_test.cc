@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <set>
+#include <span>
+#include <tuple>
 
 #include "h2/connection.h"
 
@@ -502,102 +504,98 @@ TEST(Connection, GarbageInputRaisesConnectionError) {
   EXPECT_FALSE(p.server->last_error().empty());
 }
 
-// --- produce_into: the bounded-buffer variant used by src/net/ ---
+// --- produce(out, max): the one write path ---
 //
-// The simulator's testbed calls produce(); the live daemon calls
-// produce_into(). Both emit DATA through one shared frame emitter and
-// differ only in their size limit. These tests pin down that (a) with an
-// unbounded budget both write the same wire bytes, (b) produce_into never
-// exceeds its byte budget, and (c) a connection drained through
-// arbitrarily small budgets still delivers exactly the same bodies.
+// The simulator's testbed and the live daemon both write through
+// produce(out, max), which appends whole frames until `max` is reached.
+// These tests pin down that (a) a call passes its budget by at most its
+// last frame, (b) the frame sequence does not depend on the budget, so a
+// simulated write chunk and a socket's watermark budget send the same
+// frames, and (c) draining interleaved with the peer's window updates
+// keeps the accounting consistent.
 
 namespace {
-/// Drive one request/response exchange, draining the server through
-/// `produce` when cap == 0, through produce_into(cap) otherwise; returns
-/// the server's full wire byte stream.
-std::vector<std::uint8_t> drain_server_wire(std::size_t body_size,
-                                            std::size_t cap) {
+/// (type, stream, flags, payload length) of one frame on the wire.
+using FrameShape =
+    std::tuple<std::uint8_t, std::uint32_t, std::uint8_t, std::size_t>;
+
+/// The shape of every frame in `wire`, which must hold whole frames only.
+std::vector<FrameShape> frame_shapes(std::span<const std::uint8_t> wire) {
+  std::vector<FrameShape> shapes;
+  std::size_t pos = 0;
+  while (pos + kFrameHeaderSize <= wire.size()) {
+    const std::size_t length = (std::size_t{wire[pos]} << 16) |
+                               (std::size_t{wire[pos + 1]} << 8) |
+                               wire[pos + 2];
+    const std::uint32_t stream =
+        ((std::uint32_t{wire[pos + 5]} << 24) |
+         (std::uint32_t{wire[pos + 6]} << 16) |
+         (std::uint32_t{wire[pos + 7]} << 8) | wire[pos + 8]) &
+        0x7fffffff;
+    shapes.emplace_back(wire[pos + 3], stream, wire[pos + 4], length);
+    pos += kFrameHeaderSize + length;
+  }
+  EXPECT_EQ(pos, wire.size()) << "produce() split a frame";
+  return shapes;
+}
+
+/// Answer two requests with `body_size`-byte bodies, drain the server
+/// through produce(out, budget) and deliver everything to the client.
+/// Checks that each call stops within one frame of its budget and that
+/// both bodies arrive intact; returns the shapes of the frames sent.
+std::vector<FrameShape> drain_server_frames(std::size_t body_size,
+                                            std::size_t budget) {
   Pair p;
-  const auto id = p.get("/bytes");
+  const auto a = p.get("/a");
+  const auto b = p.get("/b");
   p.pump();
   http::Response resp;
   resp.status = 200;
   resp.body_size = body_size;
-  p.server->submit_response(id, resp.to_h2_headers(),
-                            Pair::make_body(body_size, 'q'));
-  constexpr std::size_t kUnbounded = std::size_t{1} << 22;
+  p.server->submit_response(a, resp.to_h2_headers(),
+                            Pair::make_body(body_size, 'a'));
+  p.server->submit_response(b, resp.to_h2_headers(),
+                            Pair::make_body(body_size, 'b'));
   std::vector<std::uint8_t> wire;
   for (int i = 0; i < 100000 && p.server->want_write(); ++i) {
-    if (cap == 0) {
-      const auto bytes = p.server->produce(kUnbounded);
-      wire.insert(wire.end(), bytes.begin(), bytes.end());
-    } else {
-      const std::size_t before = wire.size();
-      const std::size_t n = p.server->produce_into(wire, cap);
-      EXPECT_EQ(n, wire.size() - before);
-      EXPECT_LE(n, cap) << "budget exceeded";
-      if (n == 0) break;  // budget below one DATA header: caller retries
-    }
+    const std::size_t before = wire.size();
+    const std::size_t n = p.server->produce(wire, budget);
+    EXPECT_EQ(n, wire.size() - before);
+    if (n == 0) break;
+    const auto shapes =
+        frame_shapes(std::span<const std::uint8_t>(wire).subspan(before));
+    if (shapes.empty()) break;
+    const std::size_t last_length = std::get<3>(shapes.back());
+    EXPECT_LE(last_length, kDefaultMaxFrameSize);
+    EXPECT_LT(n - (kFrameHeaderSize + last_length), budget)
+        << "kept writing after the budget was reached";
   }
+  EXPECT_FALSE(p.server->want_write());
   p.client->receive(wire);
-  EXPECT_EQ(p.body(id), std::string(body_size, 'q'));
-  return wire;
+  EXPECT_EQ(p.body(a), std::string(body_size, 'a'));
+  EXPECT_EQ(p.body(b), std::string(body_size, 'b'));
+  return frame_shapes(wire);
 }
 }  // namespace
 
-TEST(Connection, ProduceIntoUnboundedMatchesProduceExactly) {
-  const auto via_produce = drain_server_wire(50000, 0);
-  const auto via_produce_into = drain_server_wire(50000, SIZE_MAX);
-  EXPECT_EQ(via_produce, via_produce_into);
-}
-
-TEST(Connection, ProduceIntoNeverExceedsSmallBudgets) {
-  // Budgets barely above the 9-byte frame header (1-byte DATA payloads)
-  // through comfortable ones; every drain stays within its cap.
-  for (const std::size_t cap : {10u, 64u, 100u, 1000u}) {
-    const auto wire = drain_server_wire(20000, cap);
-    EXPECT_FALSE(wire.empty());
+TEST(Connection, ProduceOvershootsItsBudgetByAtMostOneFrame) {
+  // One byte (one frame per call) through comfortable budgets.
+  for (const std::size_t budget : {1u, 10u, 64u, 100u, 1000u}) {
+    EXPECT_FALSE(drain_server_frames(20000, budget).empty());
   }
 }
 
-TEST(Connection, ProduceIntoBudgetBelowFrameHeaderSplitsControlThenStalls) {
-  Pair p;
-  const auto id = p.get("/tiny");
-  p.pump();
-  http::Response resp;
-  resp.status = 200;
-  resp.body_size = 5000;
-  p.server->submit_response(id, resp.to_h2_headers(),
-                            Pair::make_body(5000));
-  // 3-byte budget: response HEADERS drains in 3-byte slices; DATA cannot
-  // fit so produce_into reports 0 with bytes still owed.
-  std::vector<std::uint8_t> wire;
-  std::size_t n;
-  do {
-    const std::size_t before = wire.size();
-    n = p.server->produce_into(wire, 3);
-    EXPECT_LE(wire.size() - before, 3u);
-  } while (n > 0);
-  EXPECT_TRUE(p.server->want_write());  // stalled, not done
-  // A real-sized budget finishes the job; the client sees a valid stream.
-  while (p.server->want_write()) p.server->produce_into(wire, 4096);
-  p.client->receive(wire);
-  EXPECT_EQ(p.body(id).size(), 5000u);
+TEST(Connection, FrameSequenceDoesNotDependOnBudget) {
+  const auto reference = drain_server_frames(30000, 1);
+  ASSERT_FALSE(reference.empty());
+  for (const std::size_t budget : {17u, 1460u, 65536u, 262144u}) {
+    EXPECT_EQ(drain_server_frames(30000, budget), reference)
+        << "budget " << budget;
+  }
 }
 
-TEST(Connection, ProduceIntoDeliversSameBodyAcrossChunkings) {
-  // The wire stream differs across budgets (DATA framing), but the byte
-  // content of the response must not.
-  const auto a = drain_server_wire(30000, 17);
-  const auto b = drain_server_wire(30000, 4096);
-  // Frame-agnostic comparison already asserted inside drain_server_wire
-  // (client body == expected). Additionally the tiny-budget stream can
-  // only be larger (more frame headers), never smaller.
-  EXPECT_GE(a.size(), b.size());
-}
-
-TEST(Connection, ProduceIntoInterleavedWithReceiveStaysConsistent) {
-  // Alternate small produce_into drains with client receive/acks so flow
+TEST(Connection, ProduceInterleavedWithReceiveStaysConsistent) {
+  // Alternate small produce drains with client receive/acks so flow
   // control windows refill mid-drain; invariants must hold throughout.
   Pair p;
   const auto id = p.get("/big");
@@ -609,7 +607,7 @@ TEST(Connection, ProduceIntoInterleavedWithReceiveStaysConsistent) {
                             Pair::make_body(200000, 'z'));
   for (int i = 0; i < 100000 && !p.client_stream_done[id]; ++i) {
     std::vector<std::uint8_t> chunk;
-    p.server->produce_into(chunk, 1500);  // ~MTU-sized drains
+    p.server->produce(chunk, 1500);  // ~MTU-sized drains
     if (!chunk.empty()) p.client->receive(chunk);
     ASSERT_EQ(std::nullopt, p.server->check_invariants());
     if (p.client->want_write()) {

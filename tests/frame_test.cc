@@ -197,7 +197,7 @@ TEST(FrameParser, HandlesArbitraryChunking) {
 }
 
 TEST(FrameParser, RejectsOversizedFrame) {
-  FrameParser parser(16384);
+  FrameParser parser;
   std::vector<std::uint8_t> wire{0x01, 0x00, 0x00,  // 65536
                                  0x00, 0x00, 0x00, 0x00, 0x00, 0x01};
   EXPECT_FALSE(parser.feed(wire).has_value());

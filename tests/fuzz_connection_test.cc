@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,57 @@ TEST(ConnectionConformance, SettingsMaxFrameSizeZeroIsProtocolError) {
   EXPECT_TRUE(probe.sent_goaway);
   EXPECT_EQ(probe.goaway_code, ErrorCode::kProtocolError);
   EXPECT_EQ(probe.conn.last_error_code(), ErrorCode::kProtocolError);
+}
+
+// A peer may announce frames up to 2^24-1 bytes and windows up to 2^31-1.
+// Our frames still stay within the 16 KiB every peer must accept (RFC 9113
+// §4.2), so one produce() call passes its budget (a live transport's
+// 256 KiB high watermark) by at most one frame.
+TEST(ConnectionConformance, PeerMaxFrameSizeDoesNotGrowOurFrames) {
+  ServerProbe probe;
+  auto wire = preface_and_settings();
+  h2::serialize_into(
+      h2::Frame{h2::SettingsFrame{
+          false,
+          {{h2::SettingsId::kMaxFrameSize, 0xffffff},
+           {h2::SettingsId::kInitialWindowSize, h2::kMaxWindow}}}},
+      wire);
+  h2::serialize_into(
+      h2::Frame{h2::WindowUpdateFrame{
+          0, h2::kMaxWindow - h2::kDefaultInitialWindow}},
+      wire);
+  h2::HpackEncoder enc;
+  append_headers(wire, 1, encoded_request(enc, "/big"), true);
+  probe.feed(wire);
+  ASSERT_EQ(probe.headers_seen, 1u);
+  ASSERT_FALSE(probe.sent_goaway);
+
+  constexpr std::size_t kBody = 200000;
+  constexpr std::size_t kBudget = 256 * 1024;
+  probe.conn.submit_response(
+      1, {{":status", "200"}},
+      std::make_shared<const std::string>(std::string(kBody, 'b')));
+  std::size_t body = 0;
+  std::vector<std::uint8_t> out;
+  while (probe.conn.want_write()) {
+    out.clear();
+    const std::size_t n = probe.conn.produce(out, kBudget);
+    ASSERT_GT(n, 0u);
+    EXPECT_LE(n, kBudget + h2::kFrameHeaderSize + h2::kDefaultMaxFrameSize);
+    // produce() appends whole frames: walk their headers.
+    for (std::size_t pos = 0; pos < out.size();) {
+      ASSERT_LE(pos + h2::kFrameHeaderSize, out.size());
+      const std::size_t length = (std::size_t{out[pos]} << 16) |
+                                 (std::size_t{out[pos + 1]} << 8) |
+                                 out[pos + 2];
+      if (out[pos + 3] == static_cast<std::uint8_t>(h2::FrameType::kData)) {
+        EXPECT_LE(length, h2::kDefaultMaxFrameSize);
+        body += length;
+      }
+      pos += h2::kFrameHeaderSize + length;
+    }
+  }
+  EXPECT_EQ(body, kBody);
 }
 
 TEST(ConnectionConformance, SettingsEnablePushTwoIsProtocolError) {
@@ -675,6 +727,28 @@ TEST(FuzzConnection, FrameSoupNeverBreaksContract) {
     EXPECT_FALSE(result.hang) << seed_msg(seed);
     EXPECT_FALSE(result.invariant_violation.has_value())
         << *result.invariant_violation << seed_msg(seed);
+    EXPECT_FALSE(result.output_parse_error.has_value())
+        << *result.output_parse_error << seed_msg(seed);
+  }
+}
+
+// The generated SETTINGS announce frame sizes up to 2^24-1. With responses
+// longer than 16 KiB, the harness's own parser, which accepts frames of at
+// most 16 KiB, rejects any larger frame the server emits.
+TEST(FuzzConnection, LongResponsesKeepFramesWithinDefaultSize) {
+  fuzz::HarnessOptions opts;
+  opts.response_body = 40000;
+  const std::size_t iters = iterations(2000);
+  for (std::size_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = fuzz_test::kConnectionSeed + (3u << 20) + i;
+    Random r(seed);
+    auto gen = r.fork("gen");
+    const auto traffic =
+        fuzz::random_client_traffic(gen, fuzz::TrafficOptions{});
+    auto run = r.fork("run");
+    const auto result = fuzz::run_server_harness(run, traffic.bytes, opts);
+    EXPECT_FALSE(result.hang) << seed_msg(seed);
+    EXPECT_FALSE(result.sent_goaway) << seed_msg(seed);
     EXPECT_FALSE(result.output_parse_error.has_value())
         << *result.output_parse_error << seed_msg(seed);
   }

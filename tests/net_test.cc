@@ -268,12 +268,20 @@ struct TransportPair {
   ~TransportPair() {
     if (peer_fd >= 0) util::posix::close_retry(peer_fd);
   }
+
+  /// Queue bytes the way a session does (append to the write tail, then
+  /// flush what the socket will take).
+  void write(std::span<const std::uint8_t> bytes) {
+    auto& tail = transport->write_tail();
+    tail.insert(tail.end(), bytes.begin(), bytes.end());
+    transport->flush();
+  }
 };
 
 TEST(TransportTest, WriteReachesPeer) {
   TransportPair pair;
   pair.loop.post([&] {
-    pair.transport->write(as_bytes("frame-bytes"));
+    pair.write(as_bytes("frame-bytes"));
     pair.loop.schedule(50, [&] { pair.loop.stop(); });
   });
   pair.loop.run();
@@ -311,7 +319,7 @@ TEST(TransportTest, WritableBudgetTracksWatermark) {
     EXPECT_EQ(1024u, pair.transport->writable_budget());
     // A socketpair absorbs small writes instantly, so the budget right
     // after a flushed write returns to the full watermark.
-    pair.transport->write(as_bytes("x"));
+    pair.write(as_bytes("x"));
     EXPECT_LE(pair.transport->pending(), 1u);
     pair.loop.stop();
   });
@@ -328,7 +336,7 @@ TEST(TransportTest, BackpressureDrainsAndResumes) {
   const std::vector<std::uint8_t> chunk(256 * 1024, 0xab);
   std::atomic<bool> started{false};
   pair.loop.post([&] {
-    pair.transport->write(chunk);
+    pair.write(chunk);
     started.store(true);
   });
   std::thread drain([&] {
@@ -354,7 +362,7 @@ TEST(TransportTest, BackpressureDrainsAndResumes) {
 TEST(TransportTest, CloseAfterFlushDeliversEverything) {
   TransportPair pair;
   pair.loop.post([&] {
-    pair.transport->write(as_bytes("last-words"));
+    pair.write(as_bytes("last-words"));
     pair.transport->close_after_flush("done");
   });
   pair.loop.run();  // stops when on_closed fires

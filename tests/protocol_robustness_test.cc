@@ -81,7 +81,6 @@ struct ConnPair {
     client = std::make_unique<Connection>(client_config, std::move(ccb));
     Connection::Config sc;
     sc.role = Role::kServer;
-    sc.max_frame_size = client_config.max_frame_size;
     Connection::Callbacks scb;
     scb.on_headers = [this](std::uint32_t stream, http::HeaderBlock, bool) {
       http::Response resp;
@@ -116,22 +115,6 @@ struct ConnPair {
     }
   }
 };
-
-TEST(ProtocolRobustness, LargeMaxFrameSizeIsHonoredByParser) {
-  Connection::Config cc;
-  cc.max_frame_size = 65536;  // both sides announce 64 KB frames
-  ConnPair pair(cc);
-  http::Request req;
-  req.url = *http::parse_url("https://x.test/big");
-  const auto id = pair.client->submit_request(req.to_h2_headers());
-  pair.pump();
-  ASSERT_EQ(pair.responded.size(), 1u);
-  EXPECT_EQ(pair.responded[0], id);
-  EXPECT_TRUE(pair.client->last_error().empty())
-      << pair.client->last_error();
-  EXPECT_TRUE(pair.server->last_error().empty())
-      << pair.server->last_error();
-}
 
 TEST(ProtocolRobustness, LargeHeaderTableSizeDoesNotError) {
   Connection::Config cc;
