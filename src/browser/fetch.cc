@@ -176,8 +176,8 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
                       config_.trace->register_track("h2.client." + host));
   }
 
-  g.transport->set_receiver([&g](std::span<const std::uint8_t> bytes) {
-    g.conn->receive(bytes);
+  g.transport->set_receiver([&g](std::span<const util::Piece> pieces) {
+    g.conn->receive(pieces);
   });
   g.transport->set_writable_callback([this, &g] { pump(g); });
   g.transport->connect([this, &g] {
@@ -356,9 +356,10 @@ void FetchManager::h1_dispatch(Group& g) {
       };
       cbs.on_write_ready = [this, &c] { h1_pump(c); };
       c.conn = std::make_unique<http1::ClientConnection>(std::move(cbs));
-      c.transport->set_receiver([&c](std::span<const std::uint8_t> bytes) {
-        c.conn->receive(bytes);
-      });
+      c.transport->set_receiver(
+          [this, &c](std::span<const util::Piece> pieces) {
+            c.conn->receive(util::flatten(pieces, h1_scratch_));
+          });
       c.transport->set_writable_callback([this, &c] { h1_pump(c); });
       c.transport->connect([this, &g, &c] {
         c.connected = true;

@@ -27,6 +27,7 @@
 #include "http/message.h"
 #include "replay/origin.h"
 #include "sim/simulator.h"
+#include "util/piece.h"
 #include "util/rng.h"
 
 namespace h2push::browser {
@@ -43,8 +44,10 @@ class ClientTransport {
   virtual bool writable() const = 0;
   /// Preferred write granularity (the TCP watermark).
   virtual std::size_t write_chunk() const = 0;
+  /// Bytes from the server, one delivery per call, as the pieces they lie
+  /// in (util/piece.h); valid only during the call.
   virtual void set_receiver(
-      std::function<void(std::span<const std::uint8_t>)> receiver) = 0;
+      std::function<void(std::span<const util::Piece>)> receiver) = 0;
   virtual void set_writable_callback(std::function<void()> cb) = 0;
   virtual sim::Time connect_end_time() const = 0;
 };
@@ -203,6 +206,8 @@ class FetchManager {
   // send() copies the bytes before it can call back into a pump, so a
   // nested pump may reuse it.
   std::vector<std::uint8_t> write_buf_;
+  // Flattens a delivery for an HTTP/1.1 connection.
+  std::vector<std::uint8_t> h1_scratch_;
   std::uint64_t pushed_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::size_t promises_received_ = 0;

@@ -6,113 +6,14 @@
 
 #include "core/memo.h"
 #include "core/runner.h"
+#include "core/sim_transport.h"
 #include "server/h1_replay_server.h"
 #include "server/replay_server.h"
-#include "sim/tcp.h"
 #include "stats/descriptive.h"
 #include "trace/trace.h"
 
 namespace h2push::core {
 namespace {
-
-using sim::TcpConnection;
-
-/// One client↔server TCP session: the browser-facing ClientTransport plus
-/// the server endpoint it terminates at — a ReplayServer (HTTP/2) or an
-/// H1ReplayServer (the HTTP/1.1 baseline arm).
-template <typename Server>
-class SimTransport final : public browser::ClientTransport {
- public:
-  SimTransport(sim::Simulator& sim, sim::TcpConfig tcp_config,
-               sim::Route up, sim::Route down,
-               typename Server::Config server_config,
-               trace::TraceRecorder* trace, std::uint32_t trace_track,
-               sim::Time connect_stagger)
-      : sim_(sim), server_(std::move(server_config)),
-        connect_stagger_(connect_stagger) {
-    TcpConnection::Callbacks callbacks;
-    callbacks.on_connected = [this] {
-      if (on_connected_) on_connected_();
-    };
-    callbacks.on_accepted = [this] { pump_server(); };
-    callbacks.on_receive = [this](TcpConnection::Side side,
-                                  std::span<const std::uint8_t> bytes) {
-      if (side == TcpConnection::Side::kServer) {
-        server_.connection().receive(bytes);
-        pump_server();
-      } else if (receiver_) {
-        receiver_(bytes);
-      }
-    };
-    callbacks.on_writable = [this](TcpConnection::Side side) {
-      if (side == TcpConnection::Side::kServer) {
-        pump_server();
-      } else if (writable_cb_) {
-        writable_cb_();
-      }
-    };
-    tcp_ = std::make_unique<TcpConnection>(sim_, tcp_config, up, down,
-                                           std::move(callbacks));
-    if (trace != nullptr) {
-      // TCP counters share the server session's track: cwnd next to frames.
-      tcp_->set_trace(trace, trace_track);
-    }
-    server_.set_write_ready([this] { pump_server(); });
-  }
-
-  void connect(std::function<void()> on_connected) override {
-    on_connected_ = std::move(on_connected);
-    // DNS lookup + socket setup take a few milliseconds even against local
-    // resolvers; this also de-correlates the SYN burst a many-origin page
-    // would otherwise fire into the access link in a single instant.
-    if (connect_stagger_ > 0) {
-      sim_.schedule_in(connect_stagger_, [this] { tcp_->connect(); });
-    } else {
-      tcp_->connect();
-    }
-  }
-  void send(std::span<const std::uint8_t> bytes) override {
-    tcp_->send(TcpConnection::Side::kClient, bytes);
-  }
-  bool writable() const override {
-    return tcp_->writable(TcpConnection::Side::kClient);
-  }
-  std::size_t write_chunk() const override { return 2 * 1460; }
-  void set_receiver(
-      std::function<void(std::span<const std::uint8_t>)> receiver) override {
-    receiver_ = std::move(receiver);
-  }
-  void set_writable_callback(std::function<void()> cb) override {
-    writable_cb_ = std::move(cb);
-  }
-  sim::Time connect_end_time() const override {
-    return tcp_->connect_end_time();
-  }
-
-  const TcpConnection& tcp() const { return *tcp_; }
-
- private:
-  void pump_server() {
-    auto& conn = server_.connection();
-    while (tcp_->writable(TcpConnection::Side::kServer) &&
-           conn.want_write()) {
-      // send() copies the bytes before it can call back into this pump,
-      // so a nested pump may reuse write_buf_.
-      write_buf_.clear();
-      if (conn.produce(write_buf_, write_chunk()) == 0) break;
-      tcp_->send(TcpConnection::Side::kServer, write_buf_);
-    }
-  }
-
-  sim::Simulator& sim_;
-  Server server_;
-  std::unique_ptr<TcpConnection> tcp_;
-  std::vector<std::uint8_t> write_buf_;  // reused by every server write
-  sim::Time connect_stagger_ = 0;
-  std::function<void()> on_connected_;
-  std::function<void(std::span<const std::uint8_t>)> receiver_;
-  std::function<void()> writable_cb_;
-};
 
 /// The actual simulation, always executed on a cache miss (and on every
 /// traced run — a cached result cannot reproduce the event stream).
@@ -167,7 +68,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
 
   util::Rng rtt_rng = master.fork("rtt");
   util::Rng think_rng = master.fork("think");
-  std::vector<const TcpConnection*> tcps;
+  std::vector<const sim::TcpConnection*> tcps;
 
   const bool use_http1 = config.browser.use_http1;
   browser::TransportFactory factory =

@@ -369,8 +369,7 @@ bool Connection::want_write() const {
   return control_pending() || (send_window_ > 0 && sendable_streams_ != 0);
 }
 
-std::size_t Connection::append_next_data_frame(
-    std::vector<std::uint8_t>& out) {
+std::size_t Connection::write_next_data_frame(util::PieceSink& out) {
   // The tree holds only the streams with sendable data; the connection
   // window gates them all.
   if (send_window_ <= 0) return 0;
@@ -397,11 +396,10 @@ std::size_t Connection::append_next_data_frame(
   assert(n > 0);
   if (n == 0) return 0;
   const bool end_stream = (n == remaining);
-  const auto* base =
-      reinterpret_cast<const std::uint8_t*>(s.body->data()) + s.body_offset;
-  // Serialized straight into the output buffer: no DataFrame temp, no
-  // per-frame payload copy + re-copy.
-  append_data_frame(out, id, end_stream, {base, n});
+  // The header is copied, the payload is a slice of the body: a sink that
+  // keeps shared pieces never copies it.
+  out.write(data_frame_header(id, end_stream, n));
+  out.write_shared(s.body, util::bytes_of(*s.body).subspan(s.body_offset, n));
   s.body_offset += n;
   s.send_window -= static_cast<std::int64_t>(n);
   send_window_ -= static_cast<std::int64_t>(n);
@@ -444,7 +442,11 @@ std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
 
 std::size_t Connection::produce(std::vector<std::uint8_t>& out,
                                 std::size_t max_bytes) {
-  const std::size_t start = out.size();
+  util::FlatSink sink(out);
+  return produce(sink, max_bytes);
+}
+
+std::size_t Connection::produce(util::PieceSink& out, std::size_t max_bytes) {
   // 1. Control frames (SETTINGS, HEADERS, PUSH_PROMISE, RST, WINDOW_UPDATE):
   //    not flow controlled, sent ahead of DATA like real stacks do. Whole
   //    frames until max_bytes is reached.
@@ -453,16 +455,20 @@ std::size_t Connection::produce(std::vector<std::uint8_t>& out,
   while (control_pending() && end - begin < max_bytes) {
     end = control_ends_[control_head_++];
   }
-  out.insert(out.end(),
-             control_bytes_.begin() + static_cast<std::ptrdiff_t>(begin),
-             control_bytes_.begin() + static_cast<std::ptrdiff_t>(end));
+  if (end > begin) {
+    out.write(std::span<const std::uint8_t>(control_bytes_)
+                  .subspan(begin, end - begin));
+  }
   control_consumed();
+  std::size_t written = end - begin;
   // 2. Scheduler-chosen DATA frames, each as large as the windows and
   //    kDefaultMaxFrameSize allow.
-  while (out.size() - start < max_bytes) {
-    if (append_next_data_frame(out) == 0) break;
+  while (written < max_bytes) {
+    const std::size_t n = write_next_data_frame(out);
+    if (n == 0) break;
+    written += kFrameHeaderSize + n;
   }
-  return out.size() - start;
+  return written;
 }
 
 void Connection::maybe_close(std::uint32_t id) {
@@ -478,26 +484,35 @@ void Connection::maybe_close(std::uint32_t id) {
 }
 
 void Connection::receive(std::span<const std::uint8_t> bytes) {
+  const util::Piece piece{bytes};
+  receive(std::span<const util::Piece>(&piece, 1));
+}
+
+void Connection::receive(std::span<const util::Piece> pieces) {
   if (errored_) return;
   // Receiving before start() (e.g. the peer's SETTINGS racing the transport
   // handshake) must not let an ACK jump ahead of our preface/SETTINGS.
   start();
   // The server must strip the 24-byte client preface first.
-  if (preface_pending_) {
-    preface_buf_.insert(preface_buf_.end(), bytes.begin(), bytes.end());
-    if (preface_buf_.size() < 24) return;
+  while (preface_pending_ && !pieces.empty()) {
+    const auto bytes = pieces.front().bytes;
+    pieces = pieces.subspan(1);
+    const std::size_t n = std::min(24 - preface_buf_.size(), bytes.size());
+    preface_buf_.insert(preface_buf_.end(), bytes.begin(),
+                        bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    if (preface_buf_.size() < 24) continue;
     const auto expected = client_preface();
-    if (!std::equal(expected.begin(), expected.end(), preface_buf_.begin())) {
-      preface_buf_.clear();
+    const bool match =
+        std::equal(expected.begin(), expected.end(), preface_buf_.begin());
+    preface_buf_.clear();
+    if (!match) {
       connection_error(ErrorCode::kProtocolError, "bad client preface");
       return;
     }
     preface_pending_ = false;
-    std::vector<std::uint8_t> rest(preface_buf_.begin() + 24,
-                                   preface_buf_.end());
-    preface_buf_.clear();
-    if (!rest.empty()) receive(rest);
-    return;
+    // The rest of this piece, then the pieces after it.
+    if (n < bytes.size()) receive(bytes.subspan(n));
+    if (errored_) return;
   }
   // Frames are handled as they are parsed, in wire order: a malformed
   // frame is reported only after the frames before it took effect (RFC
@@ -509,6 +524,22 @@ void Connection::receive(std::span<const std::uint8_t> bytes) {
       c.handle_data(frame);
       return !c.errored_;
     }
+    bool on_header_block(const HeaderBlockView& frame) override {
+      if (frame.type == FrameType::kPushPromise) {
+        c.handle_push_promise(frame);
+      } else {
+        c.handle_headers(frame);
+      }
+      return !c.errored_;
+    }
+    bool on_settings(const SettingsView& frame) override {
+      if (c.trace_) {
+        c.trace_recv(to_string(FrameType::kSettings), 0,
+                     static_cast<std::int64_t>(frame.payload.size()));
+      }
+      if (!frame.ack) c.apply_remote_settings(frame);
+      return !c.errored_;
+    }
     bool on_frame(Frame&& frame) override {
       c.handle_frame(std::move(frame));
       return !c.errored_;
@@ -518,13 +549,14 @@ void Connection::receive(std::span<const std::uint8_t> bytes) {
   // this connection again would corrupt it.
   assert(!receiving_ && "Connection::receive re-entered from a callback");
   receiving_ = true;
-  const auto error = parser_.parse(bytes, dispatch);
+  const auto error = parser_.parse(pieces, dispatch);
   receiving_ = false;
   if (error) connection_error(error->code, error->message);
 }
 
-void Connection::apply_remote_settings(const SettingsFrame& frame) {
-  for (const auto& [id, value] : frame.settings) {
+void Connection::apply_remote_settings(const SettingsView& frame) {
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const auto [id, value] = frame[i];
     switch (id) {
       case SettingsId::kHeaderTableSize:
         // Our encoder's table never outgrows our own decoder's: a peer
@@ -660,115 +692,121 @@ void Connection::handle_data(const DataView& f) {
   signal_write();
 }
 
+void Connection::trace_recv(std::string_view name, std::uint32_t stream,
+                            std::int64_t bytes) {
+  const std::string key(name);
+  trace_->instant(trace_track_, "h2", "recv " + key,
+                  {{"stream", stream}, {"bytes", bytes}});
+  ++trace_->summary().frames_received[key];
+}
+
+void Connection::handle_headers(const HeaderBlockView& f) {
+  if (trace_) {
+    trace_recv(to_string(FrameType::kHeaders), f.stream_id,
+               static_cast<std::int64_t>(f.header_block.size()));
+  }
+  // Decode before any stream-level checks: the dynamic table must stay
+  // synchronized even for blocks on doomed streams (§4.3).
+  auto block = decoder_.decode(f.header_block);
+  if (!block) {
+    connection_error(ErrorCode::kCompressionError, "hpack: " + block.error());
+    return;
+  }
+  if (!streams_.contains(f.stream_id)) {
+    if (was_opened(f.stream_id)) {
+      return;  // late HEADERS on a closed stream: drop, keep HPACK
+    }
+    if (config_.role == Role::kClient) {
+      // Every legitimate response stream exists at the client (we opened
+      // it or the peer promised it).
+      connection_error(ErrorCode::kProtocolError, "HEADERS on idle stream");
+      return;
+    }
+    if (f.stream_id % 2 == 0) {
+      connection_error(ErrorCode::kProtocolError, "client opened even stream");
+      return;
+    }
+    if (f.stream_id <= max_peer_stream_) {
+      connection_error(ErrorCode::kProtocolError,
+                       "stream id not monotonically increasing");
+      return;
+    }
+    note_peer_stream(f.stream_id);
+  }
+  Stream& s = ensure_stream(f.stream_id);
+  if (s.remote_done) {
+    // §5.1 half-closed (remote): further HEADERS are a stream error of
+    // type STREAM_CLOSED.
+    submit_rst(f.stream_id, ErrorCode::kStreamClosed);
+    return;
+  }
+  if (s.state == StreamState::kIdle) s.state = StreamState::kOpen;
+  if (s.state == StreamState::kReservedRemote) {
+    s.state = StreamState::kHalfClosedLocal;
+  }
+  if (f.priority) {
+    tree_.reprioritize(f.stream_id, *f.priority);
+  } else if (config_.role == Role::kServer) {
+    tree_.add(f.stream_id, PrioritySpec{});
+  }
+  if (f.end_stream) {
+    s.remote_done = true;
+    if (s.state == StreamState::kOpen) {
+      s.state = StreamState::kHalfClosedRemote;
+    }
+  }
+  if (callbacks_.on_headers) {
+    callbacks_.on_headers(f.stream_id, std::move(*block), f.end_stream);
+  }
+  maybe_close(f.stream_id);
+}
+
+void Connection::handle_push_promise(const HeaderBlockView& f) {
+  if (trace_) {
+    trace_recv(to_string(FrameType::kPushPromise), f.stream_id,
+               static_cast<std::int64_t>(f.header_block.size() + 4));
+  }
+  if (config_.role != Role::kClient) {
+    connection_error(ErrorCode::kProtocolError, "PUSH_PROMISE from client");
+    return;
+  }
+  if (!config_.enable_push) {
+    connection_error(ErrorCode::kProtocolError,
+                     "push disabled but PUSH_PROMISE received");
+    return;
+  }
+  auto block = decoder_.decode(f.header_block);
+  if (!block) {
+    connection_error(ErrorCode::kCompressionError, "hpack: " + block.error());
+    return;
+  }
+  if (!streams_.contains(f.stream_id) && !was_opened(f.stream_id)) {
+    connection_error(ErrorCode::kProtocolError, "PUSH_PROMISE on idle stream");
+    return;
+  }
+  if (f.promised_id == 0 || f.promised_id % 2 != 0 ||
+      f.promised_id <= max_peer_stream_) {
+    connection_error(ErrorCode::kProtocolError, "promised stream id invalid");
+    return;
+  }
+  note_peer_stream(f.promised_id);
+  Stream& s = ensure_stream(f.promised_id);
+  s.state = StreamState::kReservedRemote;
+  s.local_done = true;  // we never send on a pushed stream
+  if (callbacks_.on_push_promise) {
+    callbacks_.on_push_promise(f.stream_id, f.promised_id, std::move(*block));
+  }
+}
+
 void Connection::handle_frame(Frame frame) {
   if (trace_) {
     const FrameTraceInfo info = frame_trace_info(frame);
-    const std::string name(info.name);
-    trace_->instant(trace_track_, "h2", "recv " + name,
-                    {{"stream", info.stream}, {"bytes", info.bytes}});
-    ++trace_->summary().frames_received[name];
+    trace_recv(info.name, info.stream, info.bytes);
   }
   std::visit(
       [this](auto&& f) {
         using T = std::decay_t<decltype(f)>;
-        if constexpr (std::is_same_v<T, SettingsFrame>) {
-          if (!f.ack) apply_remote_settings(f);
-        } else if constexpr (std::is_same_v<T, HeadersFrame>) {
-          // Decode before any stream-level checks: the dynamic table must
-          // stay synchronized even for blocks on doomed streams (§4.3).
-          auto block = decoder_.decode(f.header_block);
-          if (!block) {
-            connection_error(ErrorCode::kCompressionError,
-                             "hpack: " + block.error());
-            return;
-          }
-          if (!streams_.contains(f.stream_id)) {
-            if (was_opened(f.stream_id)) {
-              return;  // late HEADERS on a closed stream: drop, keep HPACK
-            }
-            if (config_.role == Role::kClient) {
-              // Every legitimate response stream exists at the client (we
-              // opened it or the peer promised it).
-              connection_error(ErrorCode::kProtocolError,
-                               "HEADERS on idle stream");
-              return;
-            }
-            if (f.stream_id % 2 == 0) {
-              connection_error(ErrorCode::kProtocolError,
-                               "client opened even stream");
-              return;
-            }
-            if (f.stream_id <= max_peer_stream_) {
-              connection_error(ErrorCode::kProtocolError,
-                               "stream id not monotonically increasing");
-              return;
-            }
-            note_peer_stream(f.stream_id);
-          }
-          Stream& s = ensure_stream(f.stream_id);
-          if (s.remote_done) {
-            // §5.1 half-closed (remote): further HEADERS are a stream
-            // error of type STREAM_CLOSED.
-            submit_rst(f.stream_id, ErrorCode::kStreamClosed);
-            return;
-          }
-          if (s.state == StreamState::kIdle) s.state = StreamState::kOpen;
-          if (s.state == StreamState::kReservedRemote) {
-            s.state = StreamState::kHalfClosedLocal;
-          }
-          if (f.priority) {
-            tree_.reprioritize(f.stream_id, *f.priority);
-          } else if (config_.role == Role::kServer) {
-            tree_.add(f.stream_id, PrioritySpec{});
-          }
-          if (f.end_stream) {
-            s.remote_done = true;
-            if (s.state == StreamState::kOpen) {
-              s.state = StreamState::kHalfClosedRemote;
-            }
-          }
-          if (callbacks_.on_headers) {
-            callbacks_.on_headers(f.stream_id, std::move(*block),
-                                  f.end_stream);
-          }
-          maybe_close(f.stream_id);
-        } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
-          if (config_.role != Role::kClient) {
-            connection_error(ErrorCode::kProtocolError,
-                             "PUSH_PROMISE from client");
-            return;
-          }
-          if (!config_.enable_push) {
-            connection_error(ErrorCode::kProtocolError,
-                             "push disabled but PUSH_PROMISE received");
-            return;
-          }
-          auto block = decoder_.decode(f.header_block);
-          if (!block) {
-            connection_error(ErrorCode::kCompressionError,
-                             "hpack: " + block.error());
-            return;
-          }
-          if (!streams_.contains(f.stream_id) && !was_opened(f.stream_id)) {
-            connection_error(ErrorCode::kProtocolError,
-                             "PUSH_PROMISE on idle stream");
-            return;
-          }
-          if (f.promised_id == 0 || f.promised_id % 2 != 0 ||
-              f.promised_id <= max_peer_stream_) {
-            connection_error(ErrorCode::kProtocolError,
-                             "promised stream id invalid");
-            return;
-          }
-          note_peer_stream(f.promised_id);
-          Stream& s = ensure_stream(f.promised_id);
-          s.state = StreamState::kReservedRemote;
-          s.local_done = true;  // we never send on a pushed stream
-          if (callbacks_.on_push_promise) {
-            callbacks_.on_push_promise(f.stream_id, f.promised_id,
-                                       std::move(*block));
-          }
-        } else if constexpr (std::is_same_v<T, PriorityFrame>) {
+        if constexpr (std::is_same_v<T, PriorityFrame>) {
           if (f.priority.depends_on == f.stream_id) {
             // §5.3.1: a stream cannot depend on itself — stream error.
             if (streams_.contains(f.stream_id) || was_opened(f.stream_id)) {

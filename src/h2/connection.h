@@ -30,6 +30,7 @@
 #include "h2/hpack.h"
 #include "h2/priority.h"
 #include "http/message.h"
+#include "util/piece.h"
 
 namespace h2push::trace {
 class TraceRecorder;
@@ -51,7 +52,9 @@ enum class StreamState : std::uint8_t {
 
 /// Immutable response body shared across runs (bytes are real content: the
 /// browser parses HTML/CSS bodies it receives through the connection).
-using Body = std::shared_ptr<const std::string>;
+/// DATA frames carry it by reference when produce() writes into a sink
+/// that keeps shared pieces.
+using Body = util::SharedBytes;
 
 class Connection {
  public:
@@ -131,20 +134,28 @@ class Connection {
 
   // --- transport glue ---
   void receive(std::span<const std::uint8_t> bytes);
+  /// receive() over the concatenation of `pieces`. A DATA payload that
+  /// arrives as consecutive slices of one shared body reaches on_data as
+  /// one span into that body, without a copy (FrameParser::parse).
+  void receive(std::span<const util::Piece> pieces);
   bool want_write() const;
   /// True when nothing is queued AND no stream still holds response data —
   /// even flow-control-blocked data want_write() would not report. The
   /// drain-safe close condition for the live daemon.
   bool send_quiescent() const;
   /// The one write path, for the simulator and the live daemon alike:
-  /// append whole frames to `out` until at least `max_bytes` were appended
+  /// write whole frames to `out` until at least `max_bytes` were written
   /// or nothing more may be sent — control frames first, then DATA frames
   /// capped by the windows and kDefaultMaxFrameSize. The last frame may
   /// overshoot `max_bytes` by up to its own size: one DATA frame (16,393
   /// bytes) or one of our control frames (a header block with its
   /// CONTINUATIONs counts as one), so frame boundaries never depend on the
-  /// caller's budget. Returns the bytes appended; a caller reusing `out`
-  /// allocates nothing once it is warm.
+  /// caller's budget. Frame headers and control frames are written as
+  /// bytes to copy, a DATA payload as a slice of its response body.
+  /// Returns the bytes written.
+  std::size_t produce(util::PieceSink& out, std::size_t max_bytes);
+  /// produce(out, max_bytes) flattened: appends the frames' bytes to
+  /// `out`. A caller reusing `out` allocates nothing once it is warm.
   std::size_t produce(std::vector<std::uint8_t>& out, std::size_t max_bytes);
   /// produce(out, max_bytes) into a fresh buffer.
   std::vector<std::uint8_t> produce(std::size_t max_bytes);
@@ -225,10 +236,14 @@ class Connection {
   void trace_send(std::string_view name, std::uint32_t stream,
                   std::int64_t bytes);
   void connection_error(ErrorCode code, const std::string& message);
-  /// Every frame but DATA, which FrameParser hands over as a view.
+  void trace_recv(std::string_view name, std::uint32_t stream,
+                  std::int64_t bytes);
+  /// Every frame FrameParser does not hand over as a view.
   void handle_frame(Frame frame);
   void handle_data(const DataView& frame);
-  void apply_remote_settings(const SettingsFrame& frame);
+  void handle_headers(const HeaderBlockView& frame);
+  void handle_push_promise(const HeaderBlockView& frame);
+  void apply_remote_settings(const SettingsView& frame);
   Stream& ensure_stream(std::uint32_t id);
   /// For an id not in the table: was it opened or reserved before? Local
   /// ids below next_stream_id_ were; peer ids up to max_peer_stream_ were
@@ -249,10 +264,10 @@ class Connection {
   void unschedule(std::uint32_t id);
   /// `id` queued END_STREAM or closed: it no longer keeps the hold.
   void release_hold(std::uint32_t id);
-  /// Append the tree's next DATA frame, its payload capped by the
+  /// Write the tree's next DATA frame, its payload capped by the
   /// flow-control windows and kDefaultMaxFrameSize, and do the stream
   /// bookkeeping. Returns the payload size; 0 when no stream is ready.
-  std::size_t append_next_data_frame(std::vector<std::uint8_t>& out);
+  std::size_t write_next_data_frame(util::PieceSink& out);
   void signal_write();
 
   Config config_;

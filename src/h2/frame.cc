@@ -29,11 +29,21 @@ std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
   return p;
 }
 
+std::uint32_t get_u32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
 std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t pos) {
-  return (static_cast<std::uint32_t>(in[pos]) << 24) |
-         (static_cast<std::uint32_t>(in[pos + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[pos + 2]) << 8) |
-         static_cast<std::uint32_t>(in[pos + 3]);
+  return get_u32(in.data() + pos);
+}
+
+/// Payload length from a complete frame header.
+std::size_t payload_length(const std::uint8_t* header) {
+  return (static_cast<std::size_t>(header[0]) << 16) |
+         (static_cast<std::size_t>(header[1]) << 8) | header[2];
 }
 
 std::uint8_t* put_frame_header(std::uint8_t* p, std::size_t length,
@@ -60,8 +70,6 @@ std::uint8_t* put_priority(std::uint8_t* p, const PrioritySpec& prio) {
   return p;
 }
 
-constexpr std::size_t kFrameHeader = 9;
-
 util::Unexpected<ParseError> parse_error(ErrorCode code, std::string message) {
   return util::make_unexpected(ParseError{code, std::move(message)});
 }
@@ -72,7 +80,7 @@ std::size_t header_block_wire_size(std::size_t block, std::size_t first_cap) {
   const std::size_t rest = block > first_cap ? block - first_cap : 0;
   const std::size_t continuations =
       (rest + kDefaultMaxFrameSize - 1) / kDefaultMaxFrameSize;
-  return kFrameHeader * (1 + continuations) + block;
+  return kFrameHeaderSize * (1 + continuations) + block;
 }
 
 /// Write `rest` of a header block as CONTINUATION frames of at most
@@ -127,42 +135,50 @@ std::size_t serialized_size(const Frame& frame) {
       [&](const auto& f) -> std::size_t {
         using T = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<T, DataFrame>) {
-          return kFrameHeader + f.data.size();
+          return kFrameHeaderSize + f.data.size();
         } else if constexpr (std::is_same_v<T, HeadersFrame>) {
           const std::size_t prio_len = f.priority ? 5 : 0;
           return prio_len +
                  header_block_wire_size(f.header_block.size(),
                                         kDefaultMaxFrameSize - prio_len);
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
-          return kFrameHeader + 5;
+          return kFrameHeaderSize + 5;
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          return kFrameHeader + 4;
+          return kFrameHeaderSize + 4;
         } else if constexpr (std::is_same_v<T, SettingsFrame>) {
-          return kFrameHeader + (f.ack ? 0 : f.settings.size() * 6);
+          return kFrameHeaderSize + (f.ack ? 0 : f.settings.size() * 6);
         } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
           return 4 + header_block_wire_size(f.header_block.size(),
                                             kDefaultMaxFrameSize - 4);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
-          return kFrameHeader + 8;
+          return kFrameHeaderSize + 8;
         } else if constexpr (std::is_same_v<T, GoawayFrame>) {
-          return kFrameHeader + 8 + f.debug_data.size();
+          return kFrameHeaderSize + 8 + f.debug_data.size();
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
-          return kFrameHeader + 4;
+          return kFrameHeaderSize + 4;
         } else {
           static_assert(std::is_same_v<T, ExtensionFrame>);
-          return kFrameHeader + f.payload.size();
+          return kFrameHeaderSize + f.payload.size();
         }
       },
       frame);
 }
 
+std::array<std::uint8_t, kFrameHeaderSize> data_frame_header(
+    std::uint32_t stream_id, bool end_stream, std::size_t length) {
+  std::array<std::uint8_t, kFrameHeaderSize> header;
+  put_frame_header(header.data(), length, FrameType::kData,
+                   end_stream ? kFlagEndStream : 0, stream_id);
+  return header;
+}
+
 void append_data_frame(std::vector<std::uint8_t>& out,
                        std::uint32_t stream_id, bool end_stream,
                        std::span<const std::uint8_t> payload) {
-  // Only the header is grown in place; the payload is inserted, so its
-  // bytes are written once instead of zero-filled and then copied over.
-  put_frame_header(grow(out, kFrameHeader), payload.size(), FrameType::kData,
-                   end_stream ? kFlagEndStream : 0, stream_id);
+  // The payload is inserted, not grown and copied over, so its bytes are
+  // written once instead of zero-filled first.
+  const auto header = data_frame_header(stream_id, end_stream, payload.size());
+  out.insert(out.end(), header.begin(), header.end());
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -219,16 +235,16 @@ void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out) {
           append_headers_frame(out, f.stream_id, f.end_stream, f.priority,
                                f.header_block);
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
-          std::uint8_t* p = grow(out, kFrameHeader + 5);
+          std::uint8_t* p = grow(out, kFrameHeaderSize + 5);
           p = put_frame_header(p, 5, FrameType::kPriority, 0, f.stream_id);
           put_priority(p, f.priority);
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          std::uint8_t* p = grow(out, kFrameHeader + 4);
+          std::uint8_t* p = grow(out, kFrameHeaderSize + 4);
           p = put_frame_header(p, 4, FrameType::kRstStream, 0, f.stream_id);
           put_u32(p, static_cast<std::uint32_t>(f.error));
         } else if constexpr (std::is_same_v<T, SettingsFrame>) {
           const std::size_t len = f.ack ? 0 : f.settings.size() * 6;
-          std::uint8_t* p = grow(out, kFrameHeader + len);
+          std::uint8_t* p = grow(out, kFrameHeaderSize + len);
           p = put_frame_header(p, len, FrameType::kSettings,
                                f.ack ? kFlagAck : 0, 0);
           if (!f.ack) {
@@ -241,14 +257,15 @@ void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out) {
           append_push_promise_frame(out, f.stream_id, f.promised_id,
                                     f.header_block);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
-          std::uint8_t* p = grow(out, kFrameHeader + 8);
+          std::uint8_t* p = grow(out, kFrameHeaderSize + 8);
           p = put_frame_header(p, 8, FrameType::kPing, f.ack ? kFlagAck : 0,
                                0);
           for (int i = 7; i >= 0; --i) {
             *p++ = static_cast<std::uint8_t>(f.opaque >> (8 * i));
           }
         } else if constexpr (std::is_same_v<T, GoawayFrame>) {
-          std::uint8_t* p = grow(out, kFrameHeader + 8 + f.debug_data.size());
+          std::uint8_t* p =
+              grow(out, kFrameHeaderSize + 8 + f.debug_data.size());
           p = put_frame_header(p, 8 + f.debug_data.size(), FrameType::kGoaway,
                                0, 0);
           p = put_u32(p, f.last_stream_id & 0x7fffffff);
@@ -257,12 +274,12 @@ void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out) {
                            f.debug_data.data()),
                     f.debug_data.size());
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
-          std::uint8_t* p = grow(out, kFrameHeader + 4);
+          std::uint8_t* p = grow(out, kFrameHeaderSize + 4);
           p = put_frame_header(p, 4, FrameType::kWindowUpdate, 0,
                                f.stream_id);
           put_u32(p, f.increment & 0x7fffffff);
         } else if constexpr (std::is_same_v<T, ExtensionFrame>) {
-          std::uint8_t* p = grow(out, kFrameHeader + f.payload.size());
+          std::uint8_t* p = grow(out, kFrameHeaderSize + f.payload.size());
           p = put_frame_header(p, f.payload.size(),
                                static_cast<FrameType>(f.type), f.flags,
                                f.stream_id);
@@ -313,7 +330,8 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
     }
     case FrameType::kHeaders: {
       if (stream_id == 0) return parse_error(ErrorCode::kProtocolError, "HEADERS on stream 0");
-      HeadersFrame f;
+      HeaderBlockView f;
+      f.type = FrameType::kHeaders;
       f.stream_id = stream_id;
       f.end_stream = flags & kFlagEndStream;
       std::size_t pos = 0;
@@ -336,14 +354,8 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       if (pad + pos > payload.size()) {
         return parse_error(ErrorCode::kProtocolError, "HEADERS: pad beyond frame");
       }
-      f.header_block.assign(
-          payload.begin() + static_cast<std::ptrdiff_t>(pos),
-          payload.end() - static_cast<std::ptrdiff_t>(pad));
-      if (flags & kFlagEndHeaders) return Parsed(Frame(std::move(f)));
-      pending_headers_ = std::move(f);
-      pending_is_push_promise_ = false;
-      expecting_continuation_ = true;
-      return Parsed();
+      f.header_block = payload.subspan(pos, payload.size() - pos - pad);
+      return header_block(f, flags);
     }
     case FrameType::kPriority: {
       if (stream_id == 0) {
@@ -373,27 +385,22 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       if (stream_id != 0) {
         return parse_error(ErrorCode::kProtocolError, "SETTINGS on a stream");
       }
-      SettingsFrame f;
-      f.ack = flags & kFlagAck;
-      if (f.ack && !payload.empty()) {
+      const bool ack = flags & kFlagAck;
+      if (ack && !payload.empty()) {
         return parse_error(ErrorCode::kFrameSizeError,
                            "SETTINGS ack with payload");
       }
       if (payload.size() % 6 != 0) {
         return parse_error(ErrorCode::kFrameSizeError, "SETTINGS: bad length");
       }
-      for (std::size_t i = 0; i + 6 <= payload.size(); i += 6) {
-        const auto id = static_cast<SettingsId>(
-            (static_cast<std::uint16_t>(payload[i]) << 8) | payload[i + 1]);
-        f.settings.emplace_back(id, get_u32(payload, i + 2));
-      }
-      return Parsed(Frame(std::move(f)));
+      return Parsed(SettingsView{ack, payload});
     }
     case FrameType::kPushPromise: {
       if (stream_id == 0) {
         return parse_error(ErrorCode::kProtocolError, "PUSH_PROMISE on stream 0");
       }
-      PushPromiseFrame f;
+      HeaderBlockView f;
+      f.type = FrameType::kPushPromise;
       f.stream_id = stream_id;
       std::size_t pos = 0;
       std::size_t pad = 0;
@@ -408,14 +415,8 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
         return parse_error(ErrorCode::kFrameSizeError, "PUSH_PROMISE: truncated");
       }
       f.promised_id = get_u32(payload, pos) & 0x7fffffff;
-      f.header_block.assign(
-          payload.begin() + static_cast<std::ptrdiff_t>(pos + 4),
-          payload.end() - static_cast<std::ptrdiff_t>(pad));
-      if (flags & kFlagEndHeaders) return Parsed(Frame(std::move(f)));
-      pending_push_ = std::move(f);
-      pending_is_push_promise_ = true;
-      expecting_continuation_ = true;
-      return Parsed();
+      f.header_block = payload.subspan(pos + 4, payload.size() - pos - 4 - pad);
+      return header_block(f, flags);
     }
     case FrameType::kPing: {
       if (stream_id != 0) {
@@ -460,25 +461,20 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       if (!expecting_continuation_) {
         return parse_error(ErrorCode::kProtocolError, "unexpected CONTINUATION");
       }
-      auto& block = pending_is_push_promise_ ? pending_push_.header_block
-                                             : pending_headers_.header_block;
-      const std::uint32_t expected_stream = pending_is_push_promise_
-                                                ? pending_push_.stream_id
-                                                : pending_headers_.stream_id;
-      if (stream_id != expected_stream) {
+      if (stream_id != pending_.stream_id) {
         return parse_error(ErrorCode::kProtocolError, "CONTINUATION: wrong stream");
       }
-      if (block.size() + payload.size() > kMaxHeaderBlock) {
+      if (pending_block_.size() + payload.size() > kMaxHeaderBlock) {
         return parse_error(ErrorCode::kEnhanceYourCalm,
                            "header block exceeds reassembly cap");
       }
-      block.insert(block.end(), payload.begin(), payload.end());
+      pending_block_.insert(pending_block_.end(), payload.begin(),
+                            payload.end());
       if (flags & kFlagEndHeaders) {
         expecting_continuation_ = false;
-        if (pending_is_push_promise_) {
-          return Parsed(Frame(std::move(pending_push_)));
-        }
-        return Parsed(Frame(std::move(pending_headers_)));
+        HeaderBlockView f = pending_;
+        f.header_block = pending_block_;
+        return Parsed(f);
       }
       return Parsed();
     }
@@ -493,78 +489,179 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
   return Parsed(Frame(std::move(f)));
 }
 
+util::Expected<FrameParser::Parsed, ParseError> FrameParser::header_block(
+    const HeaderBlockView& frame, std::uint8_t flags) {
+  if (flags & kFlagEndHeaders) return Parsed(frame);
+  // The block continues in CONTINUATION frames: reassemble it.
+  pending_ = frame;
+  pending_.header_block = {};
+  pending_block_.assign(frame.header_block.begin(), frame.header_block.end());
+  expecting_continuation_ = true;
+  return Parsed();
+}
+
 util::Expected<bool, ParseError> FrameParser::dispatch(
-    std::span<const std::uint8_t> frame, Handler& handler) {
-  const std::uint8_t* p = frame.data();
-  auto parsed = parse_one(frame.subspan(kFrameHeader), p[3], p[4],
-                          get_u32(frame, 5) & 0x7fffffff);
+    const std::uint8_t* header, std::span<const std::uint8_t> payload,
+    Handler& handler) {
+  auto parsed = parse_one(payload, header[3], header[4],
+                          get_u32(header + 5) & 0x7fffffff);
   if (!parsed) return util::make_unexpected(parsed.error());
-  if (auto* data = std::get_if<DataView>(&*parsed)) {
-    return handler.on_data(*data);
-  }
-  if (auto* other = std::get_if<Frame>(&*parsed)) {
-    return handler.on_frame(std::move(*other));
-  }
-  return true;  // header block continues in a CONTINUATION
+  return std::visit(
+      [&handler](auto& f) -> bool {
+        using T = std::decay_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, DataView>) {
+          return handler.on_data(f);
+        } else if constexpr (std::is_same_v<T, HeaderBlockView>) {
+          return handler.on_header_block(f);
+        } else if constexpr (std::is_same_v<T, SettingsView>) {
+          return handler.on_settings(f);
+        } else if constexpr (std::is_same_v<T, Frame>) {
+          return handler.on_frame(std::move(f));
+        } else {
+          return true;  // header block continues in a CONTINUATION
+        }
+      },
+      *parsed);
 }
 
 std::optional<ParseError> FrameParser::parse(
     std::span<const std::uint8_t> bytes, Handler& handler) {
-  if (!error_) error_ = parse_chunk(bytes, handler);
+  const util::Piece piece{bytes};
+  return parse(std::span<const util::Piece>(&piece, 1), handler);
+}
+
+std::optional<ParseError> FrameParser::parse(
+    std::span<const util::Piece> pieces, Handler& handler) {
+  bool more = true;
+  for (const util::Piece& piece : pieces) {
+    if (error_ || !more) break;
+    error_ = parse_piece(piece.bytes, piece.owner, handler, more);
+  }
   return error_;
 }
 
-std::optional<ParseError> FrameParser::parse_chunk(
-    std::span<const std::uint8_t> bytes, Handler& handler) {
-  // Total length of the frame starting at `p`, or 0 if its header is not
-  // complete yet; an oversized frame is an error as soon as its header is.
-  std::optional<ParseError> error;
-  const auto frame_size = [&](const std::uint8_t* p,
-                              std::size_t available) -> std::size_t {
-    if (available < kFrameHeader) return 0;
-    const std::size_t length = (static_cast<std::size_t>(p[0]) << 16) |
-                               (static_cast<std::size_t>(p[1]) << 8) | p[2];
-    if (length > kDefaultMaxFrameSize) {
-      error = ParseError{ErrorCode::kFrameSizeError,
-                         "frame exceeds max frame size"};
-      return 0;
-    }
-    return kFrameHeader + length;
-  };
-  const auto take = [&](std::size_t n) {
-    n = std::min(n, bytes.size());
-    buffer_.insert(buffer_.end(), bytes.begin(),
-                   bytes.begin() + static_cast<std::ptrdiff_t>(n));
-    bytes = bytes.subspan(n);
-  };
+void FrameParser::unshare() {
+  if (!shared_owner_) return;
+  buffer_.insert(buffer_.end(), shared_begin_, shared_begin_ + shared_len_);
+  shared_owner_.reset();
+  shared_begin_ = nullptr;
+  shared_len_ = 0;
+}
 
-  // 1. Complete the frame the previous chunk cut off, in buffer_.
+std::optional<ParseError> FrameParser::parse_piece(
+    std::span<const std::uint8_t> bytes, const util::SharedBytes* owner,
+    Handler& handler, bool& more) {
+  const auto too_long = [] {
+    return ParseError{ErrorCode::kFrameSizeError,
+                      "frame exceeds max frame size"};
+  };
+  // 1. Complete the frame the previous chunk cut off. An oversized frame
+  //    is an error as soon as its header is complete.
   if (!buffer_.empty()) {
-    take(kFrameHeader - std::min(kFrameHeader, buffer_.size()));
-    const std::size_t size = frame_size(buffer_.data(), buffer_.size());
-    if (error) return error;
-    if (size == 0) return std::nullopt;
-    take(size - buffer_.size());
-    if (buffer_.size() < size) return std::nullopt;
-    auto more = dispatch(buffer_, handler);
-    // The view into buffer_ has been handed over; the bytes can go.
+    if (buffer_.size() < kFrameHeaderSize) {
+      const std::size_t n =
+          std::min(kFrameHeaderSize - buffer_.size(), bytes.size());
+      buffer_.insert(buffer_.end(), bytes.begin(),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(n));
+      bytes = bytes.subspan(n);
+      if (buffer_.size() < kFrameHeaderSize) return std::nullopt;
+    }
+    const std::size_t length = payload_length(buffer_.data());
+    if (length > kDefaultMaxFrameSize) return too_long();
+    const std::size_t have =
+        shared_owner_ ? shared_len_ : buffer_.size() - kFrameHeaderSize;
+    const std::size_t n = std::min(length - have, bytes.size());
+    if (n > 0) {
+      const bool continues_shared =
+          shared_owner_ && owner != nullptr &&
+          owner->get() == shared_owner_.get() &&
+          bytes.data() == shared_begin_ + shared_len_;
+      const bool starts_shared =
+          !shared_owner_ && have == 0 && owner != nullptr &&
+          buffer_[3] == static_cast<std::uint8_t>(FrameType::kData);
+      if (continues_shared) {
+        shared_len_ += n;
+      } else if (starts_shared) {
+        shared_owner_ = *owner;
+        shared_begin_ = bytes.data();
+        shared_len_ = n;
+      } else {
+        unshare();
+        buffer_.insert(buffer_.end(), bytes.begin(),
+                       bytes.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      bytes = bytes.subspan(n);
+    }
+    if (have + n < length) return std::nullopt;
+    const std::span<const std::uint8_t> payload =
+        shared_owner_
+            ? std::span<const std::uint8_t>(shared_begin_, length)
+            : std::span<const std::uint8_t>(buffer_).subspan(kFrameHeaderSize);
+    auto handled = dispatch(buffer_.data(), payload, handler);
+    // The view has been handed over; the bytes can go.
     buffer_.clear();
-    if (!more) return more.error();
-    if (!*more) return std::nullopt;
+    shared_owner_.reset();
+    shared_begin_ = nullptr;
+    shared_len_ = 0;
+    if (!handled) return handled.error();
+    if (!*handled) {
+      more = false;
+      return std::nullopt;
+    }
   }
   // 2. Whole frames straight from `bytes`.
-  while (true) {
-    const std::size_t size = frame_size(bytes.data(), bytes.size());
-    if (error) return error;
-    if (size == 0 || bytes.size() < size) break;
-    auto more = dispatch(bytes.first(size), handler);
-    if (!more) return more.error();
-    bytes = bytes.subspan(size);
-    if (!*more) return std::nullopt;
+  while (bytes.size() >= kFrameHeaderSize) {
+    const std::size_t length = payload_length(bytes.data());
+    if (length > kDefaultMaxFrameSize) return too_long();
+    if (bytes.size() < kFrameHeaderSize + length) break;
+    auto handled = dispatch(bytes.data(),
+                            bytes.subspan(kFrameHeaderSize, length), handler);
+    if (!handled) return handled.error();
+    bytes = bytes.subspan(kFrameHeaderSize + length);
+    if (!*handled) {
+      more = false;
+      return std::nullopt;
+    }
   }
-  // 3. Keep the cut-off tail for the next chunk.
-  take(bytes.size());
+  // 3. Keep the cut-off tail for the next chunk: a DATA payload in a
+  //    shared buffer by reference, anything else by copy.
+  if (bytes.size() > kFrameHeaderSize && owner != nullptr &&
+      bytes[3] == static_cast<std::uint8_t>(FrameType::kData)) {
+    buffer_.assign(bytes.begin(), bytes.begin() + kFrameHeaderSize);
+    shared_owner_ = *owner;
+    shared_begin_ = bytes.data() + kFrameHeaderSize;
+    shared_len_ = bytes.size() - kFrameHeaderSize;
+  } else {
+    buffer_.assign(bytes.begin(), bytes.end());
+  }
   return std::nullopt;
+}
+
+std::pair<SettingsId, std::uint32_t> SettingsView::operator[](
+    std::size_t i) const {
+  const std::uint8_t* p = payload.data() + 6 * i;
+  return {static_cast<SettingsId>((static_cast<std::uint16_t>(p[0]) << 8) |
+                                  p[1]),
+          get_u32(p + 2)};
+}
+
+bool FrameParser::Handler::on_header_block(const HeaderBlockView& f) {
+  std::vector<std::uint8_t> block(f.header_block.begin(),
+                                  f.header_block.end());
+  if (f.type == FrameType::kPushPromise) {
+    return on_frame(
+        Frame(PushPromiseFrame{f.stream_id, f.promised_id, std::move(block)}));
+  }
+  return on_frame(Frame(
+      HeadersFrame{f.stream_id, f.end_stream, f.priority, std::move(block)}));
+}
+
+bool FrameParser::Handler::on_settings(const SettingsView& f) {
+  SettingsFrame frame;
+  frame.ack = f.ack;
+  frame.settings.reserve(f.size());
+  for (std::size_t i = 0; i < f.size(); ++i) frame.settings.push_back(f[i]);
+  return on_frame(Frame(std::move(frame)));
 }
 
 util::Expected<std::vector<Frame>, ParseError> FrameParser::feed(

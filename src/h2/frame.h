@@ -7,6 +7,7 @@
 // always see complete header blocks).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "util/expected.h"
+#include "util/piece.h"
 
 namespace h2push::h2 {
 
@@ -185,6 +187,11 @@ std::vector<std::uint8_t> serialize(const Frame& frame);
 // build the frame directly in the caller's buffer, skipping the Frame
 // variant and its owned payload vectors entirely.
 
+/// The header of a DATA frame carrying `length` payload bytes (at most
+/// kDefaultMaxFrameSize).
+std::array<std::uint8_t, kFrameHeaderSize> data_frame_header(
+    std::uint32_t stream_id, bool end_stream, std::size_t length);
+
 /// Append one DATA frame carrying `payload` (at most kDefaultMaxFrameSize).
 void append_data_frame(std::vector<std::uint8_t>& out,
                        std::uint32_t stream_id, bool end_stream,
@@ -203,15 +210,38 @@ void append_push_promise_frame(std::vector<std::uint8_t>& out,
                                std::span<const std::uint8_t> header_block);
 
 /// A DATA frame as FrameParser::parse hands it over: `data` points into the
-/// bytes being parsed or into the parser's own buffer, so the view is valid
-/// only for the duration of the Handler::on_data call that receives it.
-/// DataFrame is the owning form.
+/// bytes being parsed, into a shared buffer the payload arrived in, or into
+/// the parser's own buffer, so the view is valid only for the duration of
+/// the Handler::on_data call that receives it. DataFrame is the owning form.
 struct DataView {
   std::uint32_t stream_id = 0;
   bool end_stream = false;
   std::span<const std::uint8_t> data;
   /// Pad-Length octet + padding, as in DataFrame.
   std::size_t padding_bytes = 0;
+};
+
+/// A HEADERS or PUSH_PROMISE frame as FrameParser::parse hands it over, its
+/// header block complete. The block is read in place when the frame needs
+/// no CONTINUATION, else it points into the parser's reassembly buffer;
+/// either way it is valid only during the Handler call that receives it.
+/// HeadersFrame and PushPromiseFrame are the owning forms.
+struct HeaderBlockView {
+  FrameType type = FrameType::kHeaders;  ///< kHeaders or kPushPromise
+  std::uint32_t stream_id = 0;
+  bool end_stream = false;                ///< HEADERS only
+  std::optional<PrioritySpec> priority;   ///< HEADERS only
+  std::uint32_t promised_id = 0;          ///< PUSH_PROMISE only
+  std::span<const std::uint8_t> header_block;
+};
+
+/// A SETTINGS frame read in place, valid during the Handler call that
+/// receives it. SettingsFrame is the owning form.
+struct SettingsView {
+  bool ack = false;
+  std::span<const std::uint8_t> payload;  ///< 6 bytes per setting
+  std::size_t size() const noexcept { return payload.size() / 6; }
+  std::pair<SettingsId, std::uint32_t> operator[](std::size_t i) const;
 };
 
 /// Incremental parser over the connection byte stream. The caller feeds
@@ -221,13 +251,16 @@ struct DataView {
 /// every Connection announces, is a FRAME_SIZE_ERROR.
 class FrameParser {
  public:
-  /// Receives the frames of one parse() call in wire order. DATA frames
-  /// arrive as views, every other frame (with its header block already
-  /// reassembled from any CONTINUATIONs) as an owned Frame. Returning false
-  /// stops the parse; the parser must not be fed again after that.
+  /// Receives the frames of one parse() call in wire order. DATA, HEADERS,
+  /// PUSH_PROMISE and SETTINGS arrive as views; by default the last three
+  /// are copied into their owned Frame and passed to on_frame, which gets
+  /// every other frame. Returning false stops the parse; the parser must
+  /// not be fed again after that.
   class Handler {
    public:
     virtual bool on_data(const DataView& frame) = 0;
+    virtual bool on_header_block(const HeaderBlockView& frame);
+    virtual bool on_settings(const SettingsView& frame);
     virtual bool on_frame(Frame&& frame) = 0;
 
    protected:
@@ -243,6 +276,15 @@ class FrameParser {
   std::optional<ParseError> parse(std::span<const std::uint8_t> bytes,
                                   Handler& handler);
 
+  /// parse() over the concatenation of `pieces`, with the same frames,
+  /// errors and handler calls. In addition, a DATA payload that arrives as
+  /// consecutive slices of one shared buffer (pieces with the same owner)
+  /// is not copied: the parser keeps a reference to the owner and hands the
+  /// payload over as one span into it when the frame completes. A payload
+  /// whose bytes continue anywhere else is copied as parse() copies.
+  std::optional<ParseError> parse(std::span<const util::Piece> pieces,
+                                  Handler& handler);
+
   /// parse() collecting the frames, DATA payloads copied into DataFrames:
   /// returns the frames completed by this chunk, or a connection error (no
   /// frames; the stream is poisoned afterwards).
@@ -256,27 +298,43 @@ class FrameParser {
   static constexpr std::size_t kMaxHeaderBlock = 1 << 20;
 
   /// One parsed frame: nothing yet (a header block awaiting CONTINUATION),
-  /// a DATA view, or any other frame.
-  using Parsed = std::variant<std::monostate, DataView, Frame>;
+  /// a view, or any other frame.
+  using Parsed = std::variant<std::monostate, DataView, HeaderBlockView,
+                              SettingsView, Frame>;
 
-  /// Parse and hand over the whole frame `frame` (header included). Returns
-  /// whether the handler wants more.
+  /// Parse and hand over the frame with header `header` and `payload`.
+  /// Returns whether the handler wants more.
   util::Expected<bool, ParseError> dispatch(
-      std::span<const std::uint8_t> frame, Handler& handler);
-  std::optional<ParseError> parse_chunk(std::span<const std::uint8_t> bytes,
-                                        Handler& handler);
+      const std::uint8_t* header, std::span<const std::uint8_t> payload,
+      Handler& handler);
+  /// Parse one piece; `owner` is its shared buffer, if any.
+  std::optional<ParseError> parse_piece(std::span<const std::uint8_t> bytes,
+                                        const util::SharedBytes* owner,
+                                        Handler& handler, bool& more);
   util::Expected<Parsed, ParseError> parse_one(
       std::span<const std::uint8_t> payload, std::uint8_t type,
       std::uint8_t flags, std::uint32_t stream_id);
+  /// A HEADERS or PUSH_PROMISE parsed: handed over with END_HEADERS, else
+  /// kept for CONTINUATION reassembly.
+  util::Expected<Parsed, ParseError> header_block(const HeaderBlockView& frame,
+                                                  std::uint8_t flags);
+  /// Move a shared payload in progress into buffer_ (it continues
+  /// elsewhere).
+  void unshare();
 
-  // A frame cut off by the end of the previous chunk (never a whole one).
+  // The frame cut off by the end of the previous chunk (never a whole
+  // one): its header, and its payload so far unless that is shared.
   std::vector<std::uint8_t> buffer_;
+  // A DATA payload in progress read in place: `shared_len_` bytes from
+  // `shared_begin_`, inside *shared_owner_.
+  util::SharedBytes shared_owner_;
+  const std::uint8_t* shared_begin_ = nullptr;
+  std::size_t shared_len_ = 0;
   std::optional<ParseError> error_;  // set once: the stream is poisoned
   // CONTINUATION reassembly state.
   bool expecting_continuation_ = false;
-  bool pending_is_push_promise_ = false;
-  HeadersFrame pending_headers_;
-  PushPromiseFrame pending_push_;
+  HeaderBlockView pending_;  // header_block unset: see pending_block_
+  std::vector<std::uint8_t> pending_block_;
 };
 
 /// The 24-byte client connection preface (RFC 7540 §3.5).

@@ -1,10 +1,10 @@
 // Byte buffer for per-connection socket I/O.
 //
-// A flat vector with a read cursor: append() at the tail, consume() from the
-// head, and amortized compaction once the dead prefix dominates. Both the
-// read path (bytes from the kernel waiting for the H2 parser) and the write
-// path (frames waiting for the kernel) use it; watermark decisions are made
-// by the owner from size().
+// A flat vector with a read cursor: writers append to tail(), consume()
+// drains from the head, and amortized compaction once the dead prefix
+// dominates. Both the read path (bytes from the kernel waiting for the H2
+// parser) and the write path (frames waiting for the kernel) use it;
+// watermark decisions are made by the owner from size().
 #pragma once
 
 #include <cstddef>
@@ -19,10 +19,6 @@ class ByteBuffer {
   bool empty() const noexcept { return head_ == data_.size(); }
   /// Unconsumed bytes.
   std::size_t size() const noexcept { return data_.size() - head_; }
-
-  void append(std::span<const std::uint8_t> bytes) {
-    data_.insert(data_.end(), bytes.begin(), bytes.end());
-  }
 
   /// Contiguous view of all unconsumed bytes.
   std::span<const std::uint8_t> readable() const noexcept {

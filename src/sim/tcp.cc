@@ -15,58 +15,100 @@ const char* side_name(TcpConnection::Side side) {
 
 }  // namespace
 
-void TcpConnection::SendBuffer::append(std::span<const std::uint8_t> data) {
-  while (!data.empty()) {
-    std::size_t room = base_seq_ + chunks_.size() * kSendChunkBytes - end_seq_;
-    if (room == 0) {
-      chunks_.push_back(spare_ ? std::move(spare_)
-                               : std::make_unique_for_overwrite<
-                                     std::uint8_t[]>(kSendChunkBytes));
-      room = kSendChunkBytes;
+void TcpConnection::SendBuffer::add_chunk() {
+  // Chunks double from 4 KiB up to kSendChunkBytes: most halves copy only
+  // frame headers and control frames, a bulk copier soon gets full chunks.
+  const std::size_t capacity =
+      chunks_.empty() ? std::size_t{4096}
+                      : std::min(2 * chunks_.back().capacity, kSendChunkBytes);
+  Chunk chunk;
+  if (spare_.capacity >= capacity) {
+    chunk = std::move(spare_);
+    spare_ = Chunk{};
+  } else {
+    chunk.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+    chunk.capacity = capacity;
+  }
+  chunks_.push_back(std::move(chunk));
+  tail_used_ = 0;
+}
+
+void TcpConnection::SendBuffer::append(std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    if (chunks_.empty() || tail_used_ == chunks_.back().capacity) add_chunk();
+    Chunk& chunk = chunks_.back();
+    const std::size_t n = std::min(chunk.capacity - tail_used_, bytes.size());
+    std::uint8_t* dst = chunk.bytes.get() + tail_used_;
+    std::memcpy(dst, bytes.data(), n);
+    // Bytes copied right behind the previous copy extend its piece.
+    Entry* last = entries_.size() > head_ ? &entries_.back() : nullptr;
+    if (last != nullptr && !last->owner && tail_used_ != 0 &&
+        last->bytes.data() + last->bytes.size() == dst) {
+      last->bytes = {last->bytes.data(), last->bytes.size() + n};
+    } else {
+      entries_.push_back({end_seq_, {dst, n}, nullptr});
     }
-    const std::size_t n = std::min(room, data.size());
-    const std::size_t offset =
-        static_cast<std::size_t>((end_seq_ - base_seq_) % kSendChunkBytes);
-    std::memcpy(chunks_.back().get() + offset, data.data(), n);
+    tail_used_ += n;
     end_seq_ += n;
-    data = data.subspan(n);
+    chunk.end_seq = end_seq_;
+    bytes = bytes.subspan(n);
   }
 }
 
-std::span<const std::uint8_t> TcpConnection::SendBuffer::view(
-    std::uint64_t from, std::uint64_t to,
-    std::vector<std::uint8_t>& scratch) const {
-  assert(base_seq_ <= from && from <= to && to <= end_seq_);
-  std::size_t index = static_cast<std::size_t>((from - base_seq_) /
-                                               kSendChunkBytes);
-  std::size_t offset = static_cast<std::size_t>((from - base_seq_) %
-                                                kSendChunkBytes);
-  const auto len = static_cast<std::size_t>(to - from);
-  if (offset + len <= kSendChunkBytes) {
-    return {chunks_[index].get() + offset, len};
+void TcpConnection::SendBuffer::append_shared(
+    const util::SharedBytes& owner, std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return;
+  entries_.push_back({end_seq_, bytes, owner});
+  end_seq_ += bytes.size();
+}
+
+void TcpConnection::SendBuffer::slices(std::uint64_t from, std::uint64_t to,
+                                       std::vector<util::Piece>& out) const {
+  assert(from <= to && to <= end_seq_);
+  // The first piece holding `from`: pieces lie in sequence order.
+  auto it = std::partition_point(
+      entries_.begin() + static_cast<std::ptrdiff_t>(head_), entries_.end(),
+      [from](const Entry& e) { return e.seq + e.bytes.size() <= from; });
+  for (; from < to; ++it) {
+    assert(it != entries_.end() && it->seq <= from);
+    const auto offset = static_cast<std::size_t>(from - it->seq);
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(it->bytes.size() - offset, to - from));
+    out.push_back({it->bytes.subspan(offset, n),
+                   it->owner ? &it->owner : nullptr});
+    from += n;
   }
-  scratch.clear();
-  while (scratch.size() < len) {
-    const std::size_t n =
-        std::min(kSendChunkBytes - offset, len - scratch.size());
-    const std::uint8_t* p = chunks_[index].get() + offset;
-    scratch.insert(scratch.end(), p, p + n);
-    ++index;
-    offset = 0;
-  }
-  return scratch;
 }
 
 void TcpConnection::SendBuffer::release_below(std::uint64_t acked) {
+  while (head_ < entries_.size() &&
+         entries_[head_].seq + entries_[head_].bytes.size() <= acked) {
+    entries_[head_].owner.reset();
+    ++head_;
+  }
+  if (head_ == entries_.size()) {
+    entries_.clear();
+    head_ = 0;
+  } else if (head_ >= 64 && 2 * head_ >= entries_.size()) {
+    // Never drained (a long bulk transfer): drop the released prefix once
+    // it is most of the list.
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   std::size_t released = 0;
-  while (released < chunks_.size() &&
-         base_seq_ + kSendChunkBytes <= acked) {
-    if (!spare_) spare_ = std::move(chunks_[released]);
+  while (released + 1 < chunks_.size() &&
+         chunks_[released].end_seq <= acked) {
+    if (chunks_[released].capacity > spare_.capacity) {
+      spare_ = std::move(chunks_[released]);
+    }
     ++released;
-    base_seq_ += kSendChunkBytes;
   }
   chunks_.erase(chunks_.begin(),
                 chunks_.begin() + static_cast<std::ptrdiff_t>(released));
+  // Every byte copied into the last chunk is acknowledged: copy into it
+  // again from its start.
+  if (chunks_.size() == 1 && chunks_.front().end_seq <= acked) tail_used_ = 0;
 }
 
 TcpConnection::TcpConnection(Simulator& sim, TcpConfig config, Route up,
@@ -140,9 +182,20 @@ void TcpConnection::advance_handshake(int arrived_step) {
 }
 
 void TcpConnection::send(Side side, std::span<const std::uint8_t> data) {
+  const util::Piece piece{data};
+  send(side, std::span<const util::Piece>(&piece, 1));
+}
+
+void TcpConnection::send(Side side, std::span<const util::Piece> pieces) {
   Half& h = half(side);
-  h.buffer.append(data);
-  h.app_end += data.size();
+  for (const util::Piece& piece : pieces) {
+    if (piece.owner != nullptr) {
+      h.buffer.append_shared(*piece.owner, piece.bytes);
+    } else {
+      h.buffer.append(piece.bytes);
+    }
+    h.app_end += piece.bytes.size();
+  }
   if (unsent_bytes(side) >= config_.write_watermark) h.writable_low = false;
   try_send(side);
 }
@@ -252,9 +305,15 @@ void TcpConnection::on_segment(Side sender, std::uint64_t seq,
   const auto delivered = static_cast<std::size_t>(h.rcv_nxt - from);
   h.delivered += delivered;
   send_ack(sender);
-  if (callbacks_.on_receive) {
-    callbacks_.on_receive(receiver_of(sender),
-                          h.buffer.view(from, h.rcv_nxt, scratch_));
+  if (callbacks_.on_deliver || callbacks_.on_receive) {
+    delivery_.clear();
+    h.buffer.slices(from, h.rcv_nxt, delivery_);
+    if (callbacks_.on_deliver) {
+      callbacks_.on_deliver(receiver_of(sender), delivery_);
+    } else {
+      callbacks_.on_receive(receiver_of(sender),
+                            util::flatten(delivery_, scratch_));
+    }
   }
 }
 

@@ -11,10 +11,11 @@
 // what creates the "network idle time" that Server Push can fill, and what
 // makes large HTML documents take multiple round trips (paper §4.3, s8).
 //
-// Applications see an ordered byte stream (on_receive) and a writability
-// signal (on_writable) that fires when fewer than `write_watermark` unsent
-// bytes remain buffered, so schedulers make frame-level decisions late —
-// exactly how h2o interacts with its socket buffers.
+// Applications see an ordered byte stream (on_deliver or on_receive) and a
+// writability signal (on_writable) that fires when fewer than
+// `write_watermark` unsent bytes remain buffered, so schedulers make
+// frame-level decisions late — exactly how h2o interacts with its socket
+// buffers.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 
 #include "sim/link.h"
 #include "sim/simulator.h"
+#include "util/piece.h"
 
 namespace h2push::sim {
 
@@ -51,18 +53,19 @@ class TcpConnection {
     std::function<void()> on_connected;
     /// Fires on the server half an RTT earlier (when its handshake ends).
     std::function<void()> on_accepted;
-    /// In-order application bytes arriving at `side`, one contiguous span
-    /// per delivery. The span aliases the sending half's send buffer
-    /// (segments carry sequence ranges, not bytes), or the connection's
-    /// scratch buffer when the delivery straddles two of its chunks, so it
-    /// is valid only during the callback: copy what must outlive it.
+    /// In-order application bytes arriving at `side`, one delivery per
+    /// call, as the send-buffer pieces they lie in (segments carry sequence
+    /// ranges, not bytes): bytes the sender copied, or slices of the shared
+    /// buffers it sent by reference. Valid only during the callback. When
+    /// set, on_receive is not called.
+    std::function<void(Side side, std::span<const util::Piece>)> on_deliver;
+    /// The same deliveries as one contiguous span each: in place when the
+    /// delivery lies in one piece, otherwise assembled in the connection's
+    /// scratch buffer. Valid only during the callback.
     std::function<void(Side side, std::span<const std::uint8_t>)> on_receive;
     /// `side` may write again (unsent buffer below watermark).
     std::function<void(Side side)> on_writable;
   };
-
-  /// Bytes per send-buffer chunk (see SendBuffer).
-  static constexpr std::size_t kSendChunkBytes = 64 * 1024;
 
   /// `up` carries client→server packets, `down` server→client.
   TcpConnection(Simulator& sim, TcpConfig config, Route up, Route down,
@@ -71,8 +74,12 @@ class TcpConnection {
   /// Begin the handshake. on_connected fires when the client may write.
   void connect();
 
-  /// Queue application bytes for transmission from `side`.
+  /// Queue application bytes for transmission from `side`; they are
+  /// copied before send() returns.
   void send(Side side, std::span<const std::uint8_t> data);
+  /// Queue `pieces` in order: a piece with an owner is kept by reference
+  /// until acknowledged, any other is copied.
+  void send(Side side, std::span<const util::Piece> pieces);
 
   bool connected() const noexcept { return connected_; }
   Time connect_end_time() const noexcept { return connect_end_time_; }
@@ -95,28 +102,51 @@ class TcpConnection {
   }
 
  private:
+  // Largest chunk of the send buffer's storage for copied bytes; the first
+  // chunk of a sending half is 4 KiB.
+  static constexpr std::size_t kSendChunkBytes = 64 * 1024;
+
   // A sender's application bytes from the first not fully acknowledged
-  // chunk up to app_end, in fixed-size chunks: a stored byte is written
-  // once and never moved or reallocated. Chunk i holds the bytes from
-  // base_seq + i * kSendChunkBytes on. A chunk is released once every byte
-  // in it is acknowledged; one released chunk is kept for the next append,
-  // so a steady transfer allocates nothing.
+  // piece up to app_end, as a list of pieces in sequence order. A piece
+  // with an owner references a slice of a shared buffer (a response body
+  // sent by reference); the others hold bytes copied into chunks of this
+  // buffer's own storage, which are never moved or reallocated. A piece is
+  // dropped once every byte in it is acknowledged, a chunk once every
+  // copied byte in it is; one dropped chunk is kept for the next copy, so a
+  // steady transfer allocates nothing.
   class SendBuffer {
    public:
-    void append(std::span<const std::uint8_t> data);
-    /// Bytes [from, to), which must be held: in place when they lie in one
-    /// chunk, otherwise assembled in `scratch`.
-    std::span<const std::uint8_t> view(std::uint64_t from, std::uint64_t to,
-                                       std::vector<std::uint8_t>& scratch)
-        const;
-    /// Release the chunks whose bytes all lie below `acked`.
+    /// Copy `bytes` into the buffer's storage.
+    void append(std::span<const std::uint8_t> bytes);
+    /// Keep `bytes`, which lie inside `*owner`, by reference.
+    void append_shared(const util::SharedBytes& owner,
+                       std::span<const std::uint8_t> bytes);
+    /// Append to `out` the slices of the pieces holding bytes [from, to),
+    /// which must be held.
+    void slices(std::uint64_t from, std::uint64_t to,
+                std::vector<util::Piece>& out) const;
+    /// Drop the pieces and chunks whose bytes all lie below `acked`.
     void release_below(std::uint64_t acked);
 
    private:
-    std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
-    std::unique_ptr<std::uint8_t[]> spare_;
-    std::uint64_t base_seq_ = 0;  // sequence number of chunks_[0][0]
-    std::uint64_t end_seq_ = 0;   // one past the last byte appended
+    struct Entry {
+      std::uint64_t seq = 0;  // sequence number of bytes[0]
+      std::span<const std::uint8_t> bytes;
+      util::SharedBytes owner;  // null: the bytes lie in a chunk
+    };
+    struct Chunk {
+      std::unique_ptr<std::uint8_t[]> bytes;
+      std::size_t capacity = 0;
+      std::uint64_t end_seq = 0;  // one past the last byte copied into it
+    };
+    void add_chunk();
+
+    std::vector<Entry> entries_;
+    std::size_t head_ = 0;  // entries_[head_] is the first piece held
+    std::vector<Chunk> chunks_;
+    Chunk spare_;
+    std::size_t tail_used_ = 0;  // bytes used in chunks_.back()
+    std::uint64_t end_seq_ = 0;  // one past the last byte appended
   };
 
   // One direction of application data flow.
@@ -125,7 +155,7 @@ class TcpConnection {
     Route ack_route;    // carries ACKs back to the sender
     // --- sender state ---
     // Segments in flight carry only (seq, len); the receiver reads
-    // delivered bytes from here. Only chunks below snd_una are released,
+    // delivered bytes from here. Only pieces below snd_una are released,
     // and snd_una never passes the receiver's rcv_nxt, so every byte not
     // yet delivered is still here.
     SendBuffer buffer;
@@ -182,7 +212,9 @@ class TcpConnection {
   Callbacks callbacks_;
   Half up_;    // client → server
   Half down_;  // server → client
-  // Assembles a delivery that straddles two send-buffer chunks.
+  // The pieces of the current delivery, and the bytes of one that
+  // on_receive needs flattened.
+  std::vector<util::Piece> delivery_;
   std::vector<std::uint8_t> scratch_;
   bool connected_ = false;
   Time connect_end_time_ = 0;

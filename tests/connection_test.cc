@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "h2/connection.h"
+#include "util/piece.h"
 
 // WarmBulkTransferAllocatesNothingPerDataFrame asserts that DATA frames
 // cross the appending produce and the callback parse without touching the
@@ -638,98 +639,206 @@ TEST(Connection, SubmitGoawayLetsStreamsFinish) {
 }
 
 TEST(Connection, WarmBulkTransferAllocatesNothingPerDataFrame) {
-  // A 1 MB response between two connections wired like the simulator:
-  // each side writes through the appending produce into one reused buffer,
-  // and the reader gets it in MSS-sized pieces, so most DATA frames are
-  // cut across pieces and reassembled in the parser's buffer. Windows are
-  // large enough that no WINDOW_UPDATE is due. Once the buffers are warm
-  // (a first identical exchange), the second response's DATA allocates
-  // nothing.
+  // A 1 MB response between two connections wired like the simulator: the
+  // reader gets the writer's bytes in MSS-sized deliveries, so most DATA
+  // frames are cut across deliveries. The server writes either flattened,
+  // through the appending produce into one reused buffer, with cut frames
+  // reassembled in the parser's buffer; or by reference, into a reused
+  // PieceList whose DATA payloads are slices of the body, read in place.
+  // Windows are large enough that no WINDOW_UPDATE is due. Once the
+  // buffers are warm (a first identical exchange), the second response's
+  // DATA allocates nothing.
   constexpr std::size_t kBody = 251 * 4200;  // ~1 MB, whole pattern cycles
   std::string pattern(kBody, '\0');
   for (std::size_t i = 0; i < kBody; ++i) {
     pattern[i] = static_cast<char>(i % 251);
   }
   const Body body = std::make_shared<const std::string>(std::move(pattern));
+  const auto* body_begin = reinterpret_cast<const std::uint8_t*>(body->data());
 
-  std::size_t received = 0;
-  std::size_t data_frames = 0;
-  bool mismatch = false;
-  bool done = false;
-  std::size_t allocations_at_headers = 0;
-  Connection::Config cc;
-  cc.role = Role::kClient;
-  cc.initial_window = 1u << 24;
-  cc.connection_window_bonus = 1u << 24;
-  Connection::Callbacks ccb;
-  ccb.on_headers = [&](std::uint32_t, http::HeaderBlock, bool) {
-    allocations_at_headers = test_allocation_count();
-  };
-  ccb.on_data = [&](std::uint32_t, std::span<const std::uint8_t> data,
-                    bool fin) {
-    for (const auto byte : data) {
-      if (byte != static_cast<std::uint8_t>(received++ % 251)) {
-        mismatch = true;
+  for (const bool by_reference : {false, true}) {
+    std::size_t received = 0;
+    std::size_t data_frames = 0;
+    std::size_t frames_in_body = 0;
+    bool mismatch = false;
+    bool done = false;
+    std::size_t allocations_at_headers = 0;
+    Connection::Config cc;
+    cc.role = Role::kClient;
+    cc.initial_window = 1u << 24;
+    cc.connection_window_bonus = 1u << 24;
+    Connection::Callbacks ccb;
+    ccb.on_headers = [&](std::uint32_t, http::HeaderBlock, bool) {
+      allocations_at_headers = test_allocation_count();
+    };
+    ccb.on_data = [&](std::uint32_t, std::span<const std::uint8_t> data,
+                      bool fin) {
+      if (data.data() >= body_begin && data.data() < body_begin + kBody) {
+        ++frames_in_body;
       }
-    }
-    ++data_frames;
-    done = fin;
-  };
-  Connection client(cc, std::move(ccb));
-  std::vector<std::uint32_t> requests;
-  Connection::Config sc;
-  sc.role = Role::kServer;
-  Connection::Callbacks scb;
-  scb.on_headers = [&](std::uint32_t stream, http::HeaderBlock, bool) {
-    requests.push_back(stream);
-  };
-  Connection server(sc, std::move(scb));
-  client.start();
-  server.start();
-
-  std::vector<std::uint8_t> wire;
-  const auto pump = [&] {
-    for (bool any = true; any;) {
-      any = false;
-      for (auto [from, to] : {std::pair{&client, &server},
-                              std::pair{&server, &client}}) {
-        wire.clear();
-        if (from->produce(wire, 2 * 1460) == 0) continue;
-        any = true;
-        for (std::size_t pos = 0; pos < wire.size(); pos += 1460) {
-          to->receive({wire.data() + pos,
-                       std::min<std::size_t>(1460, wire.size() - pos)});
+      for (const auto byte : data) {
+        if (byte != static_cast<std::uint8_t>(received++ % 251)) {
+          mismatch = true;
         }
       }
+      ++data_frames;
+      done = fin;
+    };
+    Connection client(cc, std::move(ccb));
+    std::vector<std::uint32_t> requests;
+    Connection::Config sc;
+    sc.role = Role::kServer;
+    Connection::Callbacks scb;
+    scb.on_headers = [&](std::uint32_t stream, http::HeaderBlock, bool) {
+      requests.push_back(stream);
+    };
+    Connection server(sc, std::move(scb));
+    client.start();
+    server.start();
+
+    std::vector<std::uint8_t> wire;
+    util::PieceList pieces;
+    std::vector<util::Piece> delivery;
+    delivery.reserve(16);
+    // Deliver `all` to `to` in slices of at most 1460 bytes each.
+    const auto deliver = [&](std::span<const util::Piece> all,
+                             Connection& to) {
+      std::size_t room = 1460;
+      delivery.clear();
+      for (util::Piece piece : all) {
+        while (!piece.bytes.empty()) {
+          const std::size_t n = std::min(room, piece.bytes.size());
+          delivery.push_back({piece.bytes.first(n), piece.owner});
+          piece.bytes = piece.bytes.subspan(n);
+          room -= n;
+          if (room == 0) {
+            to.receive(delivery);
+            delivery.clear();
+            room = 1460;
+          }
+        }
+      }
+      if (!delivery.empty()) to.receive(delivery);
+    };
+    const auto pump = [&] {
+      for (bool any = true; any;) {
+        any = false;
+        for (auto [from, to] : {std::pair{&client, &server},
+                                std::pair{&server, &client}}) {
+          if (by_reference && from == &server) {
+            pieces.clear();
+            if (server.produce(pieces, 2 * 1460) == 0) continue;
+            deliver(pieces.pieces(), *to);
+          } else {
+            wire.clear();
+            if (from->produce(wire, 2 * 1460) == 0) continue;
+            const util::Piece flat{wire};
+            deliver({&flat, 1}, *to);
+          }
+          any = true;
+        }
+      }
+    };
+    http::Request req;
+    req.url = http::Url{"https", "test.example", 443, "/bulk"};
+    http::Response resp;
+    resp.status = 200;
+    resp.body_size = kBody;
+    std::size_t allocations_after_headers = 0;
+    for (int round = 0; round < 2; ++round) {
+      received = 0;
+      data_frames = 0;
+      frames_in_body = 0;
+      done = false;
+      client.submit_request(req.to_h2_headers());
+      pump();
+      ASSERT_EQ(requests.size(), static_cast<std::size_t>(round + 1));
+      server.submit_response(requests.back(), resp.to_h2_headers(), body);
+      pump();
+      allocations_after_headers =
+          test_allocation_count() - allocations_at_headers;
+      ASSERT_TRUE(done);
+      EXPECT_EQ(received, kBody);
+      EXPECT_FALSE(mismatch);
+    }
+    const std::string mode = by_reference ? "by reference" : "flattened";
+    EXPECT_GE(data_frames, kBody / kDefaultMaxFrameSize);
+    // Flattened, only frames that lie whole in one delivery are read in
+    // place (none here); by reference, every payload is.
+    EXPECT_EQ(frames_in_body, by_reference ? data_frames : 0u) << mode;
+    EXPECT_EQ(allocations_after_headers, 0u)
+        << allocations_after_headers << " allocations for " << data_frames
+        << " DATA frames, " << mode;
+    EXPECT_TRUE(client.last_error().empty());
+    EXPECT_TRUE(server.last_error().empty());
+  }
+}
+
+TEST(Connection, HeaderFramesParseWithoutAllocating) {
+  // A one-request exchange with a push: SETTINGS both ways, the request
+  // HEADERS, a PUSH_PROMISE, two response HEADERS, DATA. Re-parsed from
+  // the wire by a handler that keeps the views, the HEADERS, PUSH_PROMISE
+  // and SETTINGS frames are read in place: the parse allocates nothing.
+  Pair p;
+  std::vector<std::uint8_t> to_server;
+  std::vector<std::uint8_t> to_client;
+  const auto shuttle = [&] {
+    for (bool any = true; any;) {
+      any = false;
+      std::vector<std::uint8_t> bytes = p.client->produce(4096);
+      if (!bytes.empty()) {
+        to_server.insert(to_server.end(), bytes.begin(), bytes.end());
+        p.server->receive(bytes);
+        any = true;
+      }
+      bytes = p.server->produce(4096);
+      if (!bytes.empty()) {
+        to_client.insert(to_client.end(), bytes.begin(), bytes.end());
+        p.client->receive(bytes);
+        any = true;
+      }
     }
   };
-  http::Request req;
-  req.url = http::Url{"https", "test.example", 443, "/bulk"};
+  const std::uint32_t stream = p.get("/index.html");
+  shuttle();
+  ASSERT_EQ(p.requests.size(), 1u);
+  http::Request pushed;
+  pushed.url = http::Url{"https", "test.example", 443, "/app.js"};
+  const std::uint32_t promised =
+      p.server->submit_push_promise(stream, pushed.to_h2_headers());
+  ASSERT_NE(promised, 0u);
   http::Response resp;
   resp.status = 200;
-  resp.body_size = kBody;
-  std::size_t allocations_after_headers = 0;
-  for (int round = 0; round < 2; ++round) {
-    received = 0;
-    data_frames = 0;
-    done = false;
-    client.submit_request(req.to_h2_headers());
-    pump();
-    ASSERT_EQ(requests.size(), static_cast<std::size_t>(round + 1));
-    server.submit_response(requests.back(), resp.to_h2_headers(), body);
-    pump();
-    allocations_after_headers =
-        test_allocation_count() - allocations_at_headers;
-    ASSERT_TRUE(done);
-    EXPECT_EQ(received, kBody);
-    EXPECT_FALSE(mismatch);
-  }
-  EXPECT_GE(data_frames, kBody / kDefaultMaxFrameSize);
-  EXPECT_EQ(allocations_after_headers, 0u)
-      << allocations_after_headers << " allocations for " << data_frames
-      << " DATA frames";
-  EXPECT_TRUE(client.last_error().empty());
-  EXPECT_TRUE(server.last_error().empty());
+  resp.body_size = 100;
+  p.server->submit_response(promised, resp.to_h2_headers(),
+                            Pair::make_body(100));
+  p.server->submit_response(stream, resp.to_h2_headers(),
+                            Pair::make_body(100));
+  shuttle();
+  ASSERT_TRUE(p.client_stream_done[stream]);
+
+  struct Views final : FrameParser::Handler {
+    std::size_t headers = 0, push_promises = 0, settings = 0, data = 0;
+    bool on_data(const DataView&) override { return ++data != 0; }
+    bool on_header_block(const HeaderBlockView& f) override {
+      ++(f.type == FrameType::kPushPromise ? push_promises : headers);
+      return true;
+    }
+    bool on_settings(const SettingsView&) override { return ++settings != 0; }
+    bool on_frame(Frame&&) override { return true; }
+  } views;
+  FrameParser from_client;
+  FrameParser from_server;
+  const std::span<const std::uint8_t> client_frames =
+      std::span(to_server).subspan(client_preface().size());
+  const std::size_t allocations_before = test_allocation_count();
+  EXPECT_FALSE(from_client.parse(client_frames, views));
+  EXPECT_FALSE(from_server.parse(to_client, views));
+  EXPECT_EQ(test_allocation_count() - allocations_before, 0u);
+  EXPECT_EQ(views.headers, 3u);
+  EXPECT_EQ(views.push_promises, 1u);
+  EXPECT_GE(views.settings, 4u);  // each side's SETTINGS and its ACK
+  EXPECT_EQ(views.data, 2u);
 }
 
 /// A client and a server connection with their own configs, exchanging

@@ -3,9 +3,15 @@
 // reassembly, and protocol error cases.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+
 #include "h2/frame.h"
 #include "fuzz/gen_frame.h"
 #include "h2/cache_digest.h"
+#include "util/piece.h"
 #include "util/rng.h"
 
 namespace h2push::h2 {
@@ -312,6 +318,223 @@ TEST(FrameParser, CallbackParseMatchesFeedAcrossChunkings) {
 
     ASSERT_EQ(via_feed.size(), expected) << "seed " << seed;
     EXPECT_TRUE(via_feed == via_parse.frames) << "seed " << seed;
+  }
+}
+
+/// Records like Recorder, and counts where each non-empty DATA payload was
+/// read: inside one of `bodies` (in place, or by reference to a shared
+/// piece) or elsewhere (copied into the parser's buffer).
+struct PieceRecorder final : FrameParser::Handler {
+  std::vector<const std::string*> bodies;
+  Recorder recorder;
+  std::size_t in_body = 0;
+  std::size_t copied = 0;
+  bool on_data(const DataView& f) override {
+    if (!f.data.empty()) {
+      const std::less<const std::uint8_t*> before;
+      bool inside = false;
+      for (const std::string* body : bodies) {
+        const auto* lo = reinterpret_cast<const std::uint8_t*>(body->data());
+        inside = inside || (!before(f.data.data(), lo) &&
+                            !before(lo + body->size(),
+                                    f.data.data() + f.data.size()));
+      }
+      ++(inside ? in_body : copied);
+    }
+    return recorder.on_data(f);
+  }
+  bool on_frame(Frame&& f) override { return recorder.on_frame(std::move(f)); }
+};
+
+/// A server-like byte stream: full-size and short DATA frames, padded DATA,
+/// and random valid frames (header blocks with CONTINUATIONs among them).
+/// `tail` 1 appends DATA on stream 0 (a PROTOCOL_ERROR), `tail` 2 an
+/// oversized frame header (a FRAME_SIZE_ERROR), so errors are compared too.
+std::vector<std::uint8_t> piece_test_wire(std::uint64_t seed, int tail) {
+  fuzz::Random gen(seed);
+  std::vector<std::uint8_t> wire;
+  const auto count = static_cast<std::size_t>(gen.range(4, 24));
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto kind = gen.range(0, 3);
+    if (kind == 0) {
+      DataFrame d;
+      d.stream_id = static_cast<std::uint32_t>(2 * gen.range(1, 4));
+      d.end_stream = gen.chance(0.3);
+      d.data = gen.bytes(1, gen.chance(0.5) ? kDefaultMaxFrameSize : 2000);
+      serialize_into(Frame{d}, wire);
+    } else if (kind == 1) {
+      auto payload = gen.bytes(1, 3000);
+      const auto pad = static_cast<std::uint8_t>(gen.range(0, 40));
+      payload[0] = pad;
+      payload.insert(payload.end(), pad, 0);
+      fuzz::append_raw_frame(wire, static_cast<std::uint32_t>(payload.size()),
+                             0x0, kFlagPadded, 7, payload);
+    } else {
+      serialize_into(fuzz::random_valid_frame(gen), wire);
+    }
+  }
+  const std::uint8_t payload[] = {1, 2, 3};
+  if (tail == 1) fuzz::append_raw_frame(wire, 3, 0x0, 0, 0, payload);
+  if (tail == 2) {
+    fuzz::append_raw_frame(wire, kDefaultMaxFrameSize + 1, 0x0, 0, 1,
+                           payload);
+  }
+  return wire;
+}
+
+/// Parse `pieces` in calls of about one TCP delivery (1 460 bytes) each.
+std::optional<ParseError> parse_in_deliveries(
+    std::span<const util::Piece> pieces, FrameParser::Handler& handler) {
+  FrameParser parser;
+  std::optional<ParseError> error;
+  while (!pieces.empty()) {
+    std::size_t n = 0;
+    std::size_t bytes = 0;
+    while (n < pieces.size() && bytes < 1460) bytes += pieces[n++].bytes.size();
+    error = parser.parse(pieces.first(n), handler);
+    pieces = pieces.subspan(n);
+  }
+  return error;
+}
+
+void expect_same_parse(const Recorder& expected,
+                       const std::optional<ParseError>& expected_error,
+                       const PieceRecorder& got,
+                       const std::optional<ParseError>& got_error,
+                       const std::string& what) {
+  EXPECT_TRUE(expected.frames == got.recorder.frames) << what;
+  ASSERT_EQ(expected_error.has_value(), got_error.has_value()) << what;
+  if (expected_error) {
+    EXPECT_EQ(expected_error->code, got_error->code) << what;
+    EXPECT_EQ(expected_error->message, got_error->message) << what;
+  }
+}
+
+TEST(FrameParser, PiecesParseLikeContiguousBytes) {
+  // One byte stream, parsed as one contiguous span and as pieces of one
+  // shared buffer cut every k bytes for k = 1..1461: the same handler
+  // calls with the same bytes and the same error, and every DATA payload
+  // is read inside the shared buffer, never copied, even when its frame
+  // header is split across pieces.
+  for (int tail = 0; tail <= 2; ++tail) {
+    std::vector<std::uint8_t> wire;
+    for (std::uint64_t seed = 1; wire.size() < 32 * 1024; ++seed) {
+      wire = piece_test_wire(seed, tail);  // the first one of 32 KiB or more
+    }
+    const util::SharedBytes body =
+        std::make_shared<const std::string>(wire.begin(), wire.end());
+    const auto bytes = util::bytes_of(*body);
+    Recorder expected;
+    const auto expected_error = FrameParser().parse(bytes, expected);
+    ASSERT_EQ(expected_error.has_value(), tail != 0);
+    std::vector<util::Piece> pieces;
+    for (std::size_t k = 1; k <= 1461; ++k) {
+      pieces.clear();
+      for (std::size_t pos = 0; pos < bytes.size(); pos += k) {
+        pieces.push_back(
+            {bytes.subspan(pos, std::min(k, bytes.size() - pos)), &body});
+      }
+      PieceRecorder got;
+      got.bodies = {body.get()};
+      const auto error = parse_in_deliveries(pieces, got);
+      const std::string what =
+          "tail " + std::to_string(tail) + ", pieces of " + std::to_string(k);
+      expect_same_parse(expected, expected_error, got, error, what);
+      EXPECT_EQ(got.copied, 0u) << what;
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(FrameParser, PiecesFromSeveralSourcesParseLikeContiguousBytes) {
+  // Random cuts, each piece drawn at random from one of two shared copies
+  // of the stream or from bytes with no owner. Each copy holds the
+  // stream's bytes only where its own pieces lie and inverted bytes
+  // elsewhere, so reading past a piece into its buffer shows. A payload
+  // that continues in a different buffer must fall back to copying, with
+  // the same result.
+  std::size_t copied = 0;
+  std::size_t in_body = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const int tail = static_cast<int>(seed % 3);
+    const auto wire = piece_test_wire(seed, tail);
+    Recorder expected;
+    const auto expected_error = FrameParser().parse(wire, expected);
+    util::Rng rng(seed ^ 0x91ece5);
+    struct Cut {
+      std::size_t pos, len, source;  // source 0 and 1 shared, 2 loose
+    };
+    std::vector<Cut> cuts;
+    std::size_t pos = 0;
+    for (const std::size_t cut : random_cuts(rng, wire.size(), 4000)) {
+      cuts.push_back({pos, cut - pos, rng.index(3)});
+      pos = cut;
+    }
+    std::string copy[2];
+    for (std::string& c : copy) c.assign(wire.begin(), wire.end());
+    for (const Cut& cut : cuts) {
+      for (std::size_t source = 0; source < 2; ++source) {
+        if (cut.source == source) continue;
+        for (std::size_t i = cut.pos; i < cut.pos + cut.len; ++i) {
+          copy[source][i] = static_cast<char>(~copy[source][i]);
+        }
+      }
+    }
+    const util::SharedBytes shared[2] = {
+        std::make_shared<const std::string>(std::move(copy[0])),
+        std::make_shared<const std::string>(std::move(copy[1]))};
+    std::vector<util::Piece> pieces;
+    for (const Cut& cut : cuts) {
+      if (cut.source == 2) {
+        pieces.push_back({std::span(wire).subspan(cut.pos, cut.len)});
+      } else {
+        pieces.push_back(
+            {util::bytes_of(*shared[cut.source]).subspan(cut.pos, cut.len),
+             &shared[cut.source]});
+      }
+    }
+    PieceRecorder got;
+    got.bodies = {shared[0].get(), shared[1].get()};
+    const auto error = parse_in_deliveries(pieces, got);
+    expect_same_parse(expected, expected_error, got, error,
+                      "seed " + std::to_string(seed));
+    copied += got.copied;
+    in_body += got.in_body;
+  }
+  EXPECT_GT(copied, 0u);
+  EXPECT_GT(in_body, 0u);
+}
+
+TEST(FrameParser, PayloadContinuingInAnotherBufferIsCopied) {
+  // One DATA frame: header and the first half of the payload in one shared
+  // buffer, the second half in another. The payload reaches on_data whole,
+  // from the parser's buffer.
+  std::vector<std::uint8_t> wire;
+  DataFrame d;
+  d.stream_id = 3;
+  d.data.assign(1000, 0x5a);
+  for (std::size_t i = 0; i < d.data.size(); ++i) {
+    d.data[i] = static_cast<std::uint8_t>(i);
+  }
+  serialize_into(Frame{d}, wire);
+  const util::SharedBytes a =
+      std::make_shared<const std::string>(wire.begin(), wire.end());
+  const util::SharedBytes b =
+      std::make_shared<const std::string>(wire.begin(), wire.end());
+  const std::size_t cut = kFrameHeaderSize + 500;
+  const util::Piece pieces[] = {
+      {util::bytes_of(*a).first(cut), &a},
+      {util::bytes_of(*b).subspan(cut), &b}};
+  for (const std::size_t first_call : {1u, 2u}) {
+    PieceRecorder got;
+    got.bodies = {a.get(), b.get()};
+    FrameParser parser;
+    EXPECT_FALSE(parser.parse(std::span(pieces).first(first_call), got));
+    EXPECT_FALSE(parser.parse(std::span(pieces).subspan(first_call), got));
+    ASSERT_EQ(got.recorder.frames.size(), 1u);
+    EXPECT_EQ(std::get<DataFrame>(got.recorder.frames[0]), d);
+    EXPECT_EQ(got.copied, 1u);
+    EXPECT_EQ(got.in_body, 0u);
   }
 }
 

@@ -2,10 +2,19 @@
 // the TCP model, both H2 endpoints and the renderer.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "core/dependency.h"
 #include "core/optimize.h"
 #include "core/strategy.h"
+#include "core/sim_transport.h"
 #include "core/testbed.h"
+#include "h2/connection.h"
+#include "server/replay_server.h"
+#include "sim/link.h"
 #include "http/url.h"
 #include "web/profiles.h"
 #include "web/site.h"
@@ -257,6 +266,113 @@ TEST(Integration, RelocatedSiteServesEverythingFromOneServer) {
   core::RunConfig cfg;
   const auto result = core::run_page_load(relocated, core::no_push(), cfg);
   ASSERT_TRUE(result.complete);
+}
+
+TEST(SimTransport, DataPayloadAliasesReplayBody) {
+  // One w-site's exchanges fetched over the testbed's transport (simulated
+  // TCP to a ReplayServer), the landing page pushing every pushable object:
+  // every on_data span lies inside the storage of the replay-store body it
+  // belongs to, so no layer between the store and the receiving connection
+  // copied the payload. Images and scripts are most of the bytes.
+  const web::Site site = web::make_w_site(7).site;
+  sim::Simulator sim;
+  sim::LinkConfig down_cfg;
+  down_cfg.rate_bps = 16e6;
+  down_cfg.prop_delay = sim::from_ms(2);
+  sim::LinkConfig up_cfg = down_cfg;
+  up_cfg.rate_bps = 1e6;
+  sim::Link down(sim, down_cfg, util::Rng(1));
+  sim::Link up(sim, up_cfg, util::Rng(2));
+  std::map<std::string, server::PushPolicy> policies;
+  server::PushPolicy& policy = policies[site.main_url.host];
+  policy.trigger_host = site.main_url.host;
+  policy.trigger_path = site.main_url.path;
+  policy.push_urls = web::pushable_urls(site);
+  server::ReplayServer::Config sc;
+  sc.store = site.store.get();
+  sc.origins = &site.origins;
+  sc.policies = &policies;
+  core::SimTransport<server::ReplayServer> transport(
+      sim, sim::TcpConfig{}, sim::Route{&up, sim::from_ms(23)},
+      sim::Route{&down, sim::from_ms(23)}, std::move(sc), nullptr, 0, 0);
+
+  std::map<std::uint32_t, const replay::RecordedExchange*> by_stream;
+  std::map<const replay::RecordedExchange*, std::size_t> received;
+  std::size_t spans = 0;
+  std::size_t image_or_script_spans = 0;
+  std::size_t outside = 0;
+  std::size_t pushed_streams = 0;
+  h2::Connection::Config cc;
+  cc.role = h2::Role::kClient;
+  h2::Connection::Callbacks cbs;
+  cbs.on_push_promise = [&](std::uint32_t, std::uint32_t promised,
+                            http::HeaderBlock headers) {
+    by_stream[promised] =
+        site.store->find(std::string(http::find_header(headers, ":authority")),
+                         std::string(http::find_header(headers, ":path")));
+    ++pushed_streams;
+  };
+  cbs.on_data = [&](std::uint32_t stream, std::span<const std::uint8_t> data,
+                    bool) {
+    const auto it = by_stream.find(stream);
+    ASSERT_TRUE(it != by_stream.end() && it->second != nullptr);
+    const std::string& body = *it->second->body;
+    const std::less<const std::uint8_t*> before;
+    const auto* lo = reinterpret_cast<const std::uint8_t*>(body.data());
+    const bool inside = !before(data.data(), lo) &&
+                        !before(lo + body.size(), data.data() + data.size());
+    if (!inside) ++outside;
+    ++spans;
+    const auto type = it->second->response.type;
+    if (type == http::ResourceType::kImage ||
+        type == http::ResourceType::kJs) {
+      ++image_or_script_spans;
+    }
+    received[it->second] += data.size();
+  };
+  h2::Connection client(cc, std::move(cbs));
+  std::vector<std::uint8_t> out;
+  const auto pump = [&] {
+    while (transport.writable() && client.want_write()) {
+      out.clear();
+      if (client.produce(out, transport.write_chunk()) == 0) break;
+      transport.send(out);
+    }
+  };
+  transport.set_receiver([&](std::span<const util::Piece> pieces) {
+    client.receive(pieces);
+    pump();
+  });
+  transport.set_writable_callback(pump);
+  transport.connect([&] {
+    client.start();
+    // The landing page first (it triggers the pushes), then every other
+    // exchange the store holds.
+    const auto* main = site.find(site.main_url);
+    ASSERT_NE(main, nullptr);
+    by_stream[client.submit_request(main->request.to_h2_headers())] = main;
+    for (const auto& exchange : site.store->all()) {
+      if (&exchange == main) continue;
+      by_stream[client.submit_request(exchange.request.to_h2_headers())] =
+          &exchange;
+    }
+    pump();
+  });
+  sim.run();
+
+  EXPECT_GT(pushed_streams, 0u);
+  EXPECT_GT(image_or_script_spans, 0u);
+  EXPECT_EQ(outside, 0u) << outside << " of " << spans
+                         << " on_data spans were copies";
+  // Every body arrived whole, once per request and once more if pushed.
+  for (const auto& exchange : site.store->all()) {
+    if (!exchange.body || exchange.body->empty()) continue;
+    const std::size_t bytes = received[&exchange];
+    EXPECT_TRUE(bytes == exchange.body->size() ||
+                bytes == 2 * exchange.body->size())
+        << exchange.request.url.str() << ": " << bytes;
+  }
+  EXPECT_TRUE(client.last_error().empty()) << client.last_error();
 }
 
 }  // namespace

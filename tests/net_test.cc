@@ -27,13 +27,18 @@ std::span<const std::uint8_t> as_bytes(const char* s) {
   return {reinterpret_cast<const std::uint8_t*>(s), std::strlen(s)};
 }
 
+/// Append to the buffer's tail, as the session writers do.
+void append(ByteBuffer& buf, std::span<const std::uint8_t> bytes) {
+  buf.tail().insert(buf.tail().end(), bytes.begin(), bytes.end());
+}
+
 // --- ByteBuffer ---
 
 TEST(ByteBufferTest, AppendConsumeRoundTrip) {
   ByteBuffer buf;
   EXPECT_TRUE(buf.empty());
-  buf.append(as_bytes("hello "));
-  buf.append(as_bytes("world"));
+  append(buf, as_bytes("hello "));
+  append(buf, as_bytes("world"));
   EXPECT_EQ(11u, buf.size());
   const auto view = buf.readable();
   EXPECT_EQ("hello world",
@@ -54,7 +59,7 @@ TEST(ByteBufferTest, CompactionPreservesContent) {
   for (std::size_t i = 0; i < block.size(); ++i) {
     block[i] = static_cast<std::uint8_t>(i & 0xff);
   }
-  buf.append(block);
+  append(buf, block);
   buf.consume(6000);  // dead prefix > 4096 and > live bytes: compacts
   ASSERT_EQ(block.size() - 6000, buf.size());
   const auto view = buf.readable();
@@ -65,7 +70,7 @@ TEST(ByteBufferTest, CompactionPreservesContent) {
 
 TEST(ByteBufferTest, TailAppendIsVisible) {
   ByteBuffer buf;
-  buf.append(as_bytes("ab"));
+  append(buf, as_bytes("ab"));
   buf.consume(1);
   auto& tail = buf.tail();
   tail.push_back('c');

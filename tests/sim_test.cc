@@ -9,6 +9,7 @@
 #include "sim/simulator.h"
 #include "sim/tcp.h"
 #include "trace/trace.h"
+#include "util/piece.h"
 
 // SteadyStateSchedulesWithoutHeapAllocation asserts the schedule/fire hot
 // path stops touching the heap once the event pool and queue are warm, and
@@ -483,8 +484,10 @@ struct TcpHarness {
   std::size_t server_received = 0;
   std::size_t pattern_sent = 0;
   // Deliveries of more than one segment (an in-order repair releasing the
-  // segments queued behind a hole) that straddle a send-buffer chunk.
-  std::size_t repairs_across_chunks = 0;
+  // segments queued behind a hole) that span several send-buffer pieces.
+  std::size_t repairs_across_pieces = 0;
+  // Client-side delivered pieces that alias a body sent by reference.
+  std::size_t shared_pieces = 0;
   bool mismatch = false;
   Time connected_at = -1;
   Time accepted_at = -1;
@@ -506,23 +509,33 @@ struct TcpHarness {
     TcpConnection::Callbacks cb;
     cb.on_connected = [this] { connected_at = sim.now(); };
     cb.on_accepted = [this] { accepted_at = sim.now(); };
-    cb.on_receive = [this](TcpConnection::Side side,
-                           std::span<const std::uint8_t> data) {
-      if (side == TcpConnection::Side::kClient) {
-        constexpr std::size_t kChunk = TcpConnection::kSendChunkBytes;
-        if (data.size() > TcpConfig{}.mss &&
-            client_received / kChunk !=
-                (client_received + data.size() - 1) / kChunk) {
-          ++repairs_across_chunks;
+    cb.on_deliver = [this](TcpConnection::Side side,
+                           std::span<const util::Piece> pieces) {
+      std::size_t bytes = 0;
+      for (const util::Piece& piece : pieces) bytes += piece.bytes.size();
+      if (side != TcpConnection::Side::kClient) {
+        server_received += bytes;
+        return;
+      }
+      if (bytes > TcpConfig{}.mss && pieces.size() > 1) {
+        ++repairs_across_pieces;
+      }
+      for (const util::Piece& piece : pieces) {
+        if (piece.owner != nullptr) {
+          // A shared piece is a slice of the body it was sent in.
+          ++shared_pieces;
+          const std::string& body = **piece.owner;
+          const auto offset = static_cast<std::size_t>(
+              piece.bytes.data() -
+              reinterpret_cast<const std::uint8_t*>(body.data()));
+          if (offset + piece.bytes.size() > body.size()) mismatch = true;
         }
-        for (const auto byte : data) {
+        for (const auto byte : piece.bytes) {
           if (byte != static_cast<std::uint8_t>(client_received % 251)) {
             mismatch = true;
           }
           ++client_received;
         }
-      } else {
-        server_received += data.size();
       }
     };
     tcp = std::make_unique<TcpConnection>(
@@ -530,14 +543,38 @@ struct TcpHarness {
         std::move(cb));
   }
 
-  /// Send the next `total` bytes of the i % 251 pattern.
-  void send_pattern(std::size_t total) {
-    std::vector<std::uint8_t> buf(total);
+  /// The next `total` bytes of the i % 251 pattern as an HTTP/2 server
+  /// sends them: each 9-byte frame header copied, each payload of up to
+  /// 16 KiB a slice of one shared body. `copies` keeps the copied bytes.
+  std::vector<util::Piece> pattern_pieces(std::size_t total,
+                                          util::SharedBytes& body,
+                                          std::vector<std::uint8_t>& copies) {
+    std::string bytes(total, '\0');
     for (std::size_t i = 0; i < total; ++i) {
-      buf[i] = static_cast<std::uint8_t>((pattern_sent + i) % 251);
+      bytes[i] = static_cast<char>((pattern_sent + i) % 251);
     }
     pattern_sent += total;
-    tcp->send(TcpConnection::Side::kServer, buf);
+    body = std::make_shared<const std::string>(std::move(bytes));
+    const auto all = util::bytes_of(*body);
+    copies.assign(all.begin(), all.end());
+    std::vector<util::Piece> pieces;
+    for (std::size_t pos = 0; pos < total;) {
+      const std::size_t header = std::min<std::size_t>(9, total - pos);
+      pieces.push_back({std::span(copies).subspan(pos, header)});
+      pos += header;
+      const std::size_t payload = std::min<std::size_t>(16384, total - pos);
+      if (payload > 0) pieces.push_back({all.subspan(pos, payload), &body});
+      pos += payload;
+    }
+    return pieces;
+  }
+
+  /// Send the next `total` bytes of the pattern (pattern_pieces()).
+  void send_pattern(std::size_t total) {
+    util::SharedBytes body;
+    std::vector<std::uint8_t> copies;
+    tcp->send(TcpConnection::Side::kServer,
+              pattern_pieces(total, body, copies));
   }
 };
 
@@ -596,43 +633,56 @@ TEST(Tcp, ThroughputApproachesLinkRate) {
 TEST(Tcp, SteadyTransferDoesNotAllocatePerSegment) {
   // Segments carry sequence ranges and the delivery closures live in pooled
   // event nodes, so once the buffers and the event pool are warm a bulk
-  // transfer allocates only a handful of times, not per segment.
+  // transfer allocates only a handful of times, not per segment: neither
+  // one sent as copied bytes nor one sent as pieces of a shared body.
   TcpHarness h;
   h.tcp->connect();
   h.sim.run();
   constexpr std::size_t kBytes = 251 * 8000;  // ~2 MB, whole pattern cycles
-  std::vector<std::uint8_t> pattern(kBytes);
-  for (std::size_t i = 0; i < kBytes; ++i) {
-    pattern[i] = static_cast<std::uint8_t>(i % 251);
-  }
-  h.tcp->send(TcpConnection::Side::kServer, pattern);  // warm-up
-  h.sim.run();
-  ASSERT_EQ(h.client_received, kBytes);
-
+  util::SharedBytes body;
+  std::vector<std::uint8_t> copies;
+  const auto pieces = h.pattern_pieces(kBytes, body, copies);
   // kBytes is a multiple of 251, so the pattern continues seamlessly.
-  const std::uint64_t packets_before = h.down.delivered_packets();
-  const std::size_t allocations_before = test_allocation_count();
-  h.tcp->send(TcpConnection::Side::kServer, pattern);
-  h.sim.run();
-  const std::size_t allocations =
-      test_allocation_count() - allocations_before;
-  const std::uint64_t segments = h.down.delivered_packets() - packets_before;
+  for (const bool shared : {false, true}) {
+    const auto send = [&] {
+      if (shared) {
+        h.tcp->send(TcpConnection::Side::kServer, pieces);
+      } else {
+        h.tcp->send(TcpConnection::Side::kServer, copies);
+      }
+    };
+    send();  // warm-up
+    h.sim.run();
+    const std::uint64_t packets_before = h.down.delivered_packets();
+    const std::size_t received_before = h.client_received;
+    const std::size_t shared_before = h.shared_pieces;
+    const std::size_t allocations_before = test_allocation_count();
+    send();
+    h.sim.run();
+    const std::size_t allocations =
+        test_allocation_count() - allocations_before;
+    const std::uint64_t segments =
+        h.down.delivered_packets() - packets_before;
 
-  EXPECT_EQ(h.client_received, 2 * kBytes);
-  EXPECT_FALSE(h.mismatch);
-  EXPECT_GE(segments, kBytes / 1460);
-  EXPECT_LT(allocations, segments / 10)
-      << allocations << " allocations for " << segments << " segments";
+    EXPECT_EQ(h.client_received - received_before, kBytes);
+    EXPECT_FALSE(h.mismatch);
+    EXPECT_EQ(h.shared_pieces > shared_before, shared);
+    EXPECT_GE(segments, kBytes / 1460);
+    EXPECT_LT(allocations, segments / 10)
+        << allocations << " allocations for " << segments << " segments"
+        << (shared ? " (shared)" : " (copied)");
+  }
   ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
 }
 
 TEST(Tcp, RepairDeliveryAcrossSendBufferChunksKeepsBytes) {
   // Under loss, the retransmission that fills a hole delivers every
-  // segment queued behind it as one span. When that span straddles two
-  // send-buffer chunks it is assembled in the connection's scratch buffer.
-  // The sender writes in pieces while earlier bytes are still in flight,
-  // so chunks are released and recycled mid-transfer.
-  std::size_t repairs_across_chunks = 0;
+  // segment queued behind it at once: one list of the send-buffer pieces
+  // it spans, copied frame headers and slices of shared bodies alike. The
+  // sender writes while earlier bytes are still in flight, so pieces and
+  // the chunks holding copied bytes are released and recycled
+  // mid-transfer.
+  std::size_t repairs_across_pieces = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     TcpHarness h(/*loss=*/0.02, seed, /*queue=*/64 * 1024);
     h.tcp->connect();
@@ -646,9 +696,41 @@ TEST(Tcp, RepairDeliveryAcrossSendBufferChunksKeepsBytes) {
     EXPECT_EQ(h.client_received, h.pattern_sent) << "seed " << seed;
     EXPECT_FALSE(h.mismatch) << "seed " << seed;
     EXPECT_GT(h.tcp->retransmissions(), 0u);
-    repairs_across_chunks += h.repairs_across_chunks;
+    EXPECT_GT(h.shared_pieces, 0u);
+    repairs_across_pieces += h.repairs_across_pieces;
   }
-  EXPECT_GT(repairs_across_chunks, 0u);
+  EXPECT_GT(repairs_across_pieces, 0u);
+}
+
+TEST(Tcp, OnReceiveFlattensEachDelivery) {
+  // A receiver that sets on_receive rather than on_deliver gets each
+  // delivery as one span, assembled when it spans several pieces.
+  TcpHarness h(/*loss=*/0.02, /*seed=*/3, /*queue=*/64 * 1024);
+  std::size_t received = 0;
+  std::size_t deliveries = 0;
+  bool mismatch = false;
+  TcpConnection::Callbacks cb;
+  cb.on_receive = [&](TcpConnection::Side side,
+                      std::span<const std::uint8_t> data) {
+    if (side != TcpConnection::Side::kClient) return;
+    ++deliveries;
+    for (const auto byte : data) {
+      if (byte != static_cast<std::uint8_t>(received++ % 251)) mismatch = true;
+    }
+  };
+  TcpConnection tcp(h.sim, TcpConfig{}, Route{&h.up, from_ms(23)},
+                    Route{&h.down, from_ms(23)}, std::move(cb));
+  tcp.connect();
+  h.sim.run(from_seconds(60));
+  util::SharedBytes body;
+  std::vector<std::uint8_t> copies;
+  tcp.send(TcpConnection::Side::kServer,
+           h.pattern_pieces(300'000, body, copies));
+  h.sim.run(h.sim.now() + from_seconds(300));
+  EXPECT_EQ(received, 300'000u);
+  EXPECT_FALSE(mismatch);
+  EXPECT_GT(tcp.retransmissions(), 0u);
+  EXPECT_LT(deliveries, 300'000u / 1460 + 1);  // some carried a repair
 }
 
 class TcpLossRecovery : public ::testing::TestWithParam<std::uint64_t> {};
