@@ -356,10 +356,9 @@ void FetchManager::h1_dispatch(Group& g) {
       };
       cbs.on_write_ready = [this, &c] { h1_pump(c); };
       c.conn = std::make_unique<http1::ClientConnection>(std::move(cbs));
-      c.transport->set_receiver(
-          [this, &c](std::span<const util::Piece> pieces) {
-            c.conn->receive(util::flatten(pieces, h1_scratch_));
-          });
+      c.transport->set_receiver([&c](std::span<const util::Piece> pieces) {
+        for (const util::Piece& piece : pieces) c.conn->receive(piece.bytes);
+      });
       c.transport->set_writable_callback([this, &c] { h1_pump(c); });
       c.transport->connect([this, &g, &c] {
         c.connected = true;

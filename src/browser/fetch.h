@@ -206,8 +206,6 @@ class FetchManager {
   // send() copies the bytes before it can call back into a pump, so a
   // nested pump may reuse it.
   std::vector<std::uint8_t> write_buf_;
-  // Flattens a delivery for an HTTP/1.1 connection.
-  std::vector<std::uint8_t> h1_scratch_;
   std::uint64_t pushed_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::size_t promises_received_ = 0;

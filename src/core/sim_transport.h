@@ -34,19 +34,30 @@ class SimTransport final : public browser::ClientTransport {
       if (on_connected_) on_connected_();
     };
     callbacks.on_accepted = [this] { pump_server(); };
-    callbacks.on_deliver = [this](sim::TcpConnection::Side side,
-                                  std::span<const util::Piece> pieces) {
-      if (side == sim::TcpConnection::Side::kServer) {
-        if constexpr (kSendsPieces) {
+    if constexpr (kSendsPieces) {
+      callbacks.on_deliver = [this](sim::TcpConnection::Side side,
+                                    std::span<const util::Piece> pieces) {
+        if (side == sim::TcpConnection::Side::kServer) {
           server_.connection().receive(pieces);
-        } else {
-          server_.connection().receive(util::flatten(pieces, scratch_));
+          pump_server();
+        } else if (receiver_) {
+          receiver_(pieces);
         }
-        pump_server();
-      } else if (receiver_) {
-        receiver_(pieces);
-      }
-    };
+      };
+    } else {
+      // HTTP/1.1 parsers read flat bytes: the TCP model flattens each
+      // delivery, and the browser gets it as one piece.
+      callbacks.on_receive = [this](sim::TcpConnection::Side side,
+                                    std::span<const std::uint8_t> bytes) {
+        if (side == sim::TcpConnection::Side::kServer) {
+          server_.connection().receive(bytes);
+          pump_server();
+        } else if (receiver_) {
+          const util::Piece piece{bytes};
+          receiver_(std::span<const util::Piece>(&piece, 1));
+        }
+      };
+    }
     callbacks.on_writable = [this](sim::TcpConnection::Side side) {
       if (side == sim::TcpConnection::Side::kServer) {
         pump_server();
@@ -123,8 +134,6 @@ class SimTransport final : public browser::ClientTransport {
   std::unique_ptr<sim::TcpConnection> tcp_;
   util::PieceList pieces_;              // reused by every HTTP/2 server write
   std::vector<std::uint8_t> write_buf_;  // ... and every HTTP/1.1 one
-  // Flattens a delivery to the HTTP/1.1 server.
-  std::vector<std::uint8_t> scratch_;
   sim::Time connect_stagger_ = 0;
   std::function<void()> on_connected_;
   std::function<void(std::span<const util::Piece>)> receiver_;

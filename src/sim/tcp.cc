@@ -15,29 +15,16 @@ const char* side_name(TcpConnection::Side side) {
 
 }  // namespace
 
-void TcpConnection::SendBuffer::add_chunk() {
-  // Chunks double from 4 KiB up to kSendChunkBytes: most halves copy only
-  // frame headers and control frames, a bulk copier soon gets full chunks.
-  const std::size_t capacity =
-      chunks_.empty() ? std::size_t{4096}
-                      : std::min(2 * chunks_.back().capacity, kSendChunkBytes);
-  Chunk chunk;
-  if (spare_.capacity >= capacity) {
-    chunk = std::move(spare_);
-    spare_ = Chunk{};
-  } else {
-    chunk.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
-    chunk.capacity = capacity;
-  }
-  chunks_.push_back(std::move(chunk));
-  tail_used_ = 0;
-}
-
 void TcpConnection::SendBuffer::append(std::span<const std::uint8_t> bytes) {
   while (!bytes.empty()) {
-    if (chunks_.empty() || tail_used_ == chunks_.back().capacity) add_chunk();
+    if (chunks_.empty() || tail_used_ == kSendChunkBytes) {
+      chunks_.push_back({spare_ ? std::move(spare_)
+                                : std::make_unique_for_overwrite<
+                                      std::uint8_t[]>(kSendChunkBytes)});
+      tail_used_ = 0;
+    }
     Chunk& chunk = chunks_.back();
-    const std::size_t n = std::min(chunk.capacity - tail_used_, bytes.size());
+    const std::size_t n = std::min(kSendChunkBytes - tail_used_, bytes.size());
     std::uint8_t* dst = chunk.bytes.get() + tail_used_;
     std::memcpy(dst, bytes.data(), n);
     // Bytes copied right behind the previous copy extend its piece.
@@ -96,19 +83,15 @@ void TcpConnection::SendBuffer::release_below(std::uint64_t acked) {
                    entries_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
+  // The last chunk takes the next copy until it is full.
   std::size_t released = 0;
   while (released + 1 < chunks_.size() &&
          chunks_[released].end_seq <= acked) {
-    if (chunks_[released].capacity > spare_.capacity) {
-      spare_ = std::move(chunks_[released]);
-    }
+    if (!spare_) spare_ = std::move(chunks_[released].bytes);
     ++released;
   }
   chunks_.erase(chunks_.begin(),
                 chunks_.begin() + static_cast<std::ptrdiff_t>(released));
-  // Every byte copied into the last chunk is acknowledged: copy into it
-  // again from its start.
-  if (chunks_.size() == 1 && chunks_.front().end_seq <= acked) tail_used_ = 0;
 }
 
 TcpConnection::TcpConnection(Simulator& sim, TcpConfig config, Route up,

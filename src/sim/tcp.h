@@ -101,19 +101,18 @@ class TcpConnection {
     trace_track_ = track;
   }
 
- private:
-  // Largest chunk of the send buffer's storage for copied bytes; the first
-  // chunk of a sending half is 4 KiB.
+  /// Size of each chunk of the send buffer's storage for copied bytes.
   static constexpr std::size_t kSendChunkBytes = 64 * 1024;
 
+ private:
   // A sender's application bytes from the first not fully acknowledged
   // piece up to app_end, as a list of pieces in sequence order. A piece
   // with an owner references a slice of a shared buffer (a response body
   // sent by reference); the others hold bytes copied into chunks of this
-  // buffer's own storage, which are never moved or reallocated. A piece is
-  // dropped once every byte in it is acknowledged, a chunk once every
-  // copied byte in it is; one dropped chunk is kept for the next copy, so a
-  // steady transfer allocates nothing.
+  // buffer's own kSendChunkBytes chunks, which are never moved or
+  // reallocated. A piece is dropped once every byte in it is acknowledged,
+  // a full chunk once every copied byte in it is; one dropped chunk is kept
+  // for the next copy, so a steady transfer allocates nothing.
   class SendBuffer {
    public:
     /// Copy `bytes` into the buffer's storage.
@@ -136,15 +135,13 @@ class TcpConnection {
     };
     struct Chunk {
       std::unique_ptr<std::uint8_t[]> bytes;
-      std::size_t capacity = 0;
       std::uint64_t end_seq = 0;  // one past the last byte copied into it
     };
-    void add_chunk();
 
     std::vector<Entry> entries_;
     std::size_t head_ = 0;  // entries_[head_] is the first piece held
     std::vector<Chunk> chunks_;
-    Chunk spare_;
+    std::unique_ptr<std::uint8_t[]> spare_;
     std::size_t tail_used_ = 0;  // bytes used in chunks_.back()
     std::uint64_t end_seq_ = 0;  // one past the last byte appended
   };

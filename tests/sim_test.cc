@@ -474,6 +474,11 @@ TEST(Link, TracedDeparturesKeepTheirTimes) {
 // --------------------------------------------------------------------- tcp
 
 struct TcpHarness {
+  // How send_pattern() hands the pattern to the connection: as bytes it
+  // copies, or as an HTTP/2 server writes a response body by reference.
+  enum class Send { kCopied, kPieces };
+  static constexpr Send kBothSends[] = {Send::kCopied, Send::kPieces};
+
   Simulator sim;
   // Every TCP test also runs under the mini-fuzz invariant checker: time
   // monotonic, pool accounting exact (fuzz/invariants.h).
@@ -483,9 +488,12 @@ struct TcpHarness {
   std::size_t client_received = 0;
   std::size_t server_received = 0;
   std::size_t pattern_sent = 0;
+  Send send = Send::kCopied;
   // Deliveries of more than one segment (an in-order repair releasing the
-  // segments queued behind a hole) that span several send-buffer pieces.
+  // segments queued behind a hole) that span several send-buffer pieces,
+  // and, while every byte is copied, that straddle a send-buffer chunk.
   std::size_t repairs_across_pieces = 0;
+  std::size_t repairs_across_chunks = 0;
   // Client-side delivered pieces that alias a body sent by reference.
   std::size_t shared_pieces = 0;
   bool mismatch = false;
@@ -519,6 +527,17 @@ struct TcpHarness {
       }
       if (bytes > TcpConfig{}.mss && pieces.size() > 1) {
         ++repairs_across_pieces;
+      }
+      if (send == Send::kCopied && bytes > 0) {
+        // Copied bytes fill fixed chunks from sequence 0, and consecutive
+        // copies into one chunk form one piece: a delivery is one piece
+        // per chunk it touches.
+        constexpr std::size_t kChunk = TcpConnection::kSendChunkBytes;
+        const std::size_t chunks =
+            (client_received + bytes - 1) / kChunk - client_received / kChunk +
+            1;
+        if (pieces.size() != chunks) mismatch = true;
+        if (bytes > TcpConfig{}.mss && chunks > 1) ++repairs_across_chunks;
       }
       for (const util::Piece& piece : pieces) {
         if (piece.owner != nullptr) {
@@ -569,12 +588,17 @@ struct TcpHarness {
     return pieces;
   }
 
-  /// Send the next `total` bytes of the pattern (pattern_pieces()).
+  /// Send the next `total` bytes of the pattern: copied, or as
+  /// pattern_pieces() when `send` is kPieces.
   void send_pattern(std::size_t total) {
     util::SharedBytes body;
     std::vector<std::uint8_t> copies;
-    tcp->send(TcpConnection::Side::kServer,
-              pattern_pieces(total, body, copies));
+    const auto pieces = pattern_pieces(total, body, copies);
+    if (send == Send::kPieces) {
+      tcp->send(TcpConnection::Side::kServer, pieces);
+    } else {
+      tcp->send(TcpConnection::Side::kServer, copies);
+    }
   }
 };
 
@@ -590,18 +614,23 @@ TEST(Tcp, HandshakeTakesTcpPlusTlsRoundTrips) {
 }
 
 TEST(Tcp, DeliversOrderedContent) {
-  TcpHarness h;
-  h.tcp->connect();
-  h.sim.run();
-  h.send_pattern(300000);
-  h.sim.run();
-  EXPECT_EQ(h.client_received, 300000u);
-  EXPECT_FALSE(h.mismatch);
-  EXPECT_EQ(h.tcp->retransmissions(), 0u);
-  ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
-  if (const auto leak = fuzz::check_drained(h.sim)) FAIL() << *leak;
-  if (const auto v = fuzz::check_link_conservation(h.down)) FAIL() << *v;
-  if (const auto v = fuzz::check_link_conservation(h.up)) FAIL() << *v;
+  for (const auto send : TcpHarness::kBothSends) {
+    SCOPED_TRACE(send == TcpHarness::Send::kPieces ? "pieces" : "copied");
+    TcpHarness h;
+    h.send = send;
+    h.tcp->connect();
+    h.sim.run();
+    h.send_pattern(300000);
+    h.sim.run();
+    EXPECT_EQ(h.client_received, 300000u);
+    EXPECT_FALSE(h.mismatch);
+    EXPECT_EQ(h.shared_pieces > 0, send == TcpHarness::Send::kPieces);
+    EXPECT_EQ(h.tcp->retransmissions(), 0u);
+    ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
+    if (const auto leak = fuzz::check_drained(h.sim)) FAIL() << *leak;
+    if (const auto v = fuzz::check_link_conservation(h.down)) FAIL() << *v;
+    if (const auto v = fuzz::check_link_conservation(h.up)) FAIL() << *v;
+  }
 }
 
 TEST(Tcp, SlowStartLimitsFirstRoundTrip) {
@@ -643,7 +672,10 @@ TEST(Tcp, SteadyTransferDoesNotAllocatePerSegment) {
   std::vector<std::uint8_t> copies;
   const auto pieces = h.pattern_pieces(kBytes, body, copies);
   // kBytes is a multiple of 251, so the pattern continues seamlessly.
+  // Copied first: the harness checks copied deliveries against chunk
+  // boundaries counted from sequence 0.
   for (const bool shared : {false, true}) {
+    h.send = shared ? TcpHarness::Send::kPieces : TcpHarness::Send::kCopied;
     const auto send = [&] {
       if (shared) {
         h.tcp->send(TcpConnection::Side::kServer, pieces);
@@ -678,28 +710,38 @@ TEST(Tcp, SteadyTransferDoesNotAllocatePerSegment) {
 TEST(Tcp, RepairDeliveryAcrossSendBufferChunksKeepsBytes) {
   // Under loss, the retransmission that fills a hole delivers every
   // segment queued behind it at once: one list of the send-buffer pieces
-  // it spans, copied frame headers and slices of shared bodies alike. The
-  // sender writes while earlier bytes are still in flight, so pieces and
-  // the chunks holding copied bytes are released and recycled
+  // it spans. Sent as copied bytes, such a delivery straddles two chunks
+  // of the buffer's storage; sent as pieces, it mixes copied frame headers
+  // with slices of shared bodies. The sender writes while earlier bytes are
+  // still in flight, so pieces and chunks are released and recycled
   // mid-transfer.
-  std::size_t repairs_across_pieces = 0;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    TcpHarness h(/*loss=*/0.02, seed, /*queue=*/64 * 1024);
-    h.tcp->connect();
-    h.sim.run(from_seconds(60));
-    ASSERT_GE(h.connected_at, 0) << "handshake never completed";
-    for (int piece = 0; piece < 12; ++piece) {
-      h.send_pattern(100'000);
-      h.sim.run(h.sim.now() + from_ms(150));
+  for (const auto send : TcpHarness::kBothSends) {
+    SCOPED_TRACE(send == TcpHarness::Send::kPieces ? "pieces" : "copied");
+    std::size_t repairs_across_pieces = 0;
+    std::size_t repairs_across_chunks = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      TcpHarness h(/*loss=*/0.02, seed, /*queue=*/64 * 1024);
+      h.send = send;
+      h.tcp->connect();
+      h.sim.run(from_seconds(60));
+      ASSERT_GE(h.connected_at, 0) << "handshake never completed";
+      for (int piece = 0; piece < 12; ++piece) {
+        h.send_pattern(100'000);
+        h.sim.run(h.sim.now() + from_ms(150));
+      }
+      h.sim.run(h.sim.now() + from_seconds(300));
+      EXPECT_EQ(h.client_received, h.pattern_sent) << "seed " << seed;
+      EXPECT_FALSE(h.mismatch) << "seed " << seed;
+      EXPECT_GT(h.tcp->retransmissions(), 0u);
+      EXPECT_EQ(h.shared_pieces > 0, send == TcpHarness::Send::kPieces);
+      repairs_across_pieces += h.repairs_across_pieces;
+      repairs_across_chunks += h.repairs_across_chunks;
     }
-    h.sim.run(h.sim.now() + from_seconds(300));
-    EXPECT_EQ(h.client_received, h.pattern_sent) << "seed " << seed;
-    EXPECT_FALSE(h.mismatch) << "seed " << seed;
-    EXPECT_GT(h.tcp->retransmissions(), 0u);
-    EXPECT_GT(h.shared_pieces, 0u);
-    repairs_across_pieces += h.repairs_across_pieces;
+    EXPECT_GT(repairs_across_pieces, 0u);
+    if (send == TcpHarness::Send::kCopied) {
+      EXPECT_GT(repairs_across_chunks, 0u);
+    }
   }
-  EXPECT_GT(repairs_across_pieces, 0u);
 }
 
 TEST(Tcp, OnReceiveFlattensEachDelivery) {
@@ -736,20 +778,24 @@ TEST(Tcp, OnReceiveFlattensEachDelivery) {
 class TcpLossRecovery : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TcpLossRecovery, RecoversContentUnderHeavyLoss) {
-  TcpHarness h(/*loss=*/0.05, /*seed=*/GetParam(), /*queue=*/64 * 1024);
-  h.tcp->connect();
-  h.sim.run(from_seconds(60));
-  ASSERT_GE(h.connected_at, 0) << "handshake never completed";
-  h.send_pattern(200000);
-  h.sim.run(from_seconds(120));
-  EXPECT_EQ(h.client_received, 200000u);
-  EXPECT_FALSE(h.mismatch);
-  EXPECT_GT(h.tcp->retransmissions(), 0u);
-  // Under loss, dropped packets must never enter the queue: conservation
-  // still holds on the delivered side.
-  ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
-  if (const auto v = fuzz::check_link_conservation(h.down)) FAIL() << *v;
-  if (const auto v = fuzz::check_link_conservation(h.up)) FAIL() << *v;
+  for (const auto send : TcpHarness::kBothSends) {
+    SCOPED_TRACE(send == TcpHarness::Send::kPieces ? "pieces" : "copied");
+    TcpHarness h(/*loss=*/0.05, /*seed=*/GetParam(), /*queue=*/64 * 1024);
+    h.send = send;
+    h.tcp->connect();
+    h.sim.run(from_seconds(60));
+    ASSERT_GE(h.connected_at, 0) << "handshake never completed";
+    h.send_pattern(200000);
+    h.sim.run(from_seconds(120));
+    EXPECT_EQ(h.client_received, 200000u);
+    EXPECT_FALSE(h.mismatch);
+    EXPECT_GT(h.tcp->retransmissions(), 0u);
+    // Under loss, dropped packets must never enter the queue: conservation
+    // still holds on the delivered side.
+    ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
+    if (const auto v = fuzz::check_link_conservation(h.down)) FAIL() << *v;
+    if (const auto v = fuzz::check_link_conservation(h.up)) FAIL() << *v;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TcpLossRecovery,

@@ -8,7 +8,8 @@
 // frame, so memcpy and malloc time lands on the caller that asked for it.
 // Prints each layer's share (the namespace under h2push::) and the top 20
 // charged frames. Needs no instrumentation and no build option: the binary
-// exports its symbols so dladdr can name them.
+// exports its symbols so dladdr can name them. Exits 1 unless the sim, h2
+// and browser layers are all sampled and most samples are named.
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <execinfo.h>
@@ -159,12 +160,22 @@ int main(int argc, char** argv) {
               cpu_s);
   print_top(by_layer, by_layer.size(), "layer");
   print_top(by_frame, 20, "innermost h2push frame");
-  std::size_t charged = 0;
-  for (const auto& [layer, count] : by_layer) charged += count;
-  if (total == 0 || charged != total) {
-    std::printf("\nFAILED: %zu of %zu samples charged\n", charged, total);
+  // A load runs through the simulator, the h2 codec and the browser, and
+  // most of its time is inside h2push: if frames cannot be named (symbols
+  // not exported), every sample lands outside.
+  const std::size_t outside = by_layer["(outside h2push)"];
+  for (const char* layer : {"sim", "h2", "browser"}) {
+    if (by_layer[layer] == 0) {
+      std::printf("\nFAILED: no sample charged to layer %s\n", layer);
+      return 1;
+    }
+  }
+  if (2 * outside >= total) {
+    std::printf("\nFAILED: %zu of %zu samples outside h2push\n", outside,
+                total);
     return 1;
   }
-  std::printf("\nlayer shares sum to 100.0%% of %zu samples\n", total);
+  std::printf("\nsim, h2 and browser sampled; %zu of %zu samples inside "
+              "h2push\n", total - outside, total);
   return 0;
 }
