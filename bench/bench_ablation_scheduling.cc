@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
   std::printf("\n[D] handshake share (third-party-heavy page, w17 model):\n");
   {
     const auto named = web::make_w_site(17);
-    // The TLS knob lives in sim::TcpConfig (tls_round_trips); the testbed
-    // pins 2 (TLS 1.2, as deployed when the paper measured).
+    // The TCP model's TLS handshake takes sim::kTlsRoundTrips = 2 round
+    // trips (TLS 1.2, as deployed when the paper measured).
     core::RunConfig cfg;
     cfg.cache = cache.get();
     const auto result = core::run_page_load(named.site, core::no_push(), cfg);

@@ -28,12 +28,11 @@ int main(int argc, char** argv) {
       chunks, [&](std::size_t c) {
         const std::size_t begin = c * stride;
         const std::size_t end = std::min(cfg.population, begin + stride);
-        return adoption::simulate_adoption_range(cfg, begin,
-                                                 std::max(begin, end));
+        return adoption::simulate_adoption_range(begin, std::max(begin, end));
       });
   std::vector<adoption::MonthlySample> samples(
-      static_cast<std::size_t>(cfg.months));
-  for (int m = 0; m < cfg.months; ++m) {
+      static_cast<std::size_t>(adoption::kScanMonths));
+  for (int m = 0; m < adoption::kScanMonths; ++m) {
     samples[static_cast<std::size_t>(m)].month = m;
   }
   for (const auto& part : partials) {

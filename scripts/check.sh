@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "=== layering: no simulator in the serving layers, codec below server, one write path ==="
+echo "=== layering: no simulator in the serving layers, codec below server, one write path and target ==="
 # src/server/ and src/net/ run inside the live daemon h2pushd; of the
 # simulator they may use only its time type.
 if grep -rnE '#include[[:space:]]*"sim/' src/server src/net |
@@ -38,6 +38,22 @@ fi
 if grep -rnE '(\.|->|::)[[:space:]]*produce_into\b' \
     src tests bench examples tools fuzz; then
   echo "produce_into is called outside perfbench/; call produce(out, max)" >&2
+  exit 1
+fi
+# One write target: simulated endpoints write straight into the TCP send
+# buffer through TcpConnection::write(side, produce). send(side, bytes) is
+# a wrapper kept for perfbench/, bench/ and tests, so nothing under src/
+# calls a send() member (the live layers use util::posix::send_retry).
+if grep -rnE '(\.|->)[[:space:]]*send[[:space:]]*\(' src; then
+  echo "src/ calls send(); write into the TCP send buffer with" \
+    "TcpConnection::write(side, produce)" >&2
+  exit 1
+fi
+# Only the TCP model flattens a delivery (for on_receive); everything else
+# reads pieces in place or produces flat bytes itself.
+if grep -rnE '\bflatten[[:space:]]*\(' src tests bench examples tools fuzz |
+    grep -vE '^src/(util/piece\.(h|cc)|sim/tcp\.cc):'; then
+  echo "util::flatten is called outside src/sim/tcp.cc" >&2
   exit 1
 fi
 echo "layering OK"

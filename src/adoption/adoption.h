@@ -12,15 +12,16 @@
 
 namespace h2push::adoption {
 
+// Calibrated to the paper's Fig. 1 (Alexa 1M over 2017).
+inline constexpr double kH2InitialFraction = 0.12;
+inline constexpr double kH2FinalFraction = 0.24;
+inline constexpr double kPushInitialFraction = 0.0004;
+inline constexpr double kPushFinalFraction = 0.0008;
+inline constexpr int kScanMonths = 12;
+inline constexpr std::uint64_t kSeed = 2017;
+
 struct AdoptionModelConfig {
   std::size_t population = 1'000'000;
-  // Calibrated to the paper's Fig. 1 (Alexa 1M over 2017).
-  double h2_initial_fraction = 0.12;
-  double h2_final_fraction = 0.24;
-  double push_initial_fraction = 0.0004;
-  double push_final_fraction = 0.0008;
-  int months = 12;
-  std::uint64_t seed = 2017;
 };
 
 struct MonthlySample {
@@ -31,14 +32,14 @@ struct MonthlySample {
 
 /// Simulate the year: every site draws adoption dates from the logistic
 /// model; a monthly scan counts the sites that have adopted by then.
-/// Each site's draws are counter-based in (seed, site index), so any
+/// Each site's draws are counter-based in (kSeed, site index), so any
 /// partition of the population reproduces the same totals.
 std::vector<MonthlySample> simulate_adoption(const AdoptionModelConfig& cfg);
 
 /// Scan only sites [begin, end). Summing the per-month counts of disjoint
 /// ranges covering the population equals simulate_adoption(cfg) exactly —
 /// the parallel bench harness fans ranges across its runner and merges.
-std::vector<MonthlySample> simulate_adoption_range(
-    const AdoptionModelConfig& cfg, std::size_t begin, std::size_t end);
+std::vector<MonthlySample> simulate_adoption_range(std::size_t begin,
+                                                   std::size_t end);
 
 }  // namespace h2push::adoption

@@ -9,6 +9,25 @@
 #include "util/strings.h"
 
 namespace h2push::browser {
+namespace {
+
+/// Write what a connection has queued while its transport takes it: an
+/// HTTP/2 group or one HTTP/1.1 connection, both writing whole frames or
+/// request bytes straight into the transport.
+template <typename Holder>
+void pump(Holder& holder) {
+  if (!holder.connected || !holder.transport) return;
+  auto& conn = *holder.conn;
+  const ClientTransport::Produce produce =
+      [&conn](util::PieceSink& out, std::size_t max_bytes) {
+        conn.produce(out, max_bytes);
+      };
+  while (holder.transport->writable() && conn.want_write()) {
+    if (holder.transport->write(produce) == 0) break;
+  }
+}
+
+}  // namespace
 
 void Fetch::subscribe(Subscriber subscriber) {
   // Replay what already happened, then attach for live events.
@@ -163,7 +182,7 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
     trace_fetch_begin(*fetch);
     g.by_stream[promised] = std::move(fetch);
   };
-  cbs.on_write_ready = [this, &g] { pump(g); };
+  cbs.on_write_ready = [&g] { pump(g); };
   cbs.on_stream_closed = [&g](std::uint32_t stream) {
     // Keep the Chromium priority chain healthy: closed streams must not be
     // chosen as dependency parents for future requests.
@@ -179,7 +198,7 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
   g.transport->set_receiver([&g](std::span<const util::Piece> pieces) {
     g.conn->receive(pieces);
   });
-  g.transport->set_writable_callback([this, &g] { pump(g); });
+  g.transport->set_writable_callback([&g] { pump(g); });
   g.transport->connect([this, &g] {
     g.connected = true;
     g.conn->start();
@@ -207,15 +226,6 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
     pump(g);
   });
   return g;
-}
-
-void FetchManager::pump(Group& g) {
-  if (!g.connected || !g.transport) return;
-  while (g.transport->writable() && g.conn->want_write()) {
-    write_buf_.clear();
-    if (g.conn->produce(write_buf_, g.transport->write_chunk()) == 0) break;
-    g.transport->send(write_buf_);
-  }
 }
 
 void FetchManager::trace_fetch_begin(Fetch& fetch) {
@@ -295,15 +305,6 @@ void FetchManager::handle_response_headers(
   }
 }
 
-void FetchManager::h1_pump(H1Conn& c) {
-  if (!c.connected || !c.transport) return;
-  while (c.transport->writable() && c.conn->want_write()) {
-    write_buf_.clear();
-    if (c.conn->produce(write_buf_, c.transport->write_chunk()) == 0) break;
-    c.transport->send(write_buf_);
-  }
-}
-
 void FetchManager::h1_dispatch(Group& g) {
   while (!g.h1_queue.empty()) {
     // An idle, connected H1 connection?
@@ -319,7 +320,7 @@ void FetchManager::h1_dispatch(Group& g) {
       g.h1_queue.pop_front();
       idle->current = std::move(fetch);
       idle->conn->submit_request(request_for(*idle->current));
-      h1_pump(*idle);
+      pump(*idle);
       continue;
     }
     // Room to open another connection (browsers cap at 6 per origin and
@@ -354,12 +355,12 @@ void FetchManager::h1_dispatch(Group& g) {
           h1_dispatch(g);
         }
       };
-      cbs.on_write_ready = [this, &c] { h1_pump(c); };
+      cbs.on_write_ready = [&c] { pump(c); };
       c.conn = std::make_unique<http1::ClientConnection>(std::move(cbs));
       c.transport->set_receiver([&c](std::span<const util::Piece> pieces) {
         for (const util::Piece& piece : pieces) c.conn->receive(piece.bytes);
       });
-      c.transport->set_writable_callback([this, &c] { h1_pump(c); });
+      c.transport->set_writable_callback([&c] { pump(c); });
       c.transport->connect([this, &g, &c] {
         c.connected = true;
         h1_dispatch(g);

@@ -38,12 +38,14 @@ class ClientTransport {
  public:
   virtual ~ClientTransport() = default;
   virtual void connect(std::function<void()> on_connected) = 0;
-  /// Queue bytes for the server. They are copied before send() returns or
-  /// calls back into the caller, so the caller may reuse its buffer.
-  virtual void send(std::span<const std::uint8_t> bytes) = 0;
+  /// Writes bytes for the server into `out`: about `max_bytes` of them.
+  using Produce =
+      std::function<void(util::PieceSink& out, std::size_t max_bytes)>;
+  /// Let `produce` write straight into the transport, with the transport's
+  /// write granularity (the TCP watermark) as `max_bytes`. Returns the
+  /// bytes written.
+  virtual std::size_t write(const Produce& produce) = 0;
   virtual bool writable() const = 0;
-  /// Preferred write granularity (the TCP watermark).
-  virtual std::size_t write_chunk() const = 0;
   /// Bytes from the server, one delivery per call, as the pieces they lie
   /// in (util/piece.h); valid only during the call.
   virtual void set_receiver(
@@ -179,12 +181,10 @@ class FetchManager {
   };
 
   Group& group_for(const std::string& host);
-  void pump(Group& g);
   void submit(Group& g, const std::shared_ptr<Fetch>& fetch);
   void handle_response_headers(const std::shared_ptr<Fetch>& fetch,
                                const http::HeaderBlock& headers, int status);
   void h1_dispatch(Group& g);
-  void h1_pump(H1Conn& c);
   http::Request request_for(const Fetch& fetch) const;
   void on_fetch_complete(const std::shared_ptr<Fetch>& fetch);
   void trace_fetch_begin(Fetch& fetch);
@@ -202,10 +202,6 @@ class FetchManager {
   std::vector<std::shared_ptr<Fetch>> fetches_;
   std::vector<std::shared_ptr<Fetch>> delayed_;  // throttled image requests
   std::function<void()> progress_;
-  // Every connection's writes go through this one buffer: a transport's
-  // send() copies the bytes before it can call back into a pump, so a
-  // nested pump may reuse it.
-  std::vector<std::uint8_t> write_buf_;
   std::uint64_t pushed_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::size_t promises_received_ = 0;

@@ -10,7 +10,8 @@
 // (§4.2 "the order is not stable across all runs").
 #pragma once
 
-#include <functional>
+#include <algorithm>
+#include <utility>
 
 #include "browser/config.h"
 #include "sim/simulator.h"
@@ -25,24 +26,21 @@ class MainThread {
 
   /// Queue a task costing `cost_ms` of main-thread time; `fn` runs when the
   /// cost has been "spent" (strictly after all previously queued tasks).
-  void post(double cost_ms, std::function<void()> fn) {
+  /// `fn` goes straight into the simulator's event, unboxed.
+  template <typename F>
+  void post(double cost_ms, F&& fn) {
     double cost = cost_ms;
     if (cost > 0) cost *= rng_.lognormal(0.0, kTaskJitterSigma);
     const sim::Time start = std::max(sim_.now(), busy_until_);
     const sim::Time done = start + sim::from_ms(cost);
     busy_until_ = done;
-    sim_.schedule_at(done, std::move(fn));
+    sim_.schedule_at(done, std::forward<F>(fn));
   }
-
-  sim::Time busy_until() const noexcept { return busy_until_; }
-  /// Total queued compute so far (diagnostics).
-  double total_cost_ms() const noexcept { return total_ms_; }
 
  private:
   sim::Simulator& sim_;
   util::Rng rng_;
   sim::Time busy_until_ = 0;
-  double total_ms_ = 0;
 };
 
 }  // namespace h2push::browser

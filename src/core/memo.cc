@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
@@ -153,6 +154,26 @@ constexpr std::uint64_t kCriticalCount =
     static_cast<std::uint64_t>(static_cast<std::size_t>(-1));
 }  // namespace pinned
 
+// TcpConfig has no field: the TCP model's parameters are constants that no
+// key hashes. A field added to it must be keyed (hashed in derive_key()),
+// or runs that differ only in it share a cache entry.
+static_assert(std::is_empty_v<sim::TcpConfig>,
+              "TcpConfig gained a field: hash it in derive_key(), bump "
+              "kCacheFormatVersion if existing keys move, then update this "
+              "guard");
+// The TCP constants as the current cache format simulates them. Changing
+// one changes results that no key records: bump kCacheFormatVersion, then
+// update these copies.
+static_assert(sim::kMss == 1460 && sim::kHeaderBytes == 40 &&
+                  sim::kInitialCwnd == 10.0 && sim::kInitialSsthresh == 1e9 &&
+                  sim::kRtoMin == sim::from_ms(200) &&
+                  sim::kRtoInitial == sim::from_ms(1000) &&
+                  sim::kTlsRoundTrips == 2 && sim::kTlsClientFlight == 512 &&
+                  sim::kTlsServerFlight == 4096 &&
+                  sim::kWriteWatermark == 2 * 1460,
+              "a TCP model constant changed: bump kCacheFormatVersion, then "
+              "update this guard");
+
 // A field added to a keyed struct must be hashed below, or runs that differ
 // only in it share a cache entry. These sizes (LP64 libstdc++) make such an
 // addition fail to compile until the hash function and this size are
@@ -160,10 +181,6 @@ constexpr std::uint64_t kCriticalCount =
 #if defined(__GLIBCXX__) && defined(__LP64__)
 static_assert(sizeof(browser::BrowserConfig) == 80,
               "BrowserConfig changed: hash the new field in hash_browser(), "
-              "bump kCacheFormatVersion if existing keys move, then update "
-              "this size");
-static_assert(sizeof(sim::TcpConfig) == 80,
-              "TcpConfig changed: hash the new field in hash_tcp_defaults(), "
               "bump kCacheFormatVersion if existing keys move, then update "
               "this size");
 static_assert(sizeof(sim::NetworkConditions) == 72,
@@ -201,36 +218,6 @@ void hash_browser(CanonicalHasher& h, const browser::BrowserConfig& b) {
   h.field_default("browser.use_http1", b.use_http1, false);
 }
 
-/// The testbed instantiates TcpConfig with its defaults on every
-/// connection; hashing those defaults means a change to the TCP model's
-/// parameters invalidates cached runs like any other semantic change.
-void hash_tcp_defaults(CanonicalHasher& h) {
-  const sim::TcpConfig t;
-  h.field_default("tcp.mss", static_cast<std::uint64_t>(t.mss),
-                  std::uint64_t{1460});
-  h.field_default("tcp.header_bytes",
-                  static_cast<std::uint64_t>(t.header_bytes),
-                  std::uint64_t{40});
-  h.field_default("tcp.initial_cwnd", t.initial_cwnd, 10.0);
-  h.field_default("tcp.initial_ssthresh", t.initial_ssthresh, 1e9);
-  h.field_default("tcp.rto_min", static_cast<std::int64_t>(t.rto_min),
-                  static_cast<std::int64_t>(sim::from_ms(200)));
-  h.field_default("tcp.rto_initial", static_cast<std::int64_t>(t.rto_initial),
-                  static_cast<std::int64_t>(sim::from_ms(1000)));
-  h.field_default("tcp.tls_round_trips",
-                  static_cast<std::int64_t>(t.tls_round_trips),
-                  std::int64_t{2});
-  h.field_default("tcp.tls_client_flight",
-                  static_cast<std::uint64_t>(t.tls_client_flight),
-                  std::uint64_t{512});
-  h.field_default("tcp.tls_server_flight",
-                  static_cast<std::uint64_t>(t.tls_server_flight),
-                  std::uint64_t{4096});
-  h.field_default("tcp.write_watermark",
-                  static_cast<std::uint64_t>(t.write_watermark),
-                  std::uint64_t{2 * 1460});
-}
-
 void hash_strategy(CanonicalHasher& h, const Strategy& s) {
   // strategy.name is cosmetic (nothing in the replay reads it) and
   // deliberately excluded: differently-named aliases of one configuration
@@ -258,7 +245,6 @@ Hash128 derive_key(const Hash128& site_hash, const Strategy& strategy,
   hash_strategy(h, strategy);
   hash_conditions(h, config.net);
   hash_browser(h, config.browser);
-  hash_tcp_defaults(h);
   h.field("run.seed", config.seed);
   h.field_default("run.index", static_cast<std::int64_t>(config.run_index),
                   std::int64_t{0});

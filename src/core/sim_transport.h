@@ -6,7 +6,6 @@
 #include <memory>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "browser/fetch.h"
 #include "server/h1_replay_server.h"
@@ -22,8 +21,7 @@ namespace h2push::core {
 template <typename Server>
 class SimTransport final : public browser::ClientTransport {
  public:
-  SimTransport(sim::Simulator& sim, sim::TcpConfig tcp_config,
-               sim::Route up, sim::Route down,
+  SimTransport(sim::Simulator& sim, sim::Route up, sim::Route down,
                typename Server::Config server_config,
                trace::TraceRecorder* trace, std::uint32_t trace_track,
                sim::Time connect_stagger)
@@ -34,7 +32,11 @@ class SimTransport final : public browser::ClientTransport {
       if (on_connected_) on_connected_();
     };
     callbacks.on_accepted = [this] { pump_server(); };
-    if constexpr (kSendsPieces) {
+    // Both servers write into the TCP send buffer, and the HTTP/2 one
+    // keeps response bodies by reference there. Deliveries differ: the
+    // HTTP/2 parsers read pieces in place, the HTTP/1.1 ones read each
+    // delivery flattened, as one span.
+    if constexpr (std::is_same_v<Server, server::ReplayServer>) {
       callbacks.on_deliver = [this](sim::TcpConnection::Side side,
                                     std::span<const util::Piece> pieces) {
         if (side == sim::TcpConnection::Side::kServer) {
@@ -45,8 +47,6 @@ class SimTransport final : public browser::ClientTransport {
         }
       };
     } else {
-      // HTTP/1.1 parsers read flat bytes: the TCP model flattens each
-      // delivery, and the browser gets it as one piece.
       callbacks.on_receive = [this](sim::TcpConnection::Side side,
                                     std::span<const std::uint8_t> bytes) {
         if (side == sim::TcpConnection::Side::kServer) {
@@ -65,8 +65,8 @@ class SimTransport final : public browser::ClientTransport {
         writable_cb_();
       }
     };
-    tcp_ = std::make_unique<sim::TcpConnection>(sim_, tcp_config, up, down,
-                                                std::move(callbacks));
+    tcp_ = std::make_unique<sim::TcpConnection>(sim_, sim::TcpConfig{}, up,
+                                                down, std::move(callbacks));
     if (trace != nullptr) {
       // TCP counters share the server session's track: cwnd next to frames.
       tcp_->set_trace(trace, trace_track);
@@ -85,13 +85,16 @@ class SimTransport final : public browser::ClientTransport {
       tcp_->connect();
     }
   }
-  void send(std::span<const std::uint8_t> bytes) override {
-    tcp_->send(sim::TcpConnection::Side::kClient, bytes);
+  std::size_t write(const browser::ClientTransport::Produce& produce)
+      override {
+    return tcp_->write(sim::TcpConnection::Side::kClient,
+                       [&produce](util::PieceSink& out) {
+                         produce(out, sim::kWriteWatermark);
+                       });
   }
   bool writable() const override {
     return tcp_->writable(sim::TcpConnection::Side::kClient);
   }
-  std::size_t write_chunk() const override { return 2 * 1460; }
   void set_receiver(
       std::function<void(std::span<const util::Piece>)> receiver) override {
     receiver_ = std::move(receiver);
@@ -106,25 +109,15 @@ class SimTransport final : public browser::ClientTransport {
   const sim::TcpConnection& tcp() const { return *tcp_; }
 
  private:
-  // The HTTP/2 server writes response bodies by reference; the HTTP/1.1
-  // baseline's server writes bytes.
-  static constexpr bool kSendsPieces =
-      std::is_same_v<Server, server::ReplayServer>;
-
   void pump_server() {
     auto& conn = server_.connection();
     while (tcp_->writable(sim::TcpConnection::Side::kServer) &&
            conn.want_write()) {
-      // send() takes the pieces before it can call back into this pump,
-      // so a nested pump may reuse the write buffer.
-      if constexpr (kSendsPieces) {
-        pieces_.clear();
-        if (conn.produce(pieces_, write_chunk()) == 0) break;
-        tcp_->send(sim::TcpConnection::Side::kServer, pieces_.pieces());
-      } else {
-        write_buf_.clear();
-        if (conn.produce(write_buf_, write_chunk()) == 0) break;
-        tcp_->send(sim::TcpConnection::Side::kServer, write_buf_);
+      if (tcp_->write(sim::TcpConnection::Side::kServer,
+                      [&conn](util::PieceSink& out) {
+                        conn.produce(out, sim::kWriteWatermark);
+                      }) == 0) {
+        break;
       }
     }
   }
@@ -132,8 +125,6 @@ class SimTransport final : public browser::ClientTransport {
   sim::Simulator& sim_;
   Server server_;
   std::unique_ptr<sim::TcpConnection> tcp_;
-  util::PieceList pieces_;              // reused by every HTTP/2 server write
-  std::vector<std::uint8_t> write_buf_;  // ... and every HTTP/1.1 one
   sim::Time connect_stagger_ = 0;
   std::function<void()> on_connected_;
   std::function<void(std::span<const util::Piece>)> receiver_;

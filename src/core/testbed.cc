@@ -102,7 +102,6 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
     const std::uint32_t track =
         tr != nullptr ? tr->register_track("server." + host) : 0;
 
-    sim::TcpConfig tcp_config;  // defaults: IW10, MSS 1460, TLS 1.2
     const auto stagger =
         sim::from_ms(rtt_rng.uniform(0.5, 12.0));  // DNS + socket setup
     const auto keep = [&tcps](auto transport)
@@ -115,7 +114,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
       h1c.store = site.store.get();
       h1c.defer = std::move(defer);
       return keep(std::make_unique<SimTransport<server::H1ReplayServer>>(
-          sim, tcp_config, up, down, std::move(h1c), tr, track, stagger));
+          sim, up, down, std::move(h1c), tr, track, stagger));
     }
     server::ReplayServer::Config sc;
     sc.store = site.store.get();
@@ -125,7 +124,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
     sc.trace = tr;
     sc.trace_track = track;
     return keep(std::make_unique<SimTransport<server::ReplayServer>>(
-        sim, tcp_config, up, down, std::move(sc), tr, track, stagger));
+        sim, up, down, std::move(sc), tr, track, stagger));
   };
 
   browser::BrowserConfig bc = config.browser;

@@ -19,16 +19,16 @@ std::string render_waterfall(const browser::PageLoadResult& result,
     t_max = std::max(t_max, r.t_complete_ms);
   }
   if (t_max <= 0) t_max = 1;
-  const double scale = static_cast<double>(options.width) / t_max;
+  const double scale = static_cast<double>(kWaterfallWidth) / t_max;
   const auto col = [&](double t) {
     return std::clamp(static_cast<int>(std::lround(t * scale)), 0,
-                      options.width);
+                      kWaterfallWidth);
   };
 
   char line[512];
   std::snprintf(line, sizeof(line),
                 "  %-34s %9s %9s %8s  0%*sms %.0f\n", "resource", "start",
-                "done", "size", options.width - 8, "", t_max);
+                "done", "size", kWaterfallWidth - 8, "", t_max);
   out += line;
 
   std::size_t rows = 0;
@@ -45,7 +45,7 @@ std::string render_waterfall(const browser::PageLoadResult& result,
     if (scheme != std::string::npos) label = label.substr(scheme + 2);
     if (label.size() > 34) label = "…" + label.substr(label.size() - 33);
 
-    std::string bar(static_cast<std::size_t>(options.width) + 1, ' ');
+    std::string bar(static_cast<std::size_t>(kWaterfallWidth) + 1, ' ');
     const int start = col(std::max(0.0, r.t_initiated_ms));
     const int first = col(std::max(0.0, r.t_headers_ms));
     const int done = col(std::max(0.0, r.t_complete_ms));
@@ -56,8 +56,7 @@ std::string render_waterfall(const browser::PageLoadResult& result,
 
     std::snprintf(line, sizeof(line), "  %-34s %8.1f %9.1f %7zuB  %s%s\n",
                   label.c_str(), r.t_initiated_ms, r.t_complete_ms, r.size,
-                  bar.c_str(),
-                  r.pushed ? (options.show_pushed ? "  [pushed]" : "") : "");
+                  bar.c_str(), r.pushed ? "  [pushed]" : "");
     out += line;
   }
 

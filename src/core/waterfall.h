@@ -13,14 +13,15 @@ class TraceRecorder;
 
 namespace h2push::core {
 
+/// Columns of the time axis.
+inline constexpr int kWaterfallWidth = 72;
+
 struct WaterfallOptions {
-  int width = 72;            ///< columns for the time axis
-  bool show_pushed = true;   ///< mark pushed resources
   std::size_t max_rows = 60; ///< truncate very large pages
 };
 
 /// Render resource timing bars ('■' transfer span, '·' wait-from-init),
-/// one row per resource, plus PLT/SI markers.
+/// one row per resource with pushed ones marked, plus PLT/SI markers.
 std::string render_waterfall(const browser::PageLoadResult& result,
                              const WaterfallOptions& options = {});
 

@@ -104,11 +104,9 @@ std::vector<MessageParser::Message> MessageParser::feed(
 
 // ---------------------------------------------------------------- outbox
 
-std::size_t Outbox::drain_into(std::vector<std::uint8_t>& out,
-                               std::size_t max_bytes) {
+std::size_t Outbox::drain_into(util::PieceSink& out, std::size_t max_bytes) {
   const std::size_t n = std::min(max_bytes, bytes_.size() - read_);
-  const char* begin = bytes_.data() + read_;
-  out.insert(out.end(), begin, begin + n);
+  out.write(util::bytes_of(bytes_).subspan(read_, n));
   read_ += n;
   if (read_ == bytes_.size()) {
     bytes_.clear();

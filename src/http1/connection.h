@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "http/message.h"
+#include "util/piece.h"
 
 namespace h2push::http1 {
 
@@ -67,9 +68,8 @@ class Outbox {
  public:
   void append(std::string_view bytes) { bytes_ += bytes; }
   bool empty() const noexcept { return read_ == bytes_.size(); }
-  /// Append up to `max_bytes` queued bytes to `out`; returns how many.
-  std::size_t drain_into(std::vector<std::uint8_t>& out,
-                         std::size_t max_bytes);
+  /// Write up to `max_bytes` queued bytes to `out`; returns how many.
+  std::size_t drain_into(util::PieceSink& out, std::size_t max_bytes);
 
  private:
   std::string bytes_;
@@ -101,8 +101,8 @@ class ClientConnection {
 
   void receive(std::span<const std::uint8_t> bytes);
   bool want_write() const noexcept { return !outbox_.empty(); }
-  /// Append up to `max_bytes` queued bytes to `out`; returns how many.
-  std::size_t produce(std::vector<std::uint8_t>& out, std::size_t max_bytes) {
+  /// Write up to `max_bytes` queued bytes to `out`; returns how many.
+  std::size_t produce(util::PieceSink& out, std::size_t max_bytes) {
     return outbox_.drain_into(out, max_bytes);
   }
 
@@ -134,8 +134,8 @@ class ServerConnection {
 
   void receive(std::span<const std::uint8_t> bytes);
   bool want_write() const noexcept { return !outbox_.empty(); }
-  /// Append up to `max_bytes` queued bytes to `out`; returns how many.
-  std::size_t produce(std::vector<std::uint8_t>& out, std::size_t max_bytes) {
+  /// Write up to `max_bytes` queued bytes to `out`; returns how many.
+  std::size_t produce(util::PieceSink& out, std::size_t max_bytes) {
     return outbox_.drain_into(out, max_bytes);
   }
 

@@ -9,7 +9,7 @@ namespace h2push::net {
 
 Transport::Transport(EventLoop& loop, int fd, Config config, Handlers handlers)
     : loop_(loop), fd_(fd), config_(config), handlers_(std::move(handlers)) {
-  read_buf_.resize(config_.read_chunk);
+  read_buf_.resize(kReadChunk);
   loop_.add_fd(fd_, EventLoop::kReadable,
                [this](std::uint32_t events) { on_events(events); });
 }

@@ -30,8 +30,9 @@ class Transport {
   struct Config {
     std::size_t high_watermark = 256 * 1024;  ///< stop pulling above this
     std::size_t low_watermark = 64 * 1024;    ///< resume pulling below this
-    std::size_t read_chunk = 64 * 1024;       ///< per-read syscall size
   };
+  /// Bytes asked of each read syscall.
+  static constexpr std::size_t kReadChunk = 64 * 1024;
 
   struct Handlers {
     /// Bytes arrived from the peer (already removed from the buffer).

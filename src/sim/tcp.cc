@@ -15,7 +15,7 @@ const char* side_name(TcpConnection::Side side) {
 
 }  // namespace
 
-void TcpConnection::SendBuffer::append(std::span<const std::uint8_t> bytes) {
+void TcpConnection::SendBuffer::write(std::span<const std::uint8_t> bytes) {
   while (!bytes.empty()) {
     if (chunks_.empty() || tail_used_ == kSendChunkBytes) {
       chunks_.push_back({spare_ ? std::move(spare_)
@@ -42,7 +42,7 @@ void TcpConnection::SendBuffer::append(std::span<const std::uint8_t> bytes) {
   }
 }
 
-void TcpConnection::SendBuffer::append_shared(
+void TcpConnection::SendBuffer::write_shared(
     const util::SharedBytes& owner, std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return;
   entries_.push_back({end_seq_, bytes, owner});
@@ -94,18 +94,13 @@ void TcpConnection::SendBuffer::release_below(std::uint64_t acked) {
                 chunks_.begin() + static_cast<std::ptrdiff_t>(released));
 }
 
-TcpConnection::TcpConnection(Simulator& sim, TcpConfig config, Route up,
+TcpConnection::TcpConnection(Simulator& sim, TcpConfig /*unused*/, Route up,
                              Route down, Callbacks callbacks)
-    : sim_(sim), config_(config), callbacks_(std::move(callbacks)) {
+    : sim_(sim), callbacks_(std::move(callbacks)) {
   up_.data_route = up;
   up_.ack_route = down;
   down_.data_route = down;
   down_.ack_route = up;
-  for (Half* h : {&up_, &down_}) {
-    h->cwnd = config_.initial_cwnd;
-    h->ssthresh = config_.initial_ssthresh;
-    h->rto = config_.rto_initial;
-  }
 }
 
 void TcpConnection::connect() {
@@ -113,8 +108,8 @@ void TcpConnection::connect() {
   // and loss like everything else; a lost packet is retransmitted with
   // exponential backoff (RFC 6298-style initial timer).
   handshake_step_ = 0;
-  handshake_total_steps_ = 2 + 2 * std::max(0, config_.tls_round_trips);
-  handshake_rto_ = config_.rto_initial;
+  handshake_total_steps_ = 2 + 2 * kTlsRoundTrips;
+  handshake_rto_ = kRtoInitial;
   send_handshake_packet();
 }
 
@@ -122,10 +117,8 @@ void TcpConnection::send_handshake_packet() {
   const int step = handshake_step_;
   if (step >= handshake_total_steps_) return;
   const bool upstream = (step % 2) == 0;  // client flights on even steps
-  std::size_t bytes = config_.header_bytes;
-  if (step >= 2) {
-    bytes += upstream ? config_.tls_client_flight : config_.tls_server_flight;
-  }
+  std::size_t bytes = kHeaderBytes;
+  if (step >= 2) bytes += upstream ? kTlsClientFlight : kTlsServerFlight;
   const Route& route = upstream ? up_.data_route : down_.data_route;
   route.transmit(bytes, [this, step] { advance_handshake(step); });
   sim_.cancel(handshake_timer_);
@@ -164,32 +157,20 @@ void TcpConnection::advance_handshake(int arrived_step) {
   send_handshake_packet();
 }
 
-void TcpConnection::send(Side side, std::span<const std::uint8_t> data) {
-  const util::Piece piece{data};
-  send(side, std::span<const util::Piece>(&piece, 1));
-}
-
-void TcpConnection::send(Side side, std::span<const util::Piece> pieces) {
-  Half& h = half(side);
-  for (const util::Piece& piece : pieces) {
-    if (piece.owner != nullptr) {
-      h.buffer.append_shared(*piece.owner, piece.bytes);
-    } else {
-      h.buffer.append(piece.bytes);
-    }
-    h.app_end += piece.bytes.size();
+void TcpConnection::written_by(Side sender) {
+  if (unsent_bytes(sender) >= kWriteWatermark) {
+    half(sender).writable_low = false;
   }
-  if (unsent_bytes(side) >= config_.write_watermark) h.writable_low = false;
-  try_send(side);
+  try_send(sender);
 }
 
 std::size_t TcpConnection::unsent_bytes(Side side) const noexcept {
   const Half& h = half(side);
-  return static_cast<std::size_t>(h.app_end - h.snd_nxt);
+  return static_cast<std::size_t>(h.buffer.end_seq() - h.snd_nxt);
 }
 
 bool TcpConnection::writable(Side side) const noexcept {
-  return unsent_bytes(side) < config_.write_watermark;
+  return unsent_bytes(side) < kWriteWatermark;
 }
 
 std::uint64_t TcpConnection::bytes_delivered_to(Side side) const noexcept {
@@ -222,14 +203,15 @@ void TcpConnection::try_send(Side sender) {
     // connected (on_accepted callers write after handshake by construction).
   }
   Half& h = half(sender);
-  const auto mss = static_cast<std::uint64_t>(config_.mss);
-  while (h.snd_nxt < h.app_end) {
+  const auto mss = static_cast<std::uint64_t>(kMss);
+  const std::uint64_t end = h.buffer.end_seq();
+  while (h.snd_nxt < end) {
     const std::uint64_t in_flight = h.snd_nxt - h.snd_una;
     const auto cwnd_bytes =
         static_cast<std::uint64_t>(h.cwnd * static_cast<double>(mss));
     if (in_flight + mss > cwnd_bytes && in_flight > 0) break;
     const std::size_t len = static_cast<std::size_t>(
-        std::min<std::uint64_t>(mss, h.app_end - h.snd_nxt));
+        std::min<std::uint64_t>(mss, end - h.snd_nxt));
     transmit_segment(sender, h.snd_nxt, len, /*is_retransmit=*/false);
     h.snd_nxt += len;
   }
@@ -255,7 +237,7 @@ void TcpConnection::transmit_segment(Side sender, std::uint64_t seq,
   } else if (is_retransmit && seq < h.sample_seq) {
     h.sample_sent_at = -1;  // invalidate sample spanning a retransmit
   }
-  h.data_route.transmit(len + config_.header_bytes,
+  h.data_route.transmit(len + kHeaderBytes,
                         [this, sender, seq, len] {
                           on_segment(sender, seq, len);
                         });
@@ -304,13 +286,13 @@ void TcpConnection::send_ack(Side data_sender) {
   Half& h = half(data_sender);
   const std::uint64_t ack = h.rcv_nxt;
   h.last_ack_sent = ack;
-  h.ack_route.transmit(config_.header_bytes,
+  h.ack_route.transmit(kHeaderBytes,
                        [this, data_sender, ack] { on_ack(data_sender, ack); });
 }
 
 void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
   Half& h = half(sender);
-  const auto mss_d = static_cast<double>(config_.mss);
+  const auto mss_d = static_cast<double>(kMss);
   if (ack > h.snd_una) {
     const std::uint64_t newly = ack - h.snd_una;
     h.snd_una = ack;
@@ -327,7 +309,7 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
         h.rttvar = (3 * h.rttvar + err) / 4;
         h.srtt = (7 * h.srtt + rtt) / 8;
       }
-      h.rto = std::max(config_.rto_min, h.srtt + 4 * h.rttvar);
+      h.rto = std::max(kRtoMin, h.srtt + 4 * h.rttvar);
       if (trace_) {
         trace_->counter(trace_track_, "tcp",
                         std::string("srtt_ms.") + side_name(sender),
@@ -344,8 +326,8 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
         h.cwnd = h.ssthresh;
       } else {
         // NewReno partial ACK: retransmit the next hole immediately.
-        const std::size_t len = static_cast<std::size_t>(std::min<
-            std::uint64_t>(config_.mss, h.app_end - h.snd_una));
+        const std::size_t len = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kMss, h.buffer.end_seq() - h.snd_una));
         if (len > 0)
           transmit_segment(sender, h.snd_una, len, /*is_retransmit=*/true);
       }
@@ -359,7 +341,7 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
       }
     }
     h.buffer.release_below(h.snd_una);
-    if (h.snd_una == h.app_end) {
+    if (h.snd_una == h.buffer.end_seq()) {
       sim_.cancel(h.rto_timer);
       h.rto_timer = kInvalidEvent;
     } else {
@@ -381,7 +363,7 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
                         {{"seq", h.snd_una}});
       }
       const std::size_t len = static_cast<std::size_t>(
-          std::min<std::uint64_t>(config_.mss, h.app_end - h.snd_una));
+          std::min<std::uint64_t>(kMss, h.buffer.end_seq() - h.snd_una));
       if (len > 0)
         transmit_segment(sender, h.snd_una, len, /*is_retransmit=*/true);
     } else if (h.dup_acks > 3 && h.in_recovery) {
@@ -405,10 +387,9 @@ void TcpConnection::arm_rto(Side sender) {
 void TcpConnection::on_rto(Side sender) {
   Half& h = half(sender);
   h.rto_timer = kInvalidEvent;
-  if (h.snd_una >= h.app_end) return;  // nothing outstanding
-  const double flight =
-      static_cast<double>(h.snd_nxt - h.snd_una) / static_cast<double>(
-          config_.mss);
+  if (h.snd_una >= h.buffer.end_seq()) return;  // nothing outstanding
+  const double flight = static_cast<double>(h.snd_nxt - h.snd_una) /
+                        static_cast<double>(kMss);
   h.ssthresh = std::max(flight / 2.0, 2.0);
   h.cwnd = 1.0;
   h.dup_acks = 0;
@@ -432,7 +413,7 @@ void TcpConnection::on_rto(Side sender) {
 
 void TcpConnection::maybe_signal_writable(Side sender) {
   Half& h = half(sender);
-  const bool low = unsent_bytes(sender) < config_.write_watermark;
+  const bool low = unsent_bytes(sender) < kWriteWatermark;
   if (low && !h.writable_low) {
     h.writable_low = true;
     if (callbacks_.on_writable) callbacks_.on_writable(sender);

@@ -2,8 +2,8 @@
 //
 // A bidirectional byte stream between a client and a server over two Routes
 // (uplink / downlink). The model is packet-granular Reno/NewReno:
-//   - 3-way handshake (1 RTT) followed by a configurable number of TLS
-//     round trips (2 by default, matching TLS 1.2 as deployed in 2018),
+//   - 3-way handshake (1 RTT) followed by kTlsRoundTrips TLS round trips
+//     (2: TLS 1.2 as deployed in 2018),
 //   - IW10 slow start, congestion avoidance, per-segment cumulative ACKs,
 //   - fast retransmit on 3 dup-ACKs with NewReno partial-ACK recovery,
 //   - RTO with Karn-style backoff.
@@ -11,18 +11,26 @@
 // what creates the "network idle time" that Server Push can fill, and what
 // makes large HTML documents take multiple round trips (paper §4.3, s8).
 //
-// Applications see an ordered byte stream (on_deliver or on_receive) and a
-// writability signal (on_writable) that fires when fewer than
-// `write_watermark` unsent bytes remain buffered, so schedulers make
-// frame-level decisions late — exactly how h2o interacts with its socket
-// buffers.
+// Applications write straight into the send buffer (write) and see an
+// ordered byte stream (on_deliver or on_receive) and a writability signal
+// (on_writable) that fires when fewer than kWriteWatermark unsent bytes
+// remain buffered, so schedulers make frame-level decisions late — exactly
+// how h2o interacts with its socket buffers.
+//
+// The parameters are the paper's testbed (§4.1) and no experiment varies
+// them, so they are constants, not settings. The run cache's keys do not
+// hash them: changing one changes results, so it needs a
+// kCacheFormatVersion bump (core/memo.h); a static_assert in core/memo.cc
+// holds a copy of them and fails the build until both are changed.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sim/link.h"
@@ -31,18 +39,22 @@
 
 namespace h2push::sim {
 
-struct TcpConfig {
-  std::size_t mss = 1460;
-  std::size_t header_bytes = 40;     ///< TCP/IP header per packet
-  double initial_cwnd = 10.0;        ///< segments (RFC 6928)
-  double initial_ssthresh = 1e9;     ///< effectively "no limit"
-  Time rto_min = from_ms(200);
-  Time rto_initial = from_ms(1000);
-  int tls_round_trips = 2;           ///< 2 = TLS 1.2 full handshake
-  std::size_t tls_client_flight = 512;   ///< bytes (ClientHello/Finished)
-  std::size_t tls_server_flight = 4096;  ///< bytes (cert chain)
-  std::size_t write_watermark = 2 * 1460;
-};
+inline constexpr std::size_t kMss = 1460;
+inline constexpr std::size_t kHeaderBytes = 40;  ///< TCP/IP header per packet
+inline constexpr double kInitialCwnd = 10.0;     ///< segments (RFC 6928)
+inline constexpr double kInitialSsthresh = 1e9;  ///< effectively "no limit"
+inline constexpr Time kRtoMin = from_ms(200);
+inline constexpr Time kRtoInitial = from_ms(1000);
+inline constexpr int kTlsRoundTrips = 2;  ///< TLS 1.2 full handshake
+inline constexpr std::size_t kTlsClientFlight = 512;   ///< ClientHello/Finished
+inline constexpr std::size_t kTlsServerFlight = 4096;  ///< cert chain
+inline constexpr std::size_t kWriteWatermark = 2 * 1460;
+
+/// No settings: the model's parameters are the constants above. Kept
+/// because the benchmark's TCP probe (perfbench/src/probes.cc), which is
+/// not edited alongside the library, passes TcpConfig{} to the constructor.
+struct TcpConfig {};
+static_assert(std::is_empty_v<TcpConfig>);
 
 class TcpConnection {
  public:
@@ -68,18 +80,34 @@ class TcpConnection {
   };
 
   /// `up` carries client→server packets, `down` server→client.
-  TcpConnection(Simulator& sim, TcpConfig config, Route up, Route down,
+  TcpConnection(Simulator& sim, TcpConfig, Route up, Route down,
                 Callbacks callbacks);
 
   /// Begin the handshake. on_connected fires when the client may write.
   void connect();
 
-  /// Queue application bytes for transmission from `side`; they are
-  /// copied before send() returns.
-  void send(Side side, std::span<const std::uint8_t> data);
-  /// Queue `pieces` in order: a piece with an owner is kept by reference
-  /// until acknowledged, any other is copied.
-  void send(Side side, std::span<const util::Piece> pieces);
+  /// The one way application bytes enter the connection: `produce(out)`
+  /// writes them from `side` straight into the send buffer, a
+  /// util::PieceSink. Bytes written with write() are copied; a slice
+  /// written with write_shared() is kept by reference until acknowledged.
+  /// Then transmission starts as far as the window allows. `produce` must
+  /// not write to this side again while it runs. Returns the bytes written.
+  template <typename Produce>
+  std::size_t write(Side side, Produce&& produce) {
+    Half& h = half(side);
+    assert(!h.writing && "nested TcpConnection::write on one side");
+    const std::uint64_t begin = h.buffer.end_seq();
+    h.writing = true;
+    std::forward<Produce>(produce)(static_cast<util::PieceSink&>(h.buffer));
+    h.writing = false;
+    const auto written = static_cast<std::size_t>(h.buffer.end_seq() - begin);
+    if (written != 0) written_by(side);
+    return written;
+  }
+  /// write() of a copy of `data`.
+  void send(Side side, std::span<const std::uint8_t> data) {
+    write(side, [data](util::PieceSink& out) { out.write(data); });
+  }
 
   bool connected() const noexcept { return connected_; }
   Time connect_end_time() const noexcept { return connect_end_time_; }
@@ -106,20 +134,22 @@ class TcpConnection {
 
  private:
   // A sender's application bytes from the first not fully acknowledged
-  // piece up to app_end, as a list of pieces in sequence order. A piece
+  // piece up to end_seq(), as a list of pieces in sequence order. A piece
   // with an owner references a slice of a shared buffer (a response body
   // sent by reference); the others hold bytes copied into chunks of this
   // buffer's own kSendChunkBytes chunks, which are never moved or
   // reallocated. A piece is dropped once every byte in it is acknowledged,
   // a full chunk once every copied byte in it is; one dropped chunk is kept
   // for the next copy, so a steady transfer allocates nothing.
-  class SendBuffer {
+  class SendBuffer final : public util::PieceSink {
    public:
     /// Copy `bytes` into the buffer's storage.
-    void append(std::span<const std::uint8_t> bytes);
+    void write(std::span<const std::uint8_t> bytes) override;
     /// Keep `bytes`, which lie inside `*owner`, by reference.
-    void append_shared(const util::SharedBytes& owner,
-                       std::span<const std::uint8_t> bytes);
+    void write_shared(const util::SharedBytes& owner,
+                      std::span<const std::uint8_t> bytes) override;
+    /// One past the sequence number of the last byte written.
+    std::uint64_t end_seq() const noexcept { return end_seq_; }
     /// Append to `out` the slices of the pieces holding bytes [from, to),
     /// which must be held.
     void slices(std::uint64_t from, std::uint64_t to,
@@ -143,7 +173,7 @@ class TcpConnection {
     std::vector<Chunk> chunks_;
     std::unique_ptr<std::uint8_t[]> spare_;
     std::size_t tail_used_ = 0;  // bytes used in chunks_.back()
-    std::uint64_t end_seq_ = 0;  // one past the last byte appended
+    std::uint64_t end_seq_ = 0;  // one past the last byte written
   };
 
   // One direction of application data flow.
@@ -156,16 +186,16 @@ class TcpConnection {
     // and snd_una never passes the receiver's rcv_nxt, so every byte not
     // yet delivered is still here.
     SendBuffer buffer;
+    bool writing = false;  // a write() is running on this side
     std::uint64_t snd_una = 0;
     std::uint64_t snd_nxt = 0;
-    std::uint64_t app_end = 0;
-    double cwnd = 10.0;
-    double ssthresh = 1e9;
+    double cwnd = kInitialCwnd;
+    double ssthresh = kInitialSsthresh;
     int dup_acks = 0;
     bool in_recovery = false;
     std::uint64_t recover = 0;
     EventId rto_timer = kInvalidEvent;
-    Time rto = from_ms(1000);
+    Time rto = kRtoInitial;
     Time srtt = 0;
     Time rttvar = 0;
     bool rtt_seeded = false;
@@ -191,6 +221,9 @@ class TcpConnection {
     return sender == Side::kClient ? Side::kServer : Side::kClient;
   }
 
+  // After write() put bytes on `sender`'s buffer: the watermark check,
+  // then transmission.
+  void written_by(Side sender);
   void advance_handshake(int arrived_step);
   void send_handshake_packet();
   void try_send(Side sender);
@@ -205,7 +238,6 @@ class TcpConnection {
   void trace_congestion(Side sender);
 
   Simulator& sim_;
-  TcpConfig config_;
   Callbacks callbacks_;
   Half up_;    // client → server
   Half down_;  // server → client
@@ -222,7 +254,7 @@ class TcpConnection {
   int handshake_step_ = -1;
   int handshake_total_steps_ = 0;
   EventId handshake_timer_ = kInvalidEvent;
-  Time handshake_rto_ = from_ms(1000);
+  Time handshake_rto_ = kRtoInitial;
 
   trace::TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_track_ = 0;

@@ -36,7 +36,9 @@ struct Piece {
   const SharedBytes* owner = nullptr;
 };
 
-/// Where a writer puts an ordered byte stream.
+/// Where a writer puts an ordered byte stream: the simulated TCP
+/// connection's send buffer (sim/tcp.h), which keeps shared slices, or a
+/// FlatSink.
 class PieceSink {
  public:
   /// Bytes valid only during the call: the sink copies them.
@@ -66,34 +68,9 @@ class FlatSink final : public PieceSink {
   std::vector<std::uint8_t>& out_;
 };
 
-/// The sink that keeps pieces: copied bytes go to one buffer, consecutive
-/// copies merging into one piece, and shared slices are kept by reference.
-/// Reused across batches, it allocates nothing once warm.
-class PieceList final : public PieceSink {
- public:
-  void write(std::span<const std::uint8_t> bytes) override;
-  void write_shared(const SharedBytes& owner,
-                    std::span<const std::uint8_t> bytes) override;
-
-  /// The pieces written since clear(), in order; valid until the next
-  /// write or clear.
-  std::span<const Piece> pieces();
-  void clear();
-
- private:
-  struct Run {
-    SharedBytes owner;  // null: `len` copied bytes at copied_[offset]
-    const std::uint8_t* data = nullptr;
-    std::size_t offset = 0;
-    std::size_t len = 0;
-  };
-  std::vector<std::uint8_t> copied_;
-  std::vector<Run> runs_;
-  std::vector<Piece> pieces_;
-};
-
 /// The bytes of `pieces` as one span: in place when there is one piece,
-/// else assembled in `scratch`.
+/// else assembled in `scratch`. The TCP model flattens deliveries with it
+/// for receivers that read flat bytes.
 std::span<const std::uint8_t> flatten(std::span<const Piece> pieces,
                                       std::vector<std::uint8_t>& scratch);
 

@@ -638,13 +638,59 @@ TEST(Connection, SubmitGoawayLetsStreamsFinish) {
   EXPECT_TRUE(p.client_error.empty());  // graceful GOAWAY, not an error
 }
 
+/// A sink that keeps what it is given as pieces, as the simulator's TCP
+/// send buffer does: copied bytes in one buffer (consecutive copies make
+/// one piece), shared slices by reference. Reused across batches, it
+/// allocates nothing once warm.
+class PieceCollector final : public util::PieceSink {
+ public:
+  void write(std::span<const std::uint8_t> bytes) override {
+    if (bytes.empty()) return;
+    if (runs_.empty() || runs_.back().owner) {
+      runs_.push_back({nullptr, nullptr, copied_.size(), 0});
+    }
+    copied_.insert(copied_.end(), bytes.begin(), bytes.end());
+    runs_.back().len += bytes.size();
+  }
+  void write_shared(const util::SharedBytes& owner,
+                    std::span<const std::uint8_t> bytes) override {
+    if (!bytes.empty()) runs_.push_back({owner, bytes.data(), 0, bytes.size()});
+  }
+  /// The pieces written since clear(), in order.
+  std::span<const util::Piece> pieces() {
+    pieces_.clear();
+    for (const Run& run : runs_) {
+      pieces_.push_back(
+          run.owner ? util::Piece{{run.data, run.len}, &run.owner}
+                    : util::Piece{{copied_.data() + run.offset, run.len}});
+    }
+    return pieces_;
+  }
+  void clear() {
+    copied_.clear();
+    runs_.clear();
+  }
+
+ private:
+  struct Run {
+    util::SharedBytes owner;  // null: `len` copied bytes at copied_[offset]
+    const std::uint8_t* data = nullptr;
+    std::size_t offset = 0;
+    std::size_t len = 0;
+  };
+  std::vector<std::uint8_t> copied_;
+  std::vector<Run> runs_;
+  std::vector<util::Piece> pieces_;
+};
+
 TEST(Connection, WarmBulkTransferAllocatesNothingPerDataFrame) {
   // A 1 MB response between two connections wired like the simulator: the
   // reader gets the writer's bytes in MSS-sized deliveries, so most DATA
   // frames are cut across deliveries. The server writes either flattened,
   // through the appending produce into one reused buffer, with cut frames
   // reassembled in the parser's buffer; or by reference, into a reused
-  // PieceList whose DATA payloads are slices of the body, read in place.
+  // PieceCollector whose DATA payloads are slices of the body, read in
+  // place.
   // Windows are large enough that no WINDOW_UPDATE is due. Once the
   // buffers are warm (a first identical exchange), the second response's
   // DATA allocates nothing.
@@ -697,7 +743,7 @@ TEST(Connection, WarmBulkTransferAllocatesNothingPerDataFrame) {
     server.start();
 
     std::vector<std::uint8_t> wire;
-    util::PieceList pieces;
+    PieceCollector pieces;
     std::vector<util::Piece> delivery;
     delivery.reserve(16);
     // Deliver `all` to `to` in slices of at most 1460 bytes each.

@@ -308,7 +308,7 @@ TEST(Adoption, RangePartitionSumsToFullScan) {
   const std::size_t edges[] = {0, 1, 4096, 17000, 50000};
   for (std::size_t c = 0; c + 1 < std::size(edges); ++c) {
     const auto part =
-        adoption::simulate_adoption_range(cfg, edges[c], edges[c + 1]);
+        adoption::simulate_adoption_range(edges[c], edges[c + 1]);
     for (std::size_t m = 0; m < part.size(); ++m) {
       merged[m].month = part[m].month;
       merged[m].h2_sites += part[m].h2_sites;

@@ -93,7 +93,8 @@ TEST(H1Client, SerializesRequestsOneAtATime) {
 
   // Only the first request is on the wire (no pipelining).
   std::vector<std::uint8_t> first;
-  client.produce(first, 1 << 20);
+  util::FlatSink first_sink(first);
+  client.produce(first_sink, 1 << 20);
   const std::string first_str(first.begin(), first.end());
   EXPECT_NE(first_str.find("GET /1"), std::string::npos);
   EXPECT_EQ(first_str.find("GET /2"), std::string::npos);
@@ -107,7 +108,8 @@ TEST(H1Client, SerializesRequestsOneAtATime) {
   EXPECT_EQ(headers_seen, 1);
   EXPECT_EQ(body, "ok");
   std::vector<std::uint8_t> second;
-  client.produce(second, 1 << 20);
+  util::FlatSink second_sink(second);
+  client.produce(second_sink, 1 << 20);
   const std::string second_str(second.begin(), second.end());
   EXPECT_NE(second_str.find("GET /2"), std::string::npos);
 }
@@ -125,7 +127,8 @@ TEST(H1Client, StreamsBodyIncrementally) {
   req.url = *http::parse_url("https://a.test/big");
   client.submit_request(req);
   std::vector<std::uint8_t> request;
-  client.produce(request, 1 << 20);
+  util::FlatSink request_sink(request);
+  client.produce(request_sink, 1 << 20);
   const std::string head = "HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\n";
   client.receive({reinterpret_cast<const std::uint8_t*>(head.data()),
                   head.size()});

@@ -15,6 +15,7 @@
 #include "h2/connection.h"
 #include "server/replay_server.h"
 #include "sim/link.h"
+#include "sim/tcp.h"
 #include "http/url.h"
 #include "web/profiles.h"
 #include "web/site.h"
@@ -293,7 +294,7 @@ TEST(SimTransport, DataPayloadAliasesReplayBody) {
   sc.origins = &site.origins;
   sc.policies = &policies;
   core::SimTransport<server::ReplayServer> transport(
-      sim, sim::TcpConfig{}, sim::Route{&up, sim::from_ms(23)},
+      sim, sim::Route{&up, sim::from_ms(23)},
       sim::Route{&down, sim::from_ms(23)}, std::move(sc), nullptr, 0, 0);
 
   std::map<std::uint32_t, const replay::RecordedExchange*> by_stream;
@@ -331,12 +332,13 @@ TEST(SimTransport, DataPayloadAliasesReplayBody) {
     received[it->second] += data.size();
   };
   h2::Connection client(cc, std::move(cbs));
-  std::vector<std::uint8_t> out;
   const auto pump = [&] {
     while (transport.writable() && client.want_write()) {
-      out.clear();
-      if (client.produce(out, transport.write_chunk()) == 0) break;
-      transport.send(out);
+      if (transport.write([&](util::PieceSink& out, std::size_t max_bytes) {
+            client.produce(out, max_bytes);
+          }) == 0) {
+        break;
+      }
     }
   };
   transport.set_receiver([&](std::span<const util::Piece> pieces) {
@@ -373,6 +375,136 @@ TEST(SimTransport, DataPayloadAliasesReplayBody) {
         << exchange.request.url.str() << ": " << bytes;
   }
   EXPECT_TRUE(client.last_error().empty()) << client.last_error();
+}
+
+TEST(WriteParity, TcpWriteDeliversWhatTheFlatProduceWrites) {
+  // The simulator's write path (produce straight into the TCP send buffer,
+  // response bodies by reference) and the live daemon's (produce flat into
+  // its socket buffer) must put the same bytes on the wire. Two identical
+  // server connections get the same requests and bodies; one is drained
+  // flat, the other through TcpConnection::write into a lossless simulated
+  // connection, and the client's delivered stream must equal the flat
+  // bytes for budgets from one MSS to the daemon's 256 KiB watermark.
+  const auto body_of = [](std::size_t size, std::uint8_t salt) {
+    std::string bytes(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<char>((i * 7 + salt) % 251);
+    }
+    return std::make_shared<const std::string>(std::move(bytes));
+  };
+  const std::vector<h2::Body> bodies = {body_of(120'000, 1), body_of(5'000, 2),
+                                        body_of(40'000, 3)};
+  const h2::Body pushed_body = body_of(30'000, 4);
+  const auto request_for = [](const std::string& path) {
+    http::Request request;
+    request.url = http::Url{"https", "parity.test", 443, path};
+    return request.to_h2_headers();
+  };
+  const auto response_for = [](const h2::Body& body) {
+    http::Response response;
+    response.status = 200;
+    response.body_size = body->size();
+    return response.to_h2_headers();
+  };
+
+  for (const std::size_t budget : {1460u, 2920u, 16384u, 262144u}) {
+    SCOPED_TRACE(budget);
+    h2::Connection::Config cc;
+    cc.role = h2::Role::kClient;
+    cc.initial_window = 1u << 24;
+    cc.connection_window_bonus = 1u << 24;
+    h2::Connection client(cc, {});
+    client.start();
+    for (const char* path : {"/index.html", "/style.css", "/app.js"}) {
+      client.submit_request(request_for(path));
+    }
+    const std::vector<std::uint8_t> requests = client.produce(1 << 20);
+
+    // Each server answers every request and pushes one more response on
+    // the first stream.
+    const auto make_server = [&] {
+      auto streams = std::make_shared<std::vector<std::uint32_t>>();
+      h2::Connection::Config sc;
+      sc.role = h2::Role::kServer;
+      h2::Connection::Callbacks cbs;
+      cbs.on_headers = [streams](std::uint32_t stream, http::HeaderBlock,
+                                 bool) { streams->push_back(stream); };
+      auto server = std::make_unique<h2::Connection>(sc, std::move(cbs));
+      server->receive(requests);
+      EXPECT_EQ(streams->size(), bodies.size());
+      const std::uint32_t promised = server->submit_push_promise(
+          streams->front(), request_for("/pushed.png"));
+      EXPECT_NE(promised, 0u);
+      for (std::size_t i = 0; i < streams->size(); ++i) {
+        server->submit_response((*streams)[i], response_for(bodies[i]),
+                                bodies[i]);
+      }
+      server->submit_response(promised, response_for(pushed_body),
+                              pushed_body);
+      return server;
+    };
+
+    // The daemon's way: flat, one budget at a time.
+    const auto flat_server = make_server();
+    std::vector<std::uint8_t> flat;
+    while (flat_server->want_write()) {
+      if (flat_server->produce(flat, budget) == 0) break;
+    }
+
+    // The simulator's way: into the send buffer, whenever it is writable.
+    const auto sim_server = make_server();
+    sim::Simulator sim;
+    sim::LinkConfig down_cfg;
+    down_cfg.rate_bps = 16e6;
+    down_cfg.prop_delay = sim::from_ms(2);
+    sim::LinkConfig up_cfg = down_cfg;
+    up_cfg.rate_bps = 1e6;
+    sim::Link down(sim, down_cfg, util::Rng(1));
+    sim::Link up(sim, up_cfg, util::Rng(2));
+    std::vector<std::uint8_t> delivered;
+    std::size_t shared_pieces = 0;
+    std::unique_ptr<sim::TcpConnection> tcp;
+    const auto pump = [&] {
+      while (tcp->writable(sim::TcpConnection::Side::kServer) &&
+             sim_server->want_write()) {
+        if (tcp->write(sim::TcpConnection::Side::kServer,
+                       [&](util::PieceSink& out) {
+                         sim_server->produce(out, budget);
+                       }) == 0) {
+          break;
+        }
+      }
+    };
+    sim::TcpConnection::Callbacks cbs;
+    cbs.on_accepted = pump;
+    cbs.on_writable = [&](sim::TcpConnection::Side side) {
+      if (side == sim::TcpConnection::Side::kServer) pump();
+    };
+    cbs.on_deliver = [&](sim::TcpConnection::Side side,
+                         std::span<const util::Piece> pieces) {
+      if (side != sim::TcpConnection::Side::kClient) return;
+      for (const util::Piece& piece : pieces) {
+        if (piece.owner != nullptr) ++shared_pieces;
+        delivered.insert(delivered.end(), piece.bytes.begin(),
+                         piece.bytes.end());
+      }
+    };
+    tcp = std::make_unique<sim::TcpConnection>(
+        sim, sim::TcpConfig{}, sim::Route{&up, sim::from_ms(23)},
+        sim::Route{&down, sim::from_ms(23)}, std::move(cbs));
+    tcp->connect();
+    sim.run();
+
+    EXPECT_EQ(tcp->retransmissions(), 0u);
+    EXPECT_GT(shared_pieces, 0u);
+    EXPECT_GT(flat.size(), 195'000u);  // every body, plus the frames
+    EXPECT_TRUE(delivered == flat)
+        << delivered.size() << " bytes delivered, " << flat.size()
+        << " written flat";
+    // And the stream is a valid server conversation.
+    client.receive(delivered);
+    EXPECT_TRUE(client.last_error().empty()) << client.last_error();
+  }
 }
 
 }  // namespace

@@ -525,7 +525,7 @@ struct TcpHarness {
         server_received += bytes;
         return;
       }
-      if (bytes > TcpConfig{}.mss && pieces.size() > 1) {
+      if (bytes > kMss && pieces.size() > 1) {
         ++repairs_across_pieces;
       }
       if (send == Send::kCopied && bytes > 0) {
@@ -537,7 +537,7 @@ struct TcpHarness {
             (client_received + bytes - 1) / kChunk - client_received / kChunk +
             1;
         if (pieces.size() != chunks) mismatch = true;
-        if (bytes > TcpConfig{}.mss && chunks > 1) ++repairs_across_chunks;
+        if (bytes > kMss && chunks > 1) ++repairs_across_chunks;
       }
       for (const util::Piece& piece : pieces) {
         if (piece.owner != nullptr) {
@@ -588,6 +588,22 @@ struct TcpHarness {
     return pieces;
   }
 
+  /// Write `pieces` from the server through TcpConnection::write, as an
+  /// HTTP/2 server's produce() does: a piece with an owner by reference,
+  /// any other copied.
+  static void write_pieces(TcpConnection& conn,
+                           std::span<const util::Piece> pieces) {
+    conn.write(TcpConnection::Side::kServer, [pieces](util::PieceSink& out) {
+      for (const util::Piece& piece : pieces) {
+        if (piece.owner != nullptr) {
+          out.write_shared(*piece.owner, piece.bytes);
+        } else {
+          out.write(piece.bytes);
+        }
+      }
+    });
+  }
+
   /// Send the next `total` bytes of the pattern: copied, or as
   /// pattern_pieces() when `send` is kPieces.
   void send_pattern(std::size_t total) {
@@ -595,7 +611,7 @@ struct TcpHarness {
     std::vector<std::uint8_t> copies;
     const auto pieces = pattern_pieces(total, body, copies);
     if (send == Send::kPieces) {
-      tcp->send(TcpConnection::Side::kServer, pieces);
+      write_pieces(*tcp, pieces);
     } else {
       tcp->send(TcpConnection::Side::kServer, copies);
     }
@@ -678,7 +694,7 @@ TEST(Tcp, SteadyTransferDoesNotAllocatePerSegment) {
     h.send = shared ? TcpHarness::Send::kPieces : TcpHarness::Send::kCopied;
     const auto send = [&] {
       if (shared) {
-        h.tcp->send(TcpConnection::Side::kServer, pieces);
+        TcpHarness::write_pieces(*h.tcp, pieces);
       } else {
         h.tcp->send(TcpConnection::Side::kServer, copies);
       }
@@ -766,8 +782,7 @@ TEST(Tcp, OnReceiveFlattensEachDelivery) {
   h.sim.run(from_seconds(60));
   util::SharedBytes body;
   std::vector<std::uint8_t> copies;
-  tcp.send(TcpConnection::Side::kServer,
-           h.pattern_pieces(300'000, body, copies));
+  TcpHarness::write_pieces(tcp, h.pattern_pieces(300'000, body, copies));
   h.sim.run(h.sim.now() + from_seconds(300));
   EXPECT_EQ(received, 300'000u);
   EXPECT_FALSE(mismatch);
