@@ -2,7 +2,8 @@
 # Full verification: layering checks on the codec and the serving code,
 # the tier-1 build + test pass, a build of the benchmark program in
 # perfbench/, then the same test suite under AddressSanitizer +
-# UndefinedBehaviorSanitizer, then the threaded runner tests under
+# UndefinedBehaviorSanitizer with assert()s compiled in, then the threaded
+# runner tests under
 # ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
 # not ABI-compatible with each other or the plain build; TSan in particular
 # excludes ASan).
@@ -97,7 +98,12 @@ echo "=== sanitizers: ASan + UBSan incl. fuzz smoke (build-asan/) ==="
 # is also the fuzz-smoke pass: every generator/mutator/harness trajectory
 # runs under ASan+UBSan at full iteration counts. Export H2PUSH_FUZZ_ITERS
 # to scale the fuzz tier (e.g. =500 for a quick pre-push cycle).
-cmake -B build-asan -S . -DH2PUSH_SANITIZE=address,undefined >/dev/null
+# The stage keeps the library's assert()s: RelWithDebInfo without -DNDEBUG,
+# so guards such as TcpConnection::write's nested-write check, the frame
+# parser's re-entrancy check and the renderer's token-lifetime check run.
+cmake -B build-asan -S . -DH2PUSH_SANITIZE=address,undefined \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
 cmake --build build-asan -j "$jobs"
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-asan --output-on-failure -j "$jobs"

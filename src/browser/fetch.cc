@@ -43,10 +43,14 @@ void Fetch::subscribe(Subscriber subscriber) {
   subscribers_.push_back(std::move(subscriber));
 }
 
+bool Fetch::keeps_body() const noexcept {
+  return type_ == http::ResourceType::kCss ||
+         type_ == http::ResourceType::kHtml;
+}
+
 void Fetch::receive(std::span<const std::uint8_t> data, bool fin) {
   size_ += data.size();
-  if (type_ == http::ResourceType::kCss ||
-      type_ == http::ResourceType::kHtml) {
+  if (keeps_body()) {
     body_.append(reinterpret_cast<const char*>(data.data()), data.size());
   }
   for (auto& sub : subscribers_) {
@@ -64,6 +68,10 @@ FetchManager::FetchManager(sim::Simulator& sim, const BrowserConfig& config,
       primary_host_(std::move(primary_host)),
       factory_(std::move(factory)) {
   host_group_ = origins_.coalescing_groups(primary_host_);
+  h2_request_ = request_for(Fetch{}).to_h2_headers();
+  assert(h2_request_[kSchemeField].name == ":scheme" &&
+         h2_request_[kAuthorityField].name == ":authority" &&
+         h2_request_[kPathField].name == ":path");
 }
 
 FetchManager::~FetchManager() {
@@ -262,9 +270,14 @@ http::Request FetchManager::request_for(const Fetch& fetch) const {
 }
 
 void FetchManager::submit(Group& g, const std::shared_ptr<Fetch>& fetch) {
-  const http::Request req = request_for(*fetch);
+  // The block request_for(*fetch).to_h2_headers() would build: only the
+  // URL's fields differ between requests, and assigning them reuses the
+  // strings' storage.
+  h2_request_[kSchemeField].value = fetch->url_.scheme;
+  h2_request_[kAuthorityField].value = fetch->url_.host;
+  h2_request_[kPathField].value = fetch->url_.path;
   const h2::PrioritySpec spec = g.prioritizer.plan(fetch->priority_);
-  const std::uint32_t id = g.conn->submit_request(req.to_h2_headers(), spec);
+  const std::uint32_t id = g.conn->submit_request(h2_request_, spec);
   g.prioritizer.commit(id, fetch->priority_);
   g.by_stream[id] = fetch;
   pump(g);
@@ -286,6 +299,7 @@ void FetchManager::handle_response_headers(
   if (!content_length.empty()) {
     fetch->expected_size_ = static_cast<std::size_t>(
         std::atoll(std::string(content_length).c_str()));
+    if (fetch->keeps_body()) fetch->body_.reserve(fetch->expected_size_);
   }
   // Link rel=preload response headers (server-aided dependency hints).
   for (const auto& header : headers) {

@@ -95,6 +95,8 @@ class Fetch {
  private:
   friend class FetchManager;
 
+  /// Whether body() keeps the bytes: stylesheets and HTML.
+  bool keeps_body() const noexcept;
   /// Count `data`, keep it if the type is kept, and stream it to the
   /// subscribers.
   void receive(std::span<const std::uint8_t> data, bool fin);
@@ -206,6 +208,12 @@ class FetchManager {
   std::uint64_t total_bytes_ = 0;
   std::size_t promises_received_ = 0;
   std::size_t pushes_cancelled_ = 0;
+  // The HTTP/2 request block, reused by every submit(): the pseudo-headers
+  // to_h2_headers() writes first, then request_for()'s fixed fields.
+  static constexpr std::size_t kSchemeField = 1;
+  static constexpr std::size_t kAuthorityField = 2;
+  static constexpr std::size_t kPathField = 3;
+  http::HeaderBlock h2_request_;
 };
 
 }  // namespace h2push::browser

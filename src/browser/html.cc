@@ -1,22 +1,35 @@
 #include "browser/html.h"
 
-#include <cctype>
-
 #include "util/strings.h"
 
 namespace h2push::browser {
 namespace {
 
-bool is_space(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
+using util::is_space;
 
 bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_' ||
-         c == ':' || c == '!';
+  return util::is_alnum(c) || c == '-' || c == '_' || c == ':' || c == '!';
 }
 
 }  // namespace
+
+void HtmlToken::add_attr(HtmlAttr attr) {
+  if (spilled_.empty() && inline_count_ < kInlineAttrs) {
+    inline_attrs_[inline_count_++] = attr;
+    return;
+  }
+  if (spilled_.empty()) {
+    spilled_.assign(inline_attrs_.begin(), inline_attrs_.end());
+  }
+  spilled_.push_back(attr);
+}
+
+const HtmlAttr* HtmlToken::find(std::string_view attr_name) const noexcept {
+  for (const HtmlAttr& a : attrs()) {
+    if (util::iequals(a.name, attr_name)) return &a;
+  }
+  return nullptr;
+}
 
 std::optional<HtmlToken> HtmlTokenizer::next() {
   const std::string& doc = *doc_;
@@ -28,7 +41,7 @@ std::optional<HtmlToken> HtmlTokenizer::next() {
       if (stop == std::string::npos) stop = doc.size();
       HtmlToken tok;
       tok.kind = HtmlToken::Kind::kText;
-      tok.text = doc.substr(start, stop - start);
+      tok.text = std::string_view(doc).substr(start, stop - start);
       tok.begin = start;
       tok.end = stop;
       pos_ = stop;
@@ -54,7 +67,7 @@ std::optional<HtmlToken> HtmlTokenizer::next() {
 }
 
 std::optional<HtmlToken> HtmlTokenizer::lex_tag() {
-  const std::string& doc = *doc_;
+  const std::string_view doc = *doc_;
   const std::size_t tag_start = pos_;
   std::size_t i = pos_ + 1;
   if (i >= doc.size()) return std::nullopt;
@@ -69,8 +82,8 @@ std::optional<HtmlToken> HtmlTokenizer::lex_tag() {
   std::size_t name_start = i;
   while (i < doc.size() && is_name_char(doc[i])) ++i;
   if (i >= doc.size()) return std::nullopt;  // name may continue
-  tok.name = util::to_lower(
-      std::string_view(doc).substr(name_start, i - name_start));
+  tok.name = doc.substr(name_start, i - name_start);
+  for (char& c : tok.name) c = util::to_lower(c);
 
   // Attributes, quote-aware, until '>'.
   while (true) {
@@ -91,9 +104,7 @@ std::optional<HtmlToken> HtmlTokenizer::lex_tag() {
            !is_space(doc[i]))
       ++i;
     if (i >= doc.size()) return std::nullopt;
-    std::string attr_name = util::to_lower(
-        std::string_view(doc).substr(attr_start, i - attr_start));
-    std::string attr_value;
+    HtmlAttr attr{doc.substr(attr_start, i - attr_start), {}};
     while (i < doc.size() && is_space(doc[i])) ++i;
     if (i < doc.size() && doc[i] == '=') {
       ++i;
@@ -104,31 +115,32 @@ std::optional<HtmlToken> HtmlTokenizer::lex_tag() {
         const std::size_t vstart = i;
         while (i < doc.size() && doc[i] != quote) ++i;
         if (i >= doc.size()) return std::nullopt;  // unterminated so far
-        attr_value = doc.substr(vstart, i - vstart);
+        attr.value = doc.substr(vstart, i - vstart);
         ++i;
       } else {
         const std::size_t vstart = i;
         while (i < doc.size() && !is_space(doc[i]) && doc[i] != '>') ++i;
         if (i >= doc.size()) return std::nullopt;
-        attr_value = doc.substr(vstart, i - vstart);
+        attr.value = doc.substr(vstart, i - vstart);
       }
     }
-    if (!attr_name.empty()) tok.attrs.emplace(std::move(attr_name),
-                                              std::move(attr_value));
+    if (!attr.name.empty()) tok.add_attr(attr);
   }
 
   tok.begin = tag_start;
   tok.end = i;
 
   // Raw-text elements: swallow content up to the matching close tag and
-  // attach it to the start token, so consumers see one unit.
+  // attach it to the start token, so consumers see one unit. The close tag
+  // must be written in lowercase.
   if (tok.kind == HtmlToken::Kind::kStartTag &&
       (tok.name == "script" || tok.name == "style") && !tok.self_closing) {
-    const std::string closing = "</" + tok.name;
+    const std::string_view closing =
+        tok.name == "script" ? "</script" : "</style";
     std::size_t close = i;
     while (true) {
       close = doc.find(closing, close);
-      if (close == std::string::npos) return std::nullopt;  // wait for more
+      if (close == std::string_view::npos) return std::nullopt;  // wait
       // Must be followed by '>' or whitespace then '>'.
       std::size_t j = close + closing.size();
       while (j < doc.size() && is_space(doc[j])) ++j;

@@ -8,39 +8,74 @@
 // read the same growing document buffer: the DOM parser (which blocks on
 // sync scripts) and the preload scanner (which races ahead to discover
 // fetchable resources — Chromium's speculative scanner).
+//
+// Tokens do not copy the document: text, script/style bodies and attribute
+// names and values are views into the buffer. They stay valid only until
+// the buffer next grows, so a consumer that keeps a token across an append
+// must copy what it keeps.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace h2push::browser {
 
+/// One attribute as written: `name` in its original case, `value` without
+/// its quotes (empty for a bare attribute such as `async`).
+struct HtmlAttr {
+  std::string_view name;
+  std::string_view value;
+};
+
 struct HtmlToken {
   enum class Kind : std::uint8_t { kStartTag, kEndTag, kText };
   Kind kind = Kind::kText;
-  std::string name;                          // lowercase tag name
-  std::map<std::string, std::string> attrs;  // lowercase attribute names
   bool self_closing = false;
-  std::string text;          // kText: raw text content (also script bodies)
+  /// Lowercase tag name. Every HTML tag name fits std::string's inline
+  /// buffer, so it costs no allocation.
+  std::string name;
+  std::string_view text;     // kText: raw text; script/style: the body
   std::size_t begin = 0;     // byte offset of the token start
   std::size_t end = 0;       // byte offset one past the token end
 
-  std::string_view attr(std::string_view name_sv) const {
-    const auto it = attrs.find(std::string(name_sv));
-    return it == attrs.end() ? std::string_view{} : std::string_view(it->second);
+  /// Every attribute in document order, duplicates included.
+  std::span<const HtmlAttr> attrs() const noexcept {
+    if (!spilled_.empty()) return spilled_;
+    return {inline_attrs_.data(), inline_count_};
   }
-  bool has_attr(std::string_view name_sv) const {
-    return attrs.count(std::string(name_sv)) != 0;
+  /// Value of the first attribute whose name equals `attr_name` ignoring
+  /// ASCII case (a repeated attribute is ignored, as in HTML5); empty if
+  /// there is none.
+  std::string_view attr(std::string_view attr_name) const noexcept {
+    const HtmlAttr* found = find(attr_name);
+    return found == nullptr ? std::string_view{} : found->value;
   }
+  bool has_attr(std::string_view attr_name) const noexcept {
+    return find(attr_name) != nullptr;
+  }
+
+ private:
+  friend class HtmlTokenizer;
+  // Generated tags carry at most five attributes; more spill to the heap.
+  static constexpr std::size_t kInlineAttrs = 6;
+
+  void add_attr(HtmlAttr attr);
+  const HtmlAttr* find(std::string_view attr_name) const noexcept;
+
+  std::array<HtmlAttr, kInlineAttrs> inline_attrs_{};
+  std::size_t inline_count_ = 0;
+  std::vector<HtmlAttr> spilled_;  // all of them, once there are more
 };
 
 /// A cursor over an externally owned, append-only document buffer.
 /// next() returns tokens that are *complete* in the buffer so far; a
-/// partially received tag yields nullopt until more bytes arrive.
+/// partially received tag yields nullopt until more bytes arrive. The
+/// token's views point into the buffer (see above).
 class HtmlTokenizer {
  public:
   explicit HtmlTokenizer(const std::string* doc) : doc_(doc) {}

@@ -84,16 +84,19 @@ void Renderer::schedule_scan() {
 }
 
 void Renderer::scan_slice() {
+  // Tokens are views into doc_ (browser/html.h): nothing a token starts
+  // may append to it before the token is done.
+  [[maybe_unused]] const char* const doc_bytes = doc_.data();
   while (auto token = scanner_.next()) {
     if (token->kind != HtmlToken::Kind::kStartTag) continue;
     if (token->name == "body") scanner_in_head_ = false;
     if (token->name == "link") {
-      const std::string rel = util::to_lower(std::string(token->attr("rel")));
+      const auto rel = token->attr("rel");
       const auto href = token->attr("href");
       if (href.empty()) continue;
-      if (rel == "stylesheet") {
+      if (util::iequals(rel, "stylesheet")) {
         fetches_.fetch(http::resolve(main_url_, href), NetPriority::kHighest);
-      } else if (rel == "preload") {
+      } else if (util::iequals(rel, "preload")) {
         fetches_.fetch(http::resolve(main_url_, href),
                        preload_priority(token->attr("as")));
       }
@@ -115,6 +118,7 @@ void Renderer::scan_slice() {
       }
     }
   }
+  assert(doc_.data() == doc_bytes);
   schedule_scan();  // more bytes may already be buffered
 }
 
@@ -139,6 +143,7 @@ void Renderer::schedule_parse() {
 }
 
 void Renderer::parse_slice() {
+  [[maybe_unused]] const char* const doc_bytes = doc_.data();  // as in scan_slice
   parser_yield_ = false;
   const std::size_t start = parser_.position();
   while (!blocked_script_ && !parser_yield_ &&
@@ -151,6 +156,7 @@ void Renderer::parse_slice() {
       return;
     }
     handle_token(*token);
+    assert(doc_.data() == doc_bytes);
   }
   if (!blocked_script_ && !parser_yield_) schedule_parse();
 }
@@ -184,11 +190,11 @@ void Renderer::handle_token(const HtmlToken& token) {
   if (tag.name == "body") in_head_ = false;
 
   if (tag.name == "link") {
-    const std::string rel = util::to_lower(std::string(tag.attr("rel")));
+    const auto rel = tag.attr("rel");
     const auto href = tag.attr("href");
-    if (rel == "stylesheet") {
+    if (util::iequals(rel, "stylesheet")) {
       if (!href.empty()) add_stylesheet(http::resolve(main_url_, href));
-    } else if (rel == "preload" && !href.empty()) {
+    } else if (util::iequals(rel, "preload") && !href.empty()) {
       fetches_.fetch(http::resolve(main_url_, href),
                      preload_priority(tag.attr("as")));
     }
@@ -264,14 +270,14 @@ void Renderer::add_stylesheet(const http::Url& url) {
   sheets_[index].fetch->subscribe(std::move(sub));
 }
 
-void Renderer::add_inline_style(const std::string& text) {
+void Renderer::add_inline_style(std::string_view text) {
   const std::size_t index = sheets_.size();
   sheets_.push_back(Sheet{});
   // Inline styles are parsed synchronously as part of the parse task.
   on_sheet_loaded(index, text);
 }
 
-void Renderer::on_sheet_loaded(std::size_t index, const std::string& body) {
+void Renderer::on_sheet_loaded(std::size_t index, std::string_view body) {
   Sheet& sheet = sheets_[index];
   // Fetch keeps the bytes of every stylesheet response (fetch.h).
   assert(!sheet.fetch || sheet.fetch->body().size() == sheet.fetch->size());
@@ -299,7 +305,6 @@ void Renderer::on_sheet_loaded(std::size_t index, const std::string& body) {
           unit.weight = static_cast<double>(kViewportWidth) * 240;
           unit.above_fold = y < kViewportHeight;
           unit.sheet_epoch = index + 1;
-          unit.path = path;
           unit.resource = fetch;
           if (unit.above_fold) total_af_weight_ += unit.weight;
           units_.push_back(std::move(unit));
@@ -356,7 +361,7 @@ void Renderer::handle_script_tag(const HtmlToken& tag) {
   }
   // Inline script: waits for earlier stylesheets (CSSOM), then executes.
   parser_yield_ = true;
-  script.inline_body = tag.text;
+  script.inline_size = tag.text.size();
   blocked_script_ = std::move(script);
   maybe_resume_parser();
 }
@@ -366,7 +371,7 @@ void Renderer::execute_script(const BlockedScript& script) {
   if (cost < 0) {
     const double size = script.fetch
                             ? static_cast<double>(script.fetch->size())
-                            : static_cast<double>(script.inline_body.size());
+                            : static_cast<double>(script.inline_size);
     cost = size / kJsExecRateBytesPerMs;
   }
   main_.post(cost, [this, loads = script.data_loads] {
@@ -440,10 +445,6 @@ void Renderer::add_image_unit(const HtmlToken& tag,
   unit.weight = width * height;
   unit.above_fold = unit.y_top < kViewportHeight;
   unit.sheet_epoch = sheets_.size();
-  ElementPath path = current_path();
-  path.chain.push_back({"img", parse_classes(tag.attr("class")),
-                        std::string(tag.attr("id"))});
-  unit.path = std::move(path);
   unit.resource = fetch;
   if (unit.above_fold) total_af_weight_ += unit.weight;
   units_.push_back(std::move(unit));

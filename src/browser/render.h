@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "browser/config.h"
@@ -73,7 +74,7 @@ class Renderer {
     double weight = 0;       // px area
     bool above_fold = false;
     std::size_t sheet_epoch = 0;  // stylesheets preceding this unit
-    ElementPath path;             // for font resolution
+    ElementPath path;             // text units only: font resolution
     std::shared_ptr<Fetch> resource;  // images/backgrounds
     bool painted = false;
     double painted_fraction = 0;  // images paint progressively
@@ -81,7 +82,7 @@ class Renderer {
 
   struct BlockedScript {
     std::shared_ptr<Fetch> fetch;  // null for inline scripts
-    std::string inline_body;
+    std::size_t inline_size = 0;   // inline scripts: body bytes
     double exec_ms_attr = -1;      // data-exec-ms override
     std::string data_loads;
     std::size_t sheet_epoch = 0;   // stylesheets it must wait for
@@ -100,8 +101,8 @@ class Renderer {
 
   // --- subresources ---
   void add_stylesheet(const http::Url& url);
-  void add_inline_style(const std::string& text);
-  void on_sheet_loaded(std::size_t index, const std::string& body);
+  void add_inline_style(std::string_view text);
+  void on_sheet_loaded(std::size_t index, std::string_view body);
   void handle_script_tag(const HtmlToken& token);
   void execute_script(const BlockedScript& script);
   void maybe_resume_parser();

@@ -90,7 +90,7 @@ struct LayoutPass {
         case browser::HtmlToken::Kind::kStartTag: {
           if (t->name == "body") in_head = false;
           if (t->name == "link") {
-            if (util::to_lower(std::string(t->attr("rel"))) == "stylesheet") {
+            if (util::iequals(t->attr("rel"), "stylesheet")) {
               const auto href = t->attr("href");
               if (!href.empty()) {
                 stylesheets.push_back(

@@ -6,15 +6,32 @@
 
 namespace h2push::http {
 
-std::string Url::origin() const {
-  const bool default_port = (scheme == "https" && port == 443) ||
-                            (scheme == "http" && port == 80);
-  std::string out = scheme + "://" + host;
-  if (!default_port) out += ":" + std::to_string(port);
+namespace {
+
+/// "scheme://host[:port]" followed by `suffix`, built in one string of
+/// exactly its size.
+std::string origin_then(const Url& url, std::string_view suffix) {
+  const bool default_port = (url.scheme == "https" && url.port == 443) ||
+                            (url.scheme == "http" && url.port == 80);
+  char port[8] = {':'};
+  std::size_t port_size = 0;
+  if (!default_port) {
+    port_size = static_cast<std::size_t>(
+        std::to_chars(port + 1, port + sizeof port, url.port).ptr - port);
+  }
+  std::string out;
+  out.reserve(url.scheme.size() + 3 + url.host.size() + port_size +
+              suffix.size());
+  out.append(url.scheme).append("://").append(url.host);
+  out.append(port, port_size).append(suffix);
   return out;
 }
 
-std::string Url::str() const { return origin() + path; }
+}  // namespace
+
+std::string Url::origin() const { return origin_then(*this, {}); }
+
+std::string Url::str() const { return origin_then(*this, path); }
 
 util::Expected<Url, std::string> parse_url(std::string_view s) {
   Url url;

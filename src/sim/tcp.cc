@@ -50,20 +50,25 @@ void TcpConnection::SendBuffer::write_shared(
 }
 
 void TcpConnection::SendBuffer::slices(std::uint64_t from, std::uint64_t to,
-                                       std::vector<util::Piece>& out) const {
+                                       std::vector<util::Piece>& out) {
   assert(from <= to && to <= end_seq_);
-  // The first piece holding `from`: pieces lie in sequence order.
-  auto it = std::partition_point(
-      entries_.begin() + static_cast<std::ptrdiff_t>(head_), entries_.end(),
-      [from](const Entry& e) { return e.seq + e.bytes.size() <= from; });
-  for (; from < to; ++it) {
-    assert(it != entries_.end() && it->seq <= from);
-    const auto offset = static_cast<std::size_t>(from - it->seq);
+  // The first piece holding `from`: pieces lie in sequence order, and each
+  // delivery starts where the last one ended, at or after the cursor.
+  assert(cursor_ >= head_ &&
+         (cursor_ == entries_.size() || entries_[cursor_].seq <= from));
+  while (cursor_ < entries_.size() &&
+         entries_[cursor_].seq + entries_[cursor_].bytes.size() <= from) {
+    ++cursor_;
+  }
+  for (std::size_t i = cursor_; from < to; ++i) {
+    assert(i < entries_.size() && entries_[i].seq <= from);
+    const Entry& e = entries_[i];
+    const auto offset = static_cast<std::size_t>(from - e.seq);
     const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(it->bytes.size() - offset, to - from));
-    out.push_back({it->bytes.subspan(offset, n),
-                   it->owner ? &it->owner : nullptr});
+        std::min<std::uint64_t>(e.bytes.size() - offset, to - from));
+    out.push_back({e.bytes.subspan(offset, n), e.owner ? &e.owner : nullptr});
     from += n;
+    cursor_ = i;
   }
 }
 
@@ -73,14 +78,19 @@ void TcpConnection::SendBuffer::release_below(std::uint64_t acked) {
     entries_[head_].owner.reset();
     ++head_;
   }
+  // Only delivered bytes are acknowledged, so the cursor stays at or past
+  // the first piece held.
+  cursor_ = std::max(cursor_, head_);
   if (head_ == entries_.size()) {
     entries_.clear();
     head_ = 0;
+    cursor_ = 0;
   } else if (head_ >= 64 && 2 * head_ >= entries_.size()) {
     // Never drained (a long bulk transfer): drop the released prefix once
     // it is most of the list.
     entries_.erase(entries_.begin(),
                    entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    cursor_ -= head_;
     head_ = 0;
   }
   // The last chunk takes the next copy until it is full.
@@ -198,10 +208,6 @@ void TcpConnection::trace_congestion(Side sender) {
 }
 
 void TcpConnection::try_send(Side sender) {
-  if (!connected_ && sender == Side::kServer) {
-    // The server may buffer before the handshake completes; data flows once
-    // connected (on_accepted callers write after handshake by construction).
-  }
   Half& h = half(sender);
   const auto mss = static_cast<std::uint64_t>(kMss);
   const std::uint64_t end = h.buffer.end_seq();

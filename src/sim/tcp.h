@@ -151,9 +151,10 @@ class TcpConnection {
     /// One past the sequence number of the last byte written.
     std::uint64_t end_seq() const noexcept { return end_seq_; }
     /// Append to `out` the slices of the pieces holding bytes [from, to),
-    /// which must be held.
+    /// which must be held. Each call must start where the last one ended
+    /// or later, as in-order deliveries do.
     void slices(std::uint64_t from, std::uint64_t to,
-                std::vector<util::Piece>& out) const;
+                std::vector<util::Piece>& out);
     /// Drop the pieces and chunks whose bytes all lie below `acked`.
     void release_below(std::uint64_t acked);
 
@@ -170,6 +171,7 @@ class TcpConnection {
 
     std::vector<Entry> entries_;
     std::size_t head_ = 0;  // entries_[head_] is the first piece held
+    std::size_t cursor_ = 0;  // the piece the last slices() call ended in
     std::vector<Chunk> chunks_;
     std::unique_ptr<std::uint8_t[]> spare_;
     std::size_t tail_used_ = 0;  // bytes used in chunks_.back()

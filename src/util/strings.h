@@ -20,6 +20,15 @@ constexpr char to_lower(char c) noexcept {
   return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
+/// Equal ignoring ASCII case.
+constexpr bool iequals(std::string_view a, std::string_view b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (to_lower(a[i]) != to_lower(b[i])) return false;
+  }
+  return true;
+}
+
 /// Split on a delimiter; empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char delim);
 

@@ -2,25 +2,37 @@
 // selector matching, Chromium prioritizer chain, and visual-progress math.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <string>
+
 #include "browser/css.h"
 #include "browser/html.h"
 #include "browser/metrics.h"
 #include "browser/priorities.h"
+#include "util/rng.h"
+#include "util/strings.h"
+#include "web/profiles.h"
 
 namespace h2push::browser {
 namespace {
 
 // -------------------------------------------------------------- tokenizer
 
+// The tokens are views into `doc`, which must outlive them.
 std::vector<HtmlToken> tokenize_all(const std::string& doc) {
   HtmlTokenizer tok(&doc);
   std::vector<HtmlToken> out;
   while (auto t = tok.next()) out.push_back(std::move(*t));
   return out;
 }
+std::vector<HtmlToken> tokenize_all(std::string&&) = delete;
 
 TEST(HtmlTokenizer, BasicTagsAndText) {
-  const auto tokens = tokenize_all("<p class=\"a b\">hello</p>");
+  const std::string doc = "<p class=\"a b\">hello</p>";
+  const auto tokens = tokenize_all(doc);
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[0].kind, HtmlToken::Kind::kStartTag);
   EXPECT_EQ(tokens[0].name, "p");
@@ -31,8 +43,8 @@ TEST(HtmlTokenizer, BasicTagsAndText) {
 }
 
 TEST(HtmlTokenizer, AttributeVariants) {
-  const auto tokens = tokenize_all(
-      "<img src='a.png' width=600 async data-x=\"1\">");
+  const std::string doc = "<img src='a.png' width=600 async data-x=\"1\">";
+  const auto tokens = tokenize_all(doc);
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].attr("src"), "a.png");
   EXPECT_EQ(tokens[0].attr("width"), "600");
@@ -41,8 +53,9 @@ TEST(HtmlTokenizer, AttributeVariants) {
 }
 
 TEST(HtmlTokenizer, ScriptContentIsSwallowed) {
-  const auto tokens = tokenize_all(
-      "<script>var a = '<p>not a tag</p>';</script><p>x</p>");
+  const std::string doc =
+      "<script>var a = '<p>not a tag</p>';</script><p>x</p>";
+  const auto tokens = tokenize_all(doc);
   ASSERT_GE(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].name, "script");
   EXPECT_EQ(tokens[0].text, "var a = '<p>not a tag</p>';");
@@ -50,8 +63,8 @@ TEST(HtmlTokenizer, ScriptContentIsSwallowed) {
 }
 
 TEST(HtmlTokenizer, CommentsAndDoctypeSkipped) {
-  const auto tokens =
-      tokenize_all("<!DOCTYPE html><!-- <p>ignored</p> --><div></div>");
+  const std::string doc = "<!DOCTYPE html><!-- <p>ignored</p> --><div></div>";
+  const auto tokens = tokenize_all(doc);
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].name, "div");
 }
@@ -63,8 +76,14 @@ TEST(HtmlTokenizer, IncrementalAcrossChunkBoundaries) {
   // Feed the document byte by byte; the token stream must match the
   // all-at-once result, modulo text tokens splitting at chunk boundaries
   // (consumers accumulate text, so splits are semantically transparent).
-  auto normalize = [](std::vector<HtmlToken> tokens) {
-    std::vector<HtmlToken> out;
+  // A token's views die when the buffer grows, so each is copied on arrival.
+  struct Owned {
+    HtmlToken::Kind kind;
+    std::string name;
+    std::string text;
+  };
+  auto normalize = [](std::vector<Owned> tokens) {
+    std::vector<Owned> out;
     for (auto& t : tokens) {
       if (t.kind == HtmlToken::Kind::kText && !out.empty() &&
           out.back().kind == HtmlToken::Kind::kText) {
@@ -75,13 +94,18 @@ TEST(HtmlTokenizer, IncrementalAcrossChunkBoundaries) {
     }
     return out;
   };
-  const auto expected = normalize(tokenize_all(full));
+  auto own = [](const HtmlToken& t) {
+    return Owned{t.kind, t.name, std::string(t.text)};
+  };
+  std::vector<Owned> all;
+  for (const auto& t : tokenize_all(full)) all.push_back(own(t));
+  const auto expected = normalize(std::move(all));
   std::string doc;
   HtmlTokenizer tok(&doc);
-  std::vector<HtmlToken> got;
+  std::vector<Owned> got;
   for (char c : full) {
     doc.push_back(c);
-    while (auto t = tok.next()) got.push_back(std::move(*t));
+    while (auto t = tok.next()) got.push_back(own(*t));
   }
   got = normalize(std::move(got));
   ASSERT_EQ(got.size(), expected.size());
@@ -110,6 +134,346 @@ TEST(HtmlTokenizer, ByteOffsetsAreAccurate) {
   EXPECT_EQ(tokens[0].end, 3u);
   EXPECT_EQ(tokens[1].begin, 3u);  // <p>
   EXPECT_EQ(tokens[1].end, 6u);
+}
+
+// The tokenizer as it was when tokens owned their bytes: a std::map of
+// lowercased attribute names (emplace keeps the first occurrence) and a
+// std::string for every text run and raw-text body. The view-based
+// tokenizer must give the same tokens on any input.
+struct ReferenceToken {
+  HtmlToken::Kind kind = HtmlToken::Kind::kText;
+  std::string name;
+  std::map<std::string, std::string> attrs;
+  bool self_closing = false;
+  std::string text;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+class ReferenceTokenizer {
+ public:
+  explicit ReferenceTokenizer(const std::string* doc) : doc_(doc) {}
+
+  std::optional<ReferenceToken> next() {
+    const std::string& doc = *doc_;
+    while (pos_ < doc.size()) {
+      if (doc[pos_] != '<') {
+        const std::size_t start = pos_;
+        std::size_t stop = doc.find('<', pos_);
+        if (stop == std::string::npos) stop = doc.size();
+        ReferenceToken tok;
+        tok.text = doc.substr(start, stop - start);
+        tok.begin = start;
+        tok.end = stop;
+        pos_ = stop;
+        return tok;
+      }
+      if (doc.compare(pos_, 4, "<!--") == 0) {
+        const std::size_t close = doc.find("-->", pos_ + 4);
+        if (close == std::string::npos) return std::nullopt;
+        pos_ = close + 3;
+        continue;
+      }
+      if (pos_ + 1 < doc.size() && doc[pos_ + 1] == '!') {
+        const std::size_t close = doc.find('>', pos_);
+        if (close == std::string::npos) return std::nullopt;
+        pos_ = close + 1;
+        continue;
+      }
+      return lex_tag();
+    }
+    return std::nullopt;
+  }
+
+ private:
+  static bool is_space(char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
+  static bool is_name_char(char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '-' ||
+           c == '_' || c == ':' || c == '!';
+  }
+
+  std::optional<ReferenceToken> lex_tag() {
+    const std::string& doc = *doc_;
+    const std::size_t tag_start = pos_;
+    std::size_t i = pos_ + 1;
+    if (i >= doc.size()) return std::nullopt;
+    ReferenceToken tok;
+    tok.kind = HtmlToken::Kind::kStartTag;
+    if (doc[i] == '/') {
+      tok.kind = HtmlToken::Kind::kEndTag;
+      ++i;
+    }
+    const std::size_t name_start = i;
+    while (i < doc.size() && is_name_char(doc[i])) ++i;
+    if (i >= doc.size()) return std::nullopt;
+    tok.name = util::to_lower(
+        std::string_view(doc).substr(name_start, i - name_start));
+    while (true) {
+      while (i < doc.size() && is_space(doc[i])) ++i;
+      if (i >= doc.size()) return std::nullopt;
+      if (doc[i] == '>') {
+        ++i;
+        break;
+      }
+      if (doc[i] == '/') {
+        tok.self_closing = true;
+        ++i;
+        continue;
+      }
+      const std::size_t attr_start = i;
+      while (i < doc.size() && doc[i] != '=' && doc[i] != '>' &&
+             doc[i] != '/' && !is_space(doc[i]))
+        ++i;
+      if (i >= doc.size()) return std::nullopt;
+      std::string attr_name = util::to_lower(
+          std::string_view(doc).substr(attr_start, i - attr_start));
+      std::string attr_value;
+      while (i < doc.size() && is_space(doc[i])) ++i;
+      if (i < doc.size() && doc[i] == '=') {
+        ++i;
+        while (i < doc.size() && is_space(doc[i])) ++i;
+        if (i >= doc.size()) return std::nullopt;
+        if (doc[i] == '"' || doc[i] == '\'') {
+          const char quote = doc[i++];
+          const std::size_t vstart = i;
+          while (i < doc.size() && doc[i] != quote) ++i;
+          if (i >= doc.size()) return std::nullopt;
+          attr_value = doc.substr(vstart, i - vstart);
+          ++i;
+        } else {
+          const std::size_t vstart = i;
+          while (i < doc.size() && !is_space(doc[i]) && doc[i] != '>') ++i;
+          if (i >= doc.size()) return std::nullopt;
+          attr_value = doc.substr(vstart, i - vstart);
+        }
+      }
+      if (!attr_name.empty()) {
+        tok.attrs.emplace(std::move(attr_name), std::move(attr_value));
+      }
+    }
+    tok.begin = tag_start;
+    tok.end = i;
+    if (tok.kind == HtmlToken::Kind::kStartTag &&
+        (tok.name == "script" || tok.name == "style") && !tok.self_closing) {
+      const std::string closing = "</" + tok.name;
+      std::size_t close = i;
+      while (true) {
+        close = doc.find(closing, close);
+        if (close == std::string::npos) return std::nullopt;
+        std::size_t j = close + closing.size();
+        while (j < doc.size() && is_space(doc[j])) ++j;
+        if (j >= doc.size()) return std::nullopt;
+        if (doc[j] == '>') {
+          tok.text = doc.substr(i, close - i);
+          tok.end = j + 1;
+          pos_ = j + 1;
+          return tok;
+        }
+        ++close;
+      }
+    }
+    pos_ = i;
+    return tok;
+  }
+
+  const std::string* doc_;
+  std::size_t pos_ = 0;
+};
+
+std::string upper(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+  }
+  return out;
+}
+
+::testing::AssertionResult same_token(const ReferenceToken& want,
+                                      const HtmlToken& got) {
+  auto fail = [&](const char* what) {
+    return ::testing::AssertionFailure()
+           << what << " differs for the token at " << want.begin;
+  };
+  if (got.kind != want.kind) return fail("kind");
+  if (got.name != want.name) return fail("name");
+  if (got.self_closing != want.self_closing) return fail("self_closing");
+  if (got.text != want.text) return fail("text");
+  if (got.begin != want.begin || got.end != want.end) return fail("offsets");
+  // The first occurrence of each name, compared ignoring ASCII case.
+  std::map<std::string, std::string> attrs;
+  for (const HtmlAttr& a : got.attrs()) {
+    attrs.emplace(util::to_lower(a.name), std::string(a.value));
+  }
+  if (attrs != want.attrs) return fail("attributes");
+  for (const auto& [name, value] : want.attrs) {
+    if (!got.has_attr(name) || got.attr(name) != value ||
+        got.attr(upper(name)) != value) {
+      return fail("attr()");
+    }
+  }
+  if (got.has_attr("never-written")) return fail("has_attr()");
+  return ::testing::AssertionSuccess();
+}
+
+/// Both tokenizers drain what `doc` holds now; their tokens must agree.
+/// Returns the number of tokens compared.
+std::size_t drain_and_compare(ReferenceTokenizer& reference,
+                              HtmlTokenizer& tokenizer,
+                              const std::string& context) {
+  std::size_t n = 0;
+  while (true) {
+    const auto want = reference.next();
+    const auto got = tokenizer.next();
+    EXPECT_EQ(got.has_value(), want.has_value()) << context;
+    if (!want || !got) return n;
+    EXPECT_TRUE(same_token(*want, *got)) << context;
+    ++n;
+  }
+}
+
+/// Tag soup: mixed case, duplicate, bare and unquoted attributes, more
+/// attributes than a token holds inline, raw-text bodies with near-miss
+/// close tags, comments, declarations and a possibly cut-off end.
+std::string attribute_soup(util::Rng& rng) {
+  static const char* const kTags[] = {"p",   "DIV",  "Script", "style",
+                                      "img", "LINK", "x-y",    "a:b",
+                                      "h1",  "SCRIPT"};
+  static const char* const kAttrs[] = {"src",   "SRC",   "Href", "href",
+                                       "class", "data-x", "async", "rel",
+                                       "REL",   "a",     "Id",   "id"};
+  static const char* const kSpace[] = {"", " ", "  ", "\t", "\n", "\r\n",
+                                       "\v", "\f"};
+  auto pick = [&rng](const auto& table) {
+    const auto n = static_cast<std::int64_t>(std::size(table));
+    return table[rng.uniform_int(0, n - 1)];
+  };
+  std::string doc;
+  const auto parts = rng.uniform_int(1, 40);
+  for (std::int64_t p = 0; p < parts; ++p) {
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+        doc += "some text";
+        doc += pick(kSpace);
+        break;
+      case 1:
+        doc += rng.bernoulli(0.5) ? "<!-- <p x=1> -->" : "<!DOCTYPE html>";
+        break;
+      case 2: {
+        const std::string name = pick(kTags);
+        doc += "<" + name;
+        const auto attrs = rng.uniform_int(0, 10);
+        for (std::int64_t a = 0; a < attrs; ++a) {
+          doc += rng.bernoulli(0.8) ? " " : pick(kSpace);
+          doc += pick(kAttrs);
+          if (rng.bernoulli(0.2)) continue;  // bare
+          doc += pick(kSpace);
+          doc += "=";
+          doc += pick(kSpace);
+          switch (rng.uniform_int(0, 3)) {
+            case 0: doc += "\"v " + std::to_string(a) + "'\""; break;
+            case 1: doc += "'v\"" + std::to_string(a) + "'"; break;
+            case 2: doc += "v" + std::to_string(a); break;
+            default: doc += "\"\""; break;
+          }
+        }
+        if (rng.bernoulli(0.15)) doc += " /";
+        doc += ">";
+        const std::string lower = util::to_lower(name);
+        if (lower == "script" || lower == "style") {
+          doc += "var s = '<p>';";
+          switch (rng.uniform_int(0, 4)) {
+            case 0: doc += "</" + lower + "x></" + lower + ">"; break;
+            case 1: doc += "</" + lower + pick(kSpace) + ">"; break;
+            case 2: doc += "</" + upper(lower) + "></" + lower + ">"; break;
+            case 3: doc += "</" + lower + " a></" + lower + "\n>"; break;
+            default: doc += "</" + lower + ">"; break;
+          }
+        }
+        break;
+      }
+      case 3:
+        doc += "</";
+        doc += pick(kTags);
+        doc += pick(kSpace);
+        doc += ">";
+        break;
+      case 4:
+        doc += pick(kSpace);
+        break;
+      default: {
+        static const char kJunk[] = "<>=\"'/! \tab";
+        const auto n = rng.uniform_int(1, 6);
+        for (std::int64_t k = 0; k < n; ++k) {
+          doc += kJunk[rng.uniform_int(0, sizeof kJunk - 2)];
+        }
+        break;
+      }
+    }
+  }
+  if (rng.bernoulli(0.3)) {
+    doc.resize(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(doc.size()))));
+  }
+  return doc;
+}
+
+TEST(HtmlTokenizer, MatchesOwningReferenceOnGeneratedSites) {
+  for (int w = 1; w <= 20; ++w) {
+    const auto site = web::make_w_site(w).site;
+    const std::string& html = *site.find(site.main_url)->body;
+    ReferenceTokenizer reference(&html);
+    HtmlTokenizer tokenizer(&html);
+    const std::string context = "w" + std::to_string(w);
+    EXPECT_GT(drain_and_compare(reference, tokenizer, context), 100u)
+        << context;
+    EXPECT_TRUE(tokenizer.at_end()) << context;
+
+    // Fed in small chunks, as the network delivers it.
+    util::Rng rng(static_cast<std::uint64_t>(w));
+    std::string doc;
+    ReferenceTokenizer reference_inc(&doc);
+    HtmlTokenizer tokenizer_inc(&doc);
+    for (std::size_t at = 0; at < html.size();) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+      doc.append(html, at, n);
+      at += n;
+      drain_and_compare(reference_inc, tokenizer_inc, context + " chunked");
+    }
+  }
+}
+
+TEST(HtmlTokenizer, MatchesOwningReferenceOnAttributeSoup) {
+  util::Rng rng(0x50a9u);
+  for (int round = 0; round < 300; ++round) {
+    const std::string soup = attribute_soup(rng);
+    const std::string context = "round " + std::to_string(round) + ": " + soup;
+    ReferenceTokenizer reference(&soup);
+    HtmlTokenizer tokenizer(&soup);
+    drain_and_compare(reference, tokenizer, context);
+
+    // Byte by byte: every token is compared before the buffer grows again.
+    std::string doc;
+    ReferenceTokenizer reference_inc(&doc);
+    HtmlTokenizer tokenizer_inc(&doc);
+    for (char c : soup) {
+      doc.push_back(c);
+      drain_and_compare(reference_inc, tokenizer_inc, context + " (bytewise)");
+    }
+  }
+}
+
+TEST(HtmlTokenizer, ManyAttributesSpillAndKeepTheFirstOccurrence) {
+  const std::string doc =
+      "<img a=1 b=2 c=3 d=4 e=5 f=6 g=7 B=dup h=8 src=/x.png SRC=/y.png>";
+  const auto tokens = tokenize_all(doc);
+  ASSERT_EQ(tokens.size(), 1u);
+  EXPECT_EQ(tokens[0].attrs().size(), 11u);
+  EXPECT_EQ(tokens[0].attr("b"), "2");
+  EXPECT_EQ(tokens[0].attr("H"), "8");
+  EXPECT_EQ(tokens[0].attr("src"), "/x.png");
+  EXPECT_FALSE(tokens[0].has_attr("i"));
 }
 
 // -------------------------------------------------------------------- css

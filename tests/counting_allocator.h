@@ -2,10 +2,11 @@
 // one translation unit of a test binary: it replaces the global operator
 // new/delete of the whole binary.
 //
-// Only the plain forms are replaced; the sized deletes forward here per the
-// standard. GCC flags free() on a pointer it watched come out of a
-// new-expression — a false positive once the global operators are replaced
-// with malloc/free.
+// The plain and nothrow forms are replaced (std::stable_sort's temporary
+// buffer comes from nothrow new, and AddressSanitizer checks that every
+// delete matches its new); the sized deletes forward here per the standard.
+// GCC flags free() on a pointer it watched come out of a new-expression — a
+// false positive once the global operators are replaced with malloc/free.
 #pragma once
 
 #include <atomic>
@@ -34,7 +35,20 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "core/critical_css.h"
 #include "core/dependency.h"
 #include "core/optimize.h"
 #include "core/strategy.h"
@@ -20,6 +21,9 @@
 #include "web/profiles.h"
 #include "web/site.h"
 #include "web/transform.h"
+
+// Replaces this binary's global operator new (PageLoad.AllocationBudget).
+#include "counting_allocator.h"
 
 namespace h2push {
 namespace {
@@ -504,6 +508,46 @@ TEST(WriteParity, TcpWriteDeliversWhatTheFlatProduceWrites) {
     // And the stream is a valid server conversation.
     client.receive(delivered);
     EXPECT_TRUE(client.last_error().empty()) << client.last_error();
+  }
+}
+
+// Heap allocations of one cold page load: three w-sites under the three
+// perfbench sim_cold arms, counted on the second identical load so the
+// process-wide stylesheet memo is warm. Each ceiling is the count of the
+// code that set it. A change may lower a ceiling to its new count; it may
+// never raise one.
+TEST(PageLoad, AllocationBudget) {
+  struct Budget {
+    int site;
+    std::size_t no_push, push_all, interleaved;
+  };
+  constexpr Budget kBudgets[] = {
+      {1, 1437, 1484, 1428},
+      {7, 1927, 1921, 1839},
+      {17, 15145, 15199, 14920},
+  };
+  for (const Budget& budget : kBudgets) {
+    const auto site = web::make_w_site(budget.site).site;
+    const auto order = web::pushable_urls(site);
+    core::Strategy interleaved = core::push_all(site, order);
+    interleaved.interleaving = true;
+    interleaved.interleave_offset = core::head_end_offset(site);
+    const std::pair<core::Strategy, std::size_t> arms[] = {
+        {core::no_push(), budget.no_push},
+        {core::push_all(site, order), budget.push_all},
+        {std::move(interleaved), budget.interleaved},
+    };
+    for (const auto& [strategy, ceiling] : arms) {
+      const core::RunConfig config;
+      core::run_page_load(site, strategy, config);
+      const std::size_t before = test_allocation_count();
+      const auto result = core::run_page_load(site, strategy, config);
+      const std::size_t allocations = test_allocation_count() - before;
+      ASSERT_TRUE(result.complete);
+      EXPECT_LE(allocations, ceiling)
+          << "w" << budget.site << " " << strategy.name << ": "
+          << allocations << " allocations per load";
+    }
   }
 }
 
