@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "=== layering: no simulator in the serving layers, codec below server, one write path and target ==="
+echo "=== layering: no simulator in the serving layers, codec below server, one write path and target, one read path ==="
 # src/server/ and src/net/ run inside the live daemon h2pushd; of the
 # simulator they may use only its time type.
 if grep -rnE '#include[[:space:]]*"sim/' src/server src/net |
@@ -48,6 +48,15 @@ fi
 if grep -rnE '(\.|->)[[:space:]]*send[[:space:]]*\(' src; then
   echo "src/ calls send(); write into the TCP send buffer with" \
     "TcpConnection::write(side, produce)" >&2
+  exit 1
+fi
+# One read path: every endpoint under src/ reads deliveries as pieces
+# through on_deliver. on_receive, the flattened form, is kept for
+# perfbench/'s TCP probe, bench_micro_protocol and tests/sim_test.cc, so
+# nothing under src/ but the TCP model itself names it.
+if grep -rnE '\bon_receive\b' src | grep -vE '^src/sim/tcp\.(h|cc):'; then
+  echo "src/ uses on_receive outside src/sim/tcp.{h,cc}; read pieces" \
+    "through on_deliver" >&2
   exit 1
 fi
 # Only the TCP model flattens a delivery (for on_receive); everything else
@@ -101,9 +110,11 @@ echo "=== sanitizers: ASan + UBSan incl. fuzz smoke (build-asan/) ==="
 # The stage keeps the library's assert()s: RelWithDebInfo without -DNDEBUG,
 # so guards such as TcpConnection::write's nested-write check, the frame
 # parser's re-entrancy check and the renderer's token-lifetime check run.
+# A warning fails this build too, as in tier-1.
 cmake -B build-asan -S . -DH2PUSH_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-asan -j "$jobs"
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-asan --output-on-failure -j "$jobs"

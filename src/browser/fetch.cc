@@ -372,7 +372,7 @@ void FetchManager::h1_dispatch(Group& g) {
       cbs.on_write_ready = [&c] { pump(c); };
       c.conn = std::make_unique<http1::ClientConnection>(std::move(cbs));
       c.transport->set_receiver([&c](std::span<const util::Piece> pieces) {
-        for (const util::Piece& piece : pieces) c.conn->receive(piece.bytes);
+        c.conn->receive(pieces);
       });
       c.transport->set_writable_callback([&c] { pump(c); });
       c.transport->connect([this, &g, &c] {

@@ -46,19 +46,22 @@ Renderer::Renderer(sim::Simulator& sim, const BrowserConfig& config,
 }
 
 void Renderer::start() {
-  auto main_fetch = fetches_.fetch(main_url_, NetPriority::kHighest);
+  main_fetch_ = fetches_.fetch(main_url_, NetPriority::kHighest);
+  parser_ = HtmlTokenizer(&main_fetch_->body());
+  scanner_ = HtmlTokenizer(&main_fetch_->body());
   Fetch::Subscriber sub;
-  sub.on_data = [this](std::span<const std::uint8_t> data, bool fin) {
-    on_main_data(data, fin);
+  sub.on_data = [this](std::span<const std::uint8_t>, bool fin) {
+    on_main_data(fin);
   };
   sub.on_complete = [this](const Fetch&) {
-    if (!doc_complete_) on_main_data({}, true);
+    if (!doc_complete_) on_main_data(true);
   };
-  main_fetch->subscribe(std::move(sub));
+  main_fetch_->subscribe(std::move(sub));
 }
 
-void Renderer::on_main_data(std::span<const std::uint8_t> data, bool fin) {
-  doc_.append(reinterpret_cast<const char*>(data.data()), data.size());
+void Renderer::on_main_data(bool fin) {
+  // The bytes are in doc() already: the fetch keeps them before it streams
+  // them to subscribers.
   if (fin) doc_complete_ = true;
   // connectEnd is known once the main transport finished its handshake.
   if (visual_.reference() == 0) {
@@ -73,7 +76,7 @@ void Renderer::on_main_data(std::span<const std::uint8_t> data, bool fin) {
 void Renderer::schedule_scan() {
   if (scan_scheduled_ || scanner_.at_end()) return;
   scan_scheduled_ = true;
-  const std::size_t avail = doc_.size() - scanner_.position();
+  const std::size_t avail = doc().size() - scanner_.position();
   // The speculative scanner is much cheaper than full parsing.
   const double cost =
       static_cast<double>(avail) / (4.0 * kParseRateBytesPerMs);
@@ -84,9 +87,9 @@ void Renderer::schedule_scan() {
 }
 
 void Renderer::scan_slice() {
-  // Tokens are views into doc_ (browser/html.h): nothing a token starts
+  // Tokens are views into doc() (browser/html.h): nothing a token starts
   // may append to it before the token is done.
-  [[maybe_unused]] const char* const doc_bytes = doc_.data();
+  [[maybe_unused]] const char* const doc_bytes = doc().data();
   while (auto token = scanner_.next()) {
     if (token->kind != HtmlToken::Kind::kStartTag) continue;
     if (token->name == "body") scanner_in_head_ = false;
@@ -118,7 +121,7 @@ void Renderer::scan_slice() {
       }
     }
   }
-  assert(doc_.data() == doc_bytes);
+  assert(doc().data() == doc_bytes);
   schedule_scan();  // more bytes may already be buffered
 }
 
@@ -133,7 +136,7 @@ void Renderer::schedule_parse() {
   if (parse_scheduled_ || blocked_script_ || parse_complete_) return;
   if (parser_.at_end() && !doc_complete_) return;
   parse_scheduled_ = true;
-  const std::size_t avail = doc_.size() - parser_.position();
+  const std::size_t avail = doc().size() - parser_.position();
   const std::size_t slice = std::min(avail, kParseSliceBytes);
   const double cost = static_cast<double>(slice) / kParseRateBytesPerMs;
   main_.post(cost, [this] {
@@ -143,7 +146,8 @@ void Renderer::schedule_parse() {
 }
 
 void Renderer::parse_slice() {
-  [[maybe_unused]] const char* const doc_bytes = doc_.data();  // as in scan_slice
+  // As in scan_slice.
+  [[maybe_unused]] const char* const doc_bytes = doc().data();
   parser_yield_ = false;
   const std::size_t start = parser_.position();
   while (!blocked_script_ && !parser_yield_ &&
@@ -156,7 +160,7 @@ void Renderer::parse_slice() {
       return;
     }
     handle_token(*token);
-    assert(doc_.data() == doc_bytes);
+    assert(doc().data() == doc_bytes);
   }
   if (!blocked_script_ && !parser_yield_) schedule_parse();
 }

@@ -89,7 +89,7 @@ class Renderer {
   };
 
   // --- main document plumbing ---
-  void on_main_data(std::span<const std::uint8_t> data, bool fin);
+  void on_main_data(bool fin);
   void schedule_parse();
   void parse_slice();
   void handle_token(const HtmlToken& token);
@@ -127,11 +127,13 @@ class Renderer {
   FetchManager& fetches_;
   http::Url main_url_;
 
-  // Document buffer shared by the two cursors.
-  std::string doc_;
+  // The document is the main fetch's body (Fetch keeps HTML); start()
+  // points the two cursors at it.
+  const std::string& doc() const noexcept { return main_fetch_->body(); }
+  std::shared_ptr<Fetch> main_fetch_;
   bool doc_complete_ = false;
-  HtmlTokenizer parser_{&doc_};
-  HtmlTokenizer scanner_{&doc_};
+  HtmlTokenizer parser_{nullptr};
+  HtmlTokenizer scanner_{nullptr};
   bool parse_scheduled_ = false;
   bool scan_scheduled_ = false;
   bool scanner_in_head_ = true;

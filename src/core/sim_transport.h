@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <type_traits>
 
 #include "browser/fetch.h"
 #include "server/h1_replay_server.h"
@@ -32,32 +31,15 @@ class SimTransport final : public browser::ClientTransport {
       if (on_connected_) on_connected_();
     };
     callbacks.on_accepted = [this] { pump_server(); };
-    // Both servers write into the TCP send buffer, and the HTTP/2 one
-    // keeps response bodies by reference there. Deliveries differ: the
-    // HTTP/2 parsers read pieces in place, the HTTP/1.1 ones read each
-    // delivery flattened, as one span.
-    if constexpr (std::is_same_v<Server, server::ReplayServer>) {
-      callbacks.on_deliver = [this](sim::TcpConnection::Side side,
-                                    std::span<const util::Piece> pieces) {
-        if (side == sim::TcpConnection::Side::kServer) {
-          server_.connection().receive(pieces);
-          pump_server();
-        } else if (receiver_) {
-          receiver_(pieces);
-        }
-      };
-    } else {
-      callbacks.on_receive = [this](sim::TcpConnection::Side side,
-                                    std::span<const std::uint8_t> bytes) {
-        if (side == sim::TcpConnection::Side::kServer) {
-          server_.connection().receive(bytes);
-          pump_server();
-        } else if (receiver_) {
-          const util::Piece piece{bytes};
-          receiver_(std::span<const util::Piece>(&piece, 1));
-        }
-      };
-    }
+    callbacks.on_deliver = [this](sim::TcpConnection::Side side,
+                                  std::span<const util::Piece> pieces) {
+      if (side == sim::TcpConnection::Side::kServer) {
+        server_.connection().receive(pieces);
+        pump_server();
+      } else if (receiver_) {
+        receiver_(pieces);
+      }
+    };
     callbacks.on_writable = [this](sim::TcpConnection::Side side) {
       if (side == sim::TcpConnection::Side::kServer) {
         pump_server();

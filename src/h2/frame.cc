@@ -295,9 +295,12 @@ std::vector<std::uint8_t> serialize(const Frame& frame) {
   return out;
 }
 
-util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
-    std::span<const std::uint8_t> payload, std::uint8_t type,
-    std::uint8_t flags, std::uint32_t stream_id) {
+util::Expected<bool, ParseError> FrameParser::dispatch(
+    const std::uint8_t* header, std::span<const std::uint8_t> payload,
+    Handler& handler) {
+  const std::uint8_t type = header[3];
+  const std::uint8_t flags = header[4];
+  const std::uint32_t stream_id = get_u32(header + 5) & 0x7fffffff;
   const auto ft = static_cast<FrameType>(type);
 
   // §6.10: once a HEADERS/PUSH_PROMISE without END_HEADERS is on the wire,
@@ -326,7 +329,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       }
       f.data = payload.subspan(pos, payload.size() - pos - pad);
       f.padding_bytes = pos + pad;  // Pad-Length octet + padding
-      return Parsed(f);
+      return handler.on_data(f);
     }
     case FrameType::kHeaders: {
       if (stream_id == 0) return parse_error(ErrorCode::kProtocolError, "HEADERS on stream 0");
@@ -355,7 +358,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
         return parse_error(ErrorCode::kProtocolError, "HEADERS: pad beyond frame");
       }
       f.header_block = payload.subspan(pos, payload.size() - pos - pad);
-      return header_block(f, flags);
+      return header_block(f, flags, handler);
     }
     case FrameType::kPriority: {
       if (stream_id == 0) {
@@ -367,7 +370,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       PriorityFrame f;
       f.stream_id = stream_id;
       f.priority = get_priority(payload, 0);
-      return Parsed(Frame(std::move(f)));
+      return handler.on_frame(Frame(std::move(f)));
     }
     case FrameType::kRstStream: {
       if (stream_id == 0) {
@@ -379,7 +382,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       RstStreamFrame f;
       f.stream_id = stream_id;
       f.error = static_cast<ErrorCode>(get_u32(payload, 0));
-      return Parsed(Frame(std::move(f)));
+      return handler.on_frame(Frame(std::move(f)));
     }
     case FrameType::kSettings: {
       if (stream_id != 0) {
@@ -393,7 +396,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       if (payload.size() % 6 != 0) {
         return parse_error(ErrorCode::kFrameSizeError, "SETTINGS: bad length");
       }
-      return Parsed(SettingsView{ack, payload});
+      return handler.on_settings(SettingsView{ack, payload});
     }
     case FrameType::kPushPromise: {
       if (stream_id == 0) {
@@ -416,7 +419,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       }
       f.promised_id = get_u32(payload, pos) & 0x7fffffff;
       f.header_block = payload.subspan(pos + 4, payload.size() - pos - 4 - pad);
-      return header_block(f, flags);
+      return header_block(f, flags, handler);
     }
     case FrameType::kPing: {
       if (stream_id != 0) {
@@ -429,7 +432,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       f.ack = flags & kFlagAck;
       f.opaque = 0;
       for (int i = 0; i < 8; ++i) f.opaque = (f.opaque << 8) | payload[i];
-      return Parsed(Frame(std::move(f)));
+      return handler.on_frame(Frame(std::move(f)));
     }
     case FrameType::kGoaway: {
       if (stream_id != 0) {
@@ -442,7 +445,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
       f.last_stream_id = get_u32(payload, 0) & 0x7fffffff;
       f.error = static_cast<ErrorCode>(get_u32(payload, 4));
       f.debug_data.assign(payload.begin() + 8, payload.end());
-      return Parsed(Frame(std::move(f)));
+      return handler.on_frame(Frame(std::move(f)));
     }
     case FrameType::kWindowUpdate: {
       if (payload.size() != 4) {
@@ -455,7 +458,7 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
         return parse_error(ErrorCode::kProtocolError,
                            "WINDOW_UPDATE: zero increment");
       }
-      return Parsed(Frame(std::move(f)));
+      return handler.on_frame(Frame(std::move(f)));
     }
     case FrameType::kContinuation: {
       if (!expecting_continuation_) {
@@ -474,9 +477,9 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
         expecting_continuation_ = false;
         HeaderBlockView f = pending_;
         f.header_block = pending_block_;
-        return Parsed(f);
+        return handler.on_header_block(f);
       }
-      return Parsed();
+      return true;  // the block continues
     }
   }
   // Unknown frame types are surfaced as extension frames; a connection
@@ -486,42 +489,18 @@ util::Expected<FrameParser::Parsed, ParseError> FrameParser::parse_one(
   f.flags = flags;
   f.stream_id = stream_id;
   f.payload.assign(payload.begin(), payload.end());
-  return Parsed(Frame(std::move(f)));
+  return handler.on_frame(Frame(std::move(f)));
 }
 
-util::Expected<FrameParser::Parsed, ParseError> FrameParser::header_block(
-    const HeaderBlockView& frame, std::uint8_t flags) {
-  if (flags & kFlagEndHeaders) return Parsed(frame);
+bool FrameParser::header_block(const HeaderBlockView& frame,
+                               std::uint8_t flags, Handler& handler) {
+  if (flags & kFlagEndHeaders) return handler.on_header_block(frame);
   // The block continues in CONTINUATION frames: reassemble it.
   pending_ = frame;
   pending_.header_block = {};
   pending_block_.assign(frame.header_block.begin(), frame.header_block.end());
   expecting_continuation_ = true;
-  return Parsed();
-}
-
-util::Expected<bool, ParseError> FrameParser::dispatch(
-    const std::uint8_t* header, std::span<const std::uint8_t> payload,
-    Handler& handler) {
-  auto parsed = parse_one(payload, header[3], header[4],
-                          get_u32(header + 5) & 0x7fffffff);
-  if (!parsed) return util::make_unexpected(parsed.error());
-  return std::visit(
-      [&handler](auto& f) -> bool {
-        using T = std::decay_t<decltype(f)>;
-        if constexpr (std::is_same_v<T, DataView>) {
-          return handler.on_data(f);
-        } else if constexpr (std::is_same_v<T, HeaderBlockView>) {
-          return handler.on_header_block(f);
-        } else if constexpr (std::is_same_v<T, SettingsView>) {
-          return handler.on_settings(f);
-        } else if constexpr (std::is_same_v<T, Frame>) {
-          return handler.on_frame(std::move(f));
-        } else {
-          return true;  // header block continues in a CONTINUATION
-        }
-      },
-      *parsed);
+  return true;
 }
 
 std::optional<ParseError> FrameParser::parse(

@@ -297,13 +297,8 @@ class FrameParser {
   /// SETTINGS_MAX_HEADER_LIST_SIZE limit is advisory, this one is not.
   static constexpr std::size_t kMaxHeaderBlock = 1 << 20;
 
-  /// One parsed frame: nothing yet (a header block awaiting CONTINUATION),
-  /// a view, or any other frame.
-  using Parsed = std::variant<std::monostate, DataView, HeaderBlockView,
-                              SettingsView, Frame>;
-
-  /// Parse and hand over the frame with header `header` and `payload`.
-  /// Returns whether the handler wants more.
+  /// Parse the frame with header `header` and `payload` and hand it to
+  /// `handler`. Returns whether the handler wants more.
   util::Expected<bool, ParseError> dispatch(
       const std::uint8_t* header, std::span<const std::uint8_t> payload,
       Handler& handler);
@@ -311,13 +306,11 @@ class FrameParser {
   std::optional<ParseError> parse_piece(std::span<const std::uint8_t> bytes,
                                         const util::SharedBytes* owner,
                                         Handler& handler, bool& more);
-  util::Expected<Parsed, ParseError> parse_one(
-      std::span<const std::uint8_t> payload, std::uint8_t type,
-      std::uint8_t flags, std::uint32_t stream_id);
   /// A HEADERS or PUSH_PROMISE parsed: handed over with END_HEADERS, else
-  /// kept for CONTINUATION reassembly.
-  util::Expected<Parsed, ParseError> header_block(const HeaderBlockView& frame,
-                                                  std::uint8_t flags);
+  /// kept for CONTINUATION reassembly. Returns whether the handler wants
+  /// more.
+  bool header_block(const HeaderBlockView& frame, std::uint8_t flags,
+                    Handler& handler);
   /// Move a shared payload in progress into buffer_ (it continues
   /// elsewhere).
   void unshare();

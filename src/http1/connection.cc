@@ -30,89 +30,82 @@ std::string serialize_response_head(const http::Response& response) {
   return out;
 }
 
-bool MessageParser::parse_head(Message& out, std::string_view head) {
+std::vector<std::string_view> parse_head(std::string_view head,
+                                         http::HeaderBlock& headers) {
   const auto lines = util::split(head, '\n');
-  if (lines.empty()) return false;
-  std::string_view start_line = util::trim(lines[0]);
-  const auto parts = util::split(start_line, ' ');
-  if (kind_ == Kind::kRequest) {
-    if (parts.size() < 3) return false;
-    out.method = std::string(parts[0]);
-    out.target = std::string(parts[1]);
-  } else {
-    if (parts.size() < 2) return false;
-    const auto status_sv = parts[1];
-    int status = 0;
-    std::from_chars(status_sv.data(), status_sv.data() + status_sv.size(),
-                    status);
-    out.status = status;
-  }
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const auto line = util::trim(lines[i]);
-    if (line.empty()) continue;
     const auto colon = line.find(':');
     if (colon == std::string_view::npos) continue;
-    out.headers.push_back(
-        {util::to_lower(util::trim(line.substr(0, colon))),
-         std::string(util::trim(line.substr(colon + 1)))});
+    headers.push_back({util::to_lower(util::trim(line.substr(0, colon))),
+                       std::string(util::trim(line.substr(colon + 1)))});
   }
-  return true;
+  return util::split(util::trim(lines[0]), ' ');
 }
 
-std::vector<MessageParser::Message> MessageParser::feed(
+std::size_t HeadReader::take(std::span<const std::uint8_t> bytes) {
+  std::size_t n = 0;
+  while (n < bytes.size() && !complete()) {
+    const auto c = static_cast<char>(bytes[n++]);
+    // On a mismatch the longest match left is "\r" or nothing.
+    matched_ = c == kEnd[matched_] ? matched_ + 1 : (c == '\r' ? 1 : 0);
+  }
+  bytes_.append(reinterpret_cast<const char*>(bytes.data()), n);
+  return n;
+}
+
+std::vector<RequestParser::Message> RequestParser::feed(
     std::span<const std::uint8_t> bytes) {
   std::vector<Message> out;
-  if (error_) return out;
-  buffer_.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  while (true) {
-    if (reading_body_) {
-      const std::size_t take = std::min(body_remaining_, buffer_.size());
-      pending_.body.append(buffer_, 0, take);
-      buffer_.erase(0, take);
-      body_remaining_ -= take;
-      if (body_remaining_ > 0) return out;
-      reading_body_ = false;
-      out.push_back(std::move(pending_));
-      pending_ = Message{};
-      continue;
-    }
-    const std::size_t head_end = buffer_.find("\r\n\r\n");
-    if (head_end == std::string::npos) {
-      if (buffer_.size() > 256 * 1024) error_ = true;  // header bomb
-      return out;
+  while (!error_ && !bytes.empty()) {
+    bytes = bytes.subspan(head_.take(bytes));
+    if (!head_.complete()) {
+      if (head_.size() > 256 * 1024) error_ = true;  // header bomb
+      break;
     }
     Message message;
-    if (!parse_head(message, std::string_view(buffer_).substr(0, head_end))) {
+    const auto start = parse_head(head_.head(), message.headers);
+    if (start.size() < 3) {
       error_ = true;
-      return out;
+      break;
     }
-    buffer_.erase(0, head_end + 4);
-    std::size_t content_length = 0;
-    const auto cl = http::find_header(message.headers, "content-length");
-    if (!cl.empty()) {
-      std::from_chars(cl.data(), cl.data() + cl.size(), content_length);
-    }
-    if (kind_ == Kind::kRequest || content_length == 0) {
-      out.push_back(std::move(message));
-      continue;
-    }
-    pending_ = std::move(message);
-    body_remaining_ = content_length;
-    reading_body_ = true;
+    message.method = std::string(start[0]);
+    message.target = std::string(start[1]);
+    head_.clear();
+    out.push_back(std::move(message));
   }
+  return out;
 }
 
 // ---------------------------------------------------------------- outbox
 
+void Outbox::append(std::string bytes) {
+  if (!bytes.empty()) runs_.push_back({std::move(bytes), nullptr});
+}
+
+void Outbox::append_shared(util::SharedBytes body) {
+  if (body && !body->empty()) runs_.push_back({{}, std::move(body)});
+}
+
 std::size_t Outbox::drain_into(util::PieceSink& out, std::size_t max_bytes) {
-  const std::size_t n = std::min(max_bytes, bytes_.size() - read_);
-  out.write(util::bytes_of(bytes_).subspan(read_, n));
-  read_ += n;
-  if (read_ == bytes_.size()) {
-    bytes_.clear();
-    read_ = 0;
+  std::size_t written = 0;
+  while (written < max_bytes && !runs_.empty()) {
+    const Run& run = runs_.front();
+    const auto bytes = util::bytes_of(run.shared ? *run.shared : run.bytes);
+    const std::size_t n = std::min(max_bytes - written, bytes.size() - read_);
+    if (run.shared) {
+      out.write_shared(run.shared, bytes.subspan(read_, n));
+    } else {
+      out.write(bytes.subspan(read_, n));
+    }
+    written += n;
+    read_ += n;
+    if (read_ == bytes.size()) {
+      runs_.pop_front();
+      read_ = 0;
+    }
   }
-  return n;
+  return written;
 }
 
 // ---------------------------------------------------------------- client
@@ -130,84 +123,74 @@ void ClientConnection::send_next() {
   if (callbacks_.on_write_ready) callbacks_.on_write_ready();
 }
 
-void ClientConnection::receive(std::span<const std::uint8_t> bytes) {
-  inbox_.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  while (true) {
-    if (reading_body_) {
-      const std::size_t take = std::min(body_remaining_, inbox_.size());
-      if (take == 0) return;
-      body_remaining_ -= take;
-      const bool fin = body_remaining_ == 0;
-      if (fin) {
-        // Mark idle *before* delivering the final chunk: completion
-        // callbacks commonly dispatch the next request to this connection.
-        reading_body_ = false;
-        in_flight_ = false;
-      }
-      if (callbacks_.on_body_data) {
-        callbacks_.on_body_data(
-            {reinterpret_cast<const std::uint8_t*>(inbox_.data()), take},
-            fin);
-      }
-      inbox_.erase(0, take);
-      if (!fin) return;
-      send_next();  // keep-alive: next queued request goes out
+void ClientConnection::receive(std::span<const util::Piece> pieces) {
+  for (const util::Piece& piece : pieces) read(piece.bytes);
+}
+
+void ClientConnection::read(std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    if (!reading_body_) {
+      bytes = bytes.subspan(head_.take(bytes));
+      if (!head_.complete()) return;
+      on_head();
       continue;
     }
-    const std::size_t head_end = inbox_.find("\r\n\r\n");
-    if (head_end == std::string::npos) return;
-    http::HeaderBlock headers;
-    int status = 0;
-    {
-      const std::string_view head_sv =
-          std::string_view(inbox_).substr(0, head_end);
-      const auto lines = util::split(head_sv, '\n');
-      if (!lines.empty()) {
-        const auto parts = util::split(util::trim(lines[0]), ' ');
-        if (parts.size() >= 2) {
-          const auto sv = parts[1];
-          std::from_chars(sv.data(), sv.data() + sv.size(), status);
-        }
-        for (std::size_t i = 1; i < lines.size(); ++i) {
-          const auto line = util::trim(lines[i]);
-          const auto colon = line.find(':');
-          if (colon == std::string_view::npos) continue;
-          headers.push_back(
-              {util::to_lower(util::trim(line.substr(0, colon))),
-               std::string(util::trim(line.substr(colon + 1)))});
-        }
-      }
+    const std::size_t take = std::min(body_remaining_, bytes.size());
+    body_remaining_ -= take;
+    const bool fin = body_remaining_ == 0;
+    if (fin) {
+      // Mark idle *before* delivering the final chunk: completion
+      // callbacks commonly dispatch the next request to this connection.
+      reading_body_ = false;
+      in_flight_ = false;
     }
-    inbox_.erase(0, head_end + 4);
-    std::size_t content_length = 0;
-    const auto cl = http::find_header(headers, "content-length");
-    if (!cl.empty()) {
-      std::from_chars(cl.data(), cl.data() + cl.size(), content_length);
+    if (callbacks_.on_body_data) {
+      callbacks_.on_body_data(bytes.first(take), fin);
     }
-    if (callbacks_.on_headers) callbacks_.on_headers(headers, status);
-    if (content_length == 0) {
-      in_flight_ = false;  // idle before the completion callback
-      if (callbacks_.on_body_data) callbacks_.on_body_data({}, true);
-      send_next();
-      continue;
-    }
-    reading_body_ = true;
-    body_remaining_ = content_length;
+    bytes = bytes.subspan(take);
+    if (fin) send_next();  // keep-alive: next queued request goes out
   }
+}
+
+void ClientConnection::on_head() {
+  http::HeaderBlock headers;
+  int status = 0;
+  const auto start = parse_head(head_.head(), headers);
+  if (start.size() >= 2) {
+    std::from_chars(start[1].data(), start[1].data() + start[1].size(),
+                    status);
+  }
+  head_.clear();
+  std::size_t content_length = 0;
+  const auto cl = http::find_header(headers, "content-length");
+  if (!cl.empty()) {
+    std::from_chars(cl.data(), cl.data() + cl.size(), content_length);
+  }
+  if (callbacks_.on_headers) callbacks_.on_headers(headers, status);
+  if (content_length == 0) {
+    in_flight_ = false;  // idle before the completion callback
+    if (callbacks_.on_body_data) callbacks_.on_body_data({}, true);
+    send_next();
+    return;
+  }
+  reading_body_ = true;
+  body_remaining_ = content_length;
 }
 
 // ---------------------------------------------------------------- server
 
 void ServerConnection::submit_response(const http::Response& head,
-                                       const std::string& body) {
+                                       const util::SharedBytes& body) {
   outbox_.append(serialize_response_head(head));
-  outbox_.append(body);
+  outbox_.append_shared(body);
   if (callbacks_.on_write_ready) callbacks_.on_write_ready();
 }
 
-void ServerConnection::receive(std::span<const std::uint8_t> bytes) {
-  for (auto& message : parser_.feed(bytes)) {
-    if (callbacks_.on_request) callbacks_.on_request(message);
+void ServerConnection::receive(std::span<const util::Piece> pieces) {
+  for (const util::Piece& piece : pieces) {
+    for (auto& message : parser_.feed(piece.bytes)) {
+      if (callbacks_.on_request) callbacks_.on_request(message);
+    }
   }
 }
 

@@ -28,7 +28,7 @@ class H1ReplayServer {
   }
 
  private:
-  void on_request(const http1::MessageParser::Message& request);
+  void on_request(const http1::RequestParser::Message& request);
 
   Config config_;
   std::unique_ptr<http1::ServerConnection> conn_;

@@ -45,7 +45,15 @@ void TcpConnection::SendBuffer::write(std::span<const std::uint8_t> bytes) {
 void TcpConnection::SendBuffer::write_shared(
     const util::SharedBytes& owner, std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return;
-  entries_.push_back({end_seq_, bytes, owner});
+  // A slice of the same buffer that starts where the previous piece ends
+  // extends it, so a body written in several writes arrives as one piece.
+  Entry* last = entries_.size() > head_ ? &entries_.back() : nullptr;
+  if (last != nullptr && last->owner == owner &&
+      last->bytes.data() + last->bytes.size() == bytes.data()) {
+    last->bytes = {last->bytes.data(), last->bytes.size() + bytes.size()};
+  } else {
+    entries_.push_back({end_seq_, bytes, owner});
+  }
   end_seq_ += bytes.size();
 }
 

@@ -73,7 +73,10 @@ class TcpConnection {
     std::function<void(Side side, std::span<const util::Piece>)> on_deliver;
     /// The same deliveries as one contiguous span each: in place when the
     /// delivery lies in one piece, otherwise assembled in the connection's
-    /// scratch buffer. Valid only during the callback.
+    /// scratch buffer. Valid only during the callback. Every endpoint in
+    /// the library reads pieces through on_deliver; this form is kept for
+    /// perfbench's TCP probe, bench_micro_protocol and tests/sim_test.cc,
+    /// and scripts/check.sh fails if src/ names it outside sim/tcp.
     std::function<void(Side side, std::span<const std::uint8_t>)> on_receive;
     /// `side` may write again (unsent buffer below watermark).
     std::function<void(Side side)> on_writable;
@@ -145,7 +148,9 @@ class TcpConnection {
    public:
     /// Copy `bytes` into the buffer's storage.
     void write(std::span<const std::uint8_t> bytes) override;
-    /// Keep `bytes`, which lie inside `*owner`, by reference.
+    /// Keep `bytes`, which lie inside `*owner`, by reference. A slice that
+    /// continues the last piece's slice of the same buffer extends that
+    /// piece, as copied bytes behind the last copy do.
     void write_shared(const util::SharedBytes& owner,
                       std::span<const std::uint8_t> bytes) override;
     /// One past the sequence number of the last byte written.

@@ -3,6 +3,9 @@
 // end-to-end H1-vs-H2 comparison properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "browser/config.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
@@ -37,43 +40,138 @@ TEST(H1Serialize, ResponseHead) {
   EXPECT_NE(wire.find("content-type: text/css"), std::string::npos);
 }
 
+/// `bytes` as the pieces of one delivery: cut every `k` bytes (0: one
+/// piece).
+std::vector<util::Piece> pieces_of(const std::string& bytes,
+                                   std::size_t k = 0) {
+  const auto all = util::bytes_of(bytes);
+  std::vector<util::Piece> pieces;
+  const std::size_t step = k == 0 ? all.size() : k;
+  for (std::size_t at = 0; at < all.size(); at += step) {
+    pieces.push_back({all.subspan(at, std::min(step, all.size() - at))});
+  }
+  return pieces;
+}
+
 TEST(H1Parser, ParsesRequestsBackToBack) {
-  MessageParser parser(MessageParser::Kind::kRequest);
+  RequestParser parser;
   const std::string wire =
       "GET /a HTTP/1.1\r\nhost: x.test\r\n\r\n"
       "GET /b HTTP/1.1\r\nhost: x.test\r\ncookie: s=1\r\n\r\n";
-  const auto messages = parser.feed(
-      {reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()});
+  const auto messages = parser.feed(util::bytes_of(wire));
   ASSERT_EQ(messages.size(), 2u);
   EXPECT_EQ(messages[0].target, "/a");
   EXPECT_EQ(messages[1].target, "/b");
   EXPECT_EQ(http::find_header(messages[1].headers, "cookie"), "s=1");
 }
 
+/// A client with `requests` requests queued (sent one at a time),
+/// recording each response's status, headers and body, and the size of
+/// every on_body_data call.
+struct RecordingClient {
+  struct Response {
+    int status = 0;
+    http::HeaderBlock headers;
+    std::string body;
+    bool finished = false;
+  };
+  std::vector<Response> responses;
+  std::vector<std::size_t> body_calls;  // bytes per on_body_data call
+  std::unique_ptr<ClientConnection> conn;
+
+  explicit RecordingClient(int requests) {
+    ClientConnection::Callbacks cbs;
+    cbs.on_headers = [this](const http::HeaderBlock& headers, int status) {
+      responses.push_back({status, headers, {}, false});
+    };
+    cbs.on_body_data = [this](std::span<const std::uint8_t> data, bool fin) {
+      body_calls.push_back(data.size());
+      responses.back().body.append(
+          reinterpret_cast<const char*>(data.data()), data.size());
+      responses.back().finished = fin;
+    };
+    conn = std::make_unique<ClientConnection>(std::move(cbs));
+    http::Request req;
+    req.url = *http::parse_url("https://a.test/");
+    for (int i = 0; i < requests; ++i) conn->submit_request(req);
+  }
+};
+
 TEST(H1Parser, ResponseBodyByContentLength) {
-  MessageParser parser(MessageParser::Kind::kResponse);
+  RecordingClient client(2);
   const std::string wire =
       "HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhelloHTTP/1.1 404 "
       "NF\r\ncontent-length: 0\r\n\r\n";
-  const auto messages = parser.feed(
-      {reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()});
-  ASSERT_EQ(messages.size(), 2u);
-  EXPECT_EQ(messages[0].status, 200);
-  EXPECT_EQ(messages[0].body, "hello");
-  EXPECT_EQ(messages[1].status, 404);
+  client.conn->receive(pieces_of(wire));
+  ASSERT_EQ(client.responses.size(), 2u);
+  EXPECT_EQ(client.responses[0].status, 200);
+  EXPECT_EQ(client.responses[0].body, "hello");
+  EXPECT_TRUE(client.responses[0].finished);
+  EXPECT_EQ(client.responses[1].status, 404);
+  EXPECT_EQ(client.responses[1].body, "");
+  EXPECT_TRUE(client.responses[1].finished);
+  EXPECT_FALSE(client.conn->busy());
 }
 
 TEST(H1Parser, HandlesBytewiseDelivery) {
-  MessageParser parser(MessageParser::Kind::kResponse);
+  RecordingClient client(1);
   const std::string wire =
       "HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\nabc";
-  std::vector<MessageParser::Message> all;
-  for (const char c : wire) {
-    const auto byte = static_cast<std::uint8_t>(c);
-    for (auto& m : parser.feed({&byte, 1})) all.push_back(std::move(m));
+  client.conn->receive(pieces_of(wire, 1));
+  ASSERT_EQ(client.responses.size(), 1u);
+  EXPECT_EQ(client.responses[0].status, 200);
+  EXPECT_EQ(client.responses[0].body, "abc");
+  EXPECT_TRUE(client.responses[0].finished);
+}
+
+TEST(H1Client, PiecesParseLikeOneFlatPiece) {
+  // One response cut into pieces every k bytes reads as it does whole:
+  // the same headers and body bytes. With the body in one piece, as the
+  // simulated TCP delivers it, on_body_data is called once per delivery.
+  std::string body(3000, '\0');
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>((i * 31 + 7) % 251);
   }
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].body, "abc");
+  http::Response head;
+  head.status = 200;
+  head.type = http::ResourceType::kImage;
+  head.body_size = body.size();
+  head.headers = {{"cache-control", "max-age=60"}, {"x-test", "a: b"}};
+  const std::string wire = serialize_response_head(head) + body;
+
+  RecordingClient flat(1);
+  flat.conn->receive(pieces_of(wire));
+  ASSERT_EQ(flat.responses.size(), 1u);
+  EXPECT_EQ(flat.responses[0].status, 200);
+  EXPECT_EQ(flat.responses[0].body, body);
+  EXPECT_EQ(http::find_header(flat.responses[0].headers, "x-test"), "a: b");
+  EXPECT_EQ(flat.body_calls, (std::vector<std::size_t>{body.size()}));
+
+  for (std::size_t k = 1; k <= 1461; ++k) {
+    RecordingClient cut(1);
+    cut.conn->receive(pieces_of(wire, k));
+    ASSERT_EQ(cut.responses.size(), 1u) << k;
+    EXPECT_EQ(cut.responses[0].status, 200) << k;
+    EXPECT_EQ(cut.responses[0].headers, flat.responses[0].headers) << k;
+    EXPECT_EQ(cut.responses[0].body, body) << k;
+    EXPECT_TRUE(cut.responses[0].finished) << k;
+  }
+
+  // Head and body as separate pieces, the body delivered over several
+  // deliveries of one piece each: one on_body_data per delivery.
+  const std::string head_bytes = serialize_response_head(head);
+  RecordingClient split(1);
+  const std::size_t cuts[] = {0, 1000, 2920, 3000};
+  for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    std::vector<util::Piece> delivery;
+    if (i == 0) delivery.push_back({util::bytes_of(head_bytes)});
+    delivery.push_back(
+        {util::bytes_of(body).subspan(cuts[i], cuts[i + 1] - cuts[i])});
+    split.conn->receive(delivery);
+  }
+  EXPECT_EQ(split.body_calls, (std::vector<std::size_t>{1000, 1920, 80}));
+  ASSERT_EQ(split.responses.size(), 1u);
+  EXPECT_EQ(split.responses[0].body, body);
 }
 
 TEST(H1Client, SerializesRequestsOneAtATime) {
@@ -102,9 +200,8 @@ TEST(H1Client, SerializesRequestsOneAtATime) {
   EXPECT_EQ(client.queued(), 1u);
 
   // Deliver a response; the second request goes out.
-  const std::string resp = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok";
   client.receive(
-      {reinterpret_cast<const std::uint8_t*>(resp.data()), resp.size()});
+      pieces_of("HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok"));
   EXPECT_EQ(headers_seen, 1);
   EXPECT_EQ(body, "ok");
   std::vector<std::uint8_t> second;
@@ -129,14 +226,13 @@ TEST(H1Client, StreamsBodyIncrementally) {
   std::vector<std::uint8_t> request;
   util::FlatSink request_sink(request);
   client.produce(request_sink, 1 << 20);
-  const std::string head = "HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\n";
-  client.receive({reinterpret_cast<const std::uint8_t*>(head.data()),
-                  head.size()});
+  client.receive(
+      pieces_of("HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\n"));
   const std::string part1 = "12345";
-  client.receive({reinterpret_cast<const std::uint8_t*>(part1.data()), 5});
+  client.receive(pieces_of(part1));
   EXPECT_EQ(chunk_sizes, (std::vector<std::size_t>{5}));
   EXPECT_FALSE(finished);
-  client.receive({reinterpret_cast<const std::uint8_t*>(part1.data()), 5});
+  client.receive(pieces_of(part1));
   EXPECT_TRUE(finished);
 }
 

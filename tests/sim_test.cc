@@ -760,6 +760,78 @@ TEST(Tcp, RepairDeliveryAcrossSendBufferChunksKeepsBytes) {
   }
 }
 
+TEST(Tcp, AdjacentSharedSlicesOfOneBufferArriveAsOnePiece) {
+  // A body written as consecutive slices (an HTTP/1.1 server drains its
+  // body a write budget at a time) comes back as one piece in a delivery
+  // covering them all. Slices with a gap between them, or of another
+  // buffer with the same bytes, stay separate pieces.
+  TcpHarness h;
+  // What each delivered piece was (pieces are valid only in the callback).
+  struct Seen {
+    const std::uint8_t* data;
+    std::size_t size;
+    const std::string* owner;
+  };
+  std::vector<std::vector<Seen>> deliveries;
+  TcpConnection::Callbacks cb;
+  cb.on_deliver = [&](TcpConnection::Side side,
+                      std::span<const util::Piece> pieces) {
+    if (side != TcpConnection::Side::kClient) return;
+    auto& seen = deliveries.emplace_back();
+    for (const util::Piece& piece : pieces) {
+      seen.push_back({piece.bytes.data(), piece.bytes.size(),
+                      piece.owner ? piece.owner->get() : nullptr});
+    }
+  };
+  TcpConnection tcp(h.sim, TcpConfig{}, Route{&h.up, from_ms(23)},
+                    Route{&h.down, from_ms(23)}, std::move(cb));
+  tcp.connect();
+  h.sim.run();
+  const util::SharedBytes body =
+      std::make_shared<const std::string>(std::string(1200, 'b'));
+  const util::SharedBytes twin = std::make_shared<const std::string>(*body);
+  const auto bytes = util::bytes_of(*body);
+  const auto write = [&](const auto& produce) {
+    deliveries.clear();
+    tcp.write(TcpConnection::Side::kServer, produce);
+    h.sim.run();
+    return deliveries;
+  };
+
+  const auto adjacent = write([&](util::PieceSink& out) {
+    out.write_shared(body, bytes.first(300));
+    out.write_shared(body, bytes.subspan(300, 500));
+    out.write_shared(body, bytes.subspan(800));
+  });
+  ASSERT_EQ(adjacent.size(), 1u);
+  ASSERT_EQ(adjacent[0].size(), 1u);
+  EXPECT_EQ(adjacent[0][0].data, bytes.data());
+  EXPECT_EQ(adjacent[0][0].size, bytes.size());
+  EXPECT_EQ(adjacent[0][0].owner, body.get());
+
+  const auto gap = write([&](util::PieceSink& out) {
+    out.write_shared(body, bytes.first(300));
+    out.write_shared(body, bytes.subspan(400, 300));
+  });
+  ASSERT_EQ(gap.size(), 1u);
+  EXPECT_EQ(gap[0].size(), 2u);
+
+  const auto other_owner = write([&](util::PieceSink& out) {
+    out.write_shared(body, bytes.first(300));
+    out.write_shared(twin, util::bytes_of(*twin).subspan(300, 300));
+  });
+  ASSERT_EQ(other_owner.size(), 1u);
+  EXPECT_EQ(other_owner[0].size(), 2u);
+
+  const auto copy_between = write([&](util::PieceSink& out) {
+    out.write_shared(body, bytes.first(300));
+    out.write(bytes.first(9));
+    out.write_shared(body, bytes.subspan(300, 300));
+  });
+  ASSERT_EQ(copy_between.size(), 1u);
+  EXPECT_EQ(copy_between[0].size(), 3u);
+}
+
 TEST(Tcp, OnReceiveFlattensEachDelivery) {
   // A receiver that sets on_receive rather than on_deliver gets each
   // delivery as one span, assembled when it spans several pieces.
