@@ -1,10 +1,12 @@
 // Micro-benchmarks for the protocol substrate (google-benchmark): HPACK
 // encode/decode, Huffman coding, frame serialization/parsing, priority-tree
-// scheduling, the HTML tokenizer, the CSS parser and its memo, the TCP model,
-// and end-to-end simulated page loads. These guard the simulator's
-// throughput (the figure harnesses run tens of thousands of page loads).
+// scheduling, the HTML tokenizer, the CSS parser and its memo, event
+// dispatch through the heap and through a lane, the TCP model, and
+// end-to-end simulated page loads. These guard the simulator's throughput
+// (the figure harnesses run tens of thousands of page loads).
 // BM_HtmlTokenize and BM_CssParse report time_per_kb, BM_CssParseShared
-// time_per_hit (a parse_css_shared memo hit) and BM_TcpTransfer
+// time_per_hit (a parse_css_shared memo hit), BM_SimDispatch
+// time_per_event, BM_LaneDispatch time_per_packet and BM_TcpTransfer
 // time_per_segment, all in seconds (SI-prefixed).
 #include <benchmark/benchmark.h>
 
@@ -185,6 +187,66 @@ void BM_CssParseShared(benchmark::State& state) {
   state.counters["time_per_hit"] = time_per(hits);
 }
 BENCHMARK(BM_CssParseShared)->Unit(benchmark::kMicrosecond);
+
+// A chain of events, each scheduling the next 1 us later through the
+// event heap (as perfbench's sim_dispatch_ns_per_event probe does).
+struct Tick {
+  sim::Simulator* sim;
+  int left;
+  void operator()() const {
+    if (left > 0) sim->schedule_in(1000, Tick{sim, left - 1});
+  }
+};
+
+void BM_SimDispatch(benchmark::State& state) {
+  // 64 chains of 512 events: the heap holds 64 entries throughout.
+  constexpr int kChains = 64;
+  constexpr int kLength = 512;
+  double events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    for (int c = 0; c < kChains; ++c) sim.schedule_in(c, Tick{&sim, kLength});
+    sim.run();
+    benchmark::DoNotOptimize(sim.executed_events());
+    events += static_cast<double>(sim.executed_events());
+  }
+  state.counters["time_per_event"] = time_per(events);
+}
+BENCHMARK(BM_SimDispatch)->Unit(benchmark::kMicrosecond);
+
+// Packets on one route: each arrival sends the next packet, keeping 64 in
+// flight through the link's queue and the route's lane. The lane's head is
+// the heap's only entry, so this times the link plus lane dispatch
+// (replace-top), not the heap's depth.
+struct Hop {
+  sim::Simulator::Lane* lane;
+  sim::Route route;
+  int* left;
+  void operator()() const {
+    if (--*left >= 0) route.transmit(*lane, 1500, *this);
+  }
+};
+
+void BM_LaneDispatch(benchmark::State& state) {
+  constexpr int kInFlight = 64;
+  constexpr int kPackets = 64 * 512;
+  double packets = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim::LinkConfig cfg;
+    cfg.prop_delay = sim::from_ms(20);
+    sim::Link link(sim, cfg, util::Rng(1));
+    sim::Simulator::Lane lane;
+    int left = kPackets - kInFlight;
+    const Hop hop{&lane, sim::Route{&link, sim::from_ms(5)}, &left};
+    for (int i = 0; i < kInFlight; ++i) hop.route.transmit(lane, 1500, hop);
+    sim.run();
+    benchmark::DoNotOptimize(link.delivered_packets());
+    packets += static_cast<double>(link.delivered_packets());
+  }
+  state.counters["time_per_packet"] = time_per(packets);
+}
+BENCHMARK(BM_LaneDispatch)->Unit(benchmark::kMicrosecond);
 
 void BM_TcpTransfer(benchmark::State& state) {
   // One connection on the testbed access link (16/1 Mbit/s, 50 ms RTT)

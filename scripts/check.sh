@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Full verification: layering checks on the codec and the serving code,
-# the tier-1 build + test pass, a build of the benchmark program in
-# perfbench/, then the same test suite under AddressSanitizer +
-# UndefinedBehaviorSanitizer with assert()s compiled in, then the threaded
-# runner tests under
-# ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
-# not ABI-compatible with each other or the plain build; TSan in particular
-# excludes ASan).
+# the tier-1 build + test pass, a warning-free Release build of the
+# benchmark program in perfbench/, then the same test suite under
+# AddressSanitizer + UndefinedBehaviorSanitizer with assert()s compiled in,
+# then the threaded runner tests under ThreadSanitizer (separate build dir
+# per sanitizer — sanitized objects are not ABI-compatible with each other
+# or the plain build; TSan in particular excludes ASan).
 #
 #   scripts/check.sh            # layering + tier-1 + perfbench + ASan/UBSan + TSan
 #   scripts/check.sh --fast     # layering + tier-1 + perfbench only
@@ -93,7 +92,12 @@ echo "=== perfbench: build the benchmark program (build-perfbench/) ==="
 # perfbench/ is the repository benchmark; it calls the library's public API
 # (h2/, sim/, browser/, net/) and is not edited alongside library changes.
 # A change that breaks that API fails here, not first in a benchmark run.
-cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+# This is also the only Release (-O3) build of src/, the one the benchmark
+# measures, and GCC warns at -O3 where it does not at -O2 (flow-analysis
+# warnings such as -Wmaybe-uninitialized and -Wrestrict): a warning fails
+# this build too.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-perfbench -j "$jobs"
 echo "perfbench build OK"
 

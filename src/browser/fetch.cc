@@ -164,7 +164,8 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
     url.host = std::string(http::find_header(request_headers, ":authority"));
     url.path = std::string(http::find_header(request_headers, ":path"));
     if (url.scheme.empty()) url.scheme = "https";
-    const std::string key = url.str();
+    url.str_into(url_key_);
+    const std::string& key = url_key_;
     // Cancel if cached or already requested as a normal stream.
     if (config_.cached_urls.count(key) != 0 || by_url_.count(key) != 0) {
       ++pushes_cancelled_;
@@ -425,9 +426,13 @@ void FetchManager::release_delayed() {
 
 std::shared_ptr<Fetch> FetchManager::fetch(const http::Url& url,
                                            NetPriority priority) {
-  const std::string key = url.str();
-  auto it = by_url_.find(key);
-  if (it != by_url_.end()) {
+  // The key is built in a buffer kept across calls, so a repeat request
+  // (the parser asking for what the preload scanner already fetched)
+  // allocates nothing.
+  url.str_into(url_key_);
+  const std::string& key = url_key_;
+  const auto it = by_url_.lower_bound(key);
+  if (it != by_url_.end() && it->first == key) {
     auto& existing = it->second;
     if (!existing->adopted_) {
       existing->adopted_ = true;
@@ -454,7 +459,7 @@ std::shared_ptr<Fetch> FetchManager::fetch(const http::Url& url,
   fetch->priority_ = priority;
   fetch->adopted_ = true;
   fetch->t_initiated_ = sim_.now();
-  by_url_[key] = fetch;
+  by_url_.emplace_hint(it, key, fetch);
   fetches_.push_back(fetch);
   trace_fetch_begin(*fetch);
   if (config_.cached_urls.count(key) != 0) {

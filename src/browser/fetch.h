@@ -201,6 +201,7 @@ class FetchManager {
   std::map<std::string, std::size_t> host_group_;
   std::map<std::size_t, std::unique_ptr<Group>> groups_;
   std::map<std::string, std::shared_ptr<Fetch>> by_url_;
+  std::string url_key_;  // fetch()'s key buffer, reused by every call
   std::vector<std::shared_ptr<Fetch>> fetches_;
   std::vector<std::shared_ptr<Fetch>> delayed_;  // throttled image requests
   std::function<void()> progress_;

@@ -208,7 +208,7 @@ GeneratedTraffic random_client_traffic(Random& r, const TrafficOptions& opts) {
         {":method", flow.chance(0.2) ? "POST" : "GET"},
         {":scheme", "https"},
         {":authority", strings.token(3, 12) + ".example"},
-        {":path", "/" + strings.token(0, 20)},
+        {":path", std::string("/").append(strings.token(0, 20))},
     };
     const std::size_t extra = flow.small_count(4);
     for (std::size_t j = 0; j < extra; ++j) {

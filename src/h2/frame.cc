@@ -654,7 +654,12 @@ util::Expected<std::vector<Frame>, ParseError> FrameParser::feed(
       return true;
     }
     bool on_frame(Frame&& f) override {
-      frames.push_back(std::move(f));
+      // Move out the alternative held, not the variant: a variant moved
+      // into a vector that may grow first makes GCC's -O3 flow analysis
+      // see every alternative's members read uninitialized.
+      std::visit(
+          [this](auto&& frame) { frames.emplace_back(std::move(frame)); },
+          std::move(f));
       return true;
     }
   } collect;

@@ -8,9 +8,9 @@ namespace h2push::http {
 
 namespace {
 
-/// "scheme://host[:port]" followed by `suffix`, built in one string of
-/// exactly its size.
-std::string origin_then(const Url& url, std::string_view suffix) {
+/// "scheme://host[:port]" followed by `suffix`, written over `out` with
+/// capacity for exactly its size.
+void origin_then(const Url& url, std::string_view suffix, std::string& out) {
   const bool default_port = (url.scheme == "https" && url.port == 443) ||
                             (url.scheme == "http" && url.port == 80);
   char port[8] = {':'};
@@ -19,19 +19,28 @@ std::string origin_then(const Url& url, std::string_view suffix) {
     port_size = static_cast<std::size_t>(
         std::to_chars(port + 1, port + sizeof port, url.port).ptr - port);
   }
-  std::string out;
+  out.clear();
   out.reserve(url.scheme.size() + 3 + url.host.size() + port_size +
               suffix.size());
   out.append(url.scheme).append("://").append(url.host);
   out.append(port, port_size).append(suffix);
-  return out;
 }
 
 }  // namespace
 
-std::string Url::origin() const { return origin_then(*this, {}); }
+std::string Url::origin() const {
+  std::string out;
+  origin_then(*this, {}, out);
+  return out;
+}
 
-std::string Url::str() const { return origin_then(*this, path); }
+std::string Url::str() const {
+  std::string out;
+  origin_then(*this, path, out);
+  return out;
+}
+
+void Url::str_into(std::string& out) const { origin_then(*this, path, out); }
 
 util::Expected<Url, std::string> parse_url(std::string_view s) {
   Url url;

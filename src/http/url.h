@@ -21,6 +21,8 @@ struct Url {
   std::string origin() const;
   /// Full serialization.
   std::string str() const;
+  /// str() written over `out`, reusing its capacity.
+  void str_into(std::string& out) const;
 
   bool operator==(const Url&) const = default;
 };

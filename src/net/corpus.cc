@@ -55,7 +55,10 @@ LiveCorpus build_live_corpus(const LiveCorpusConfig& config) {
     }
     // Merge origins, namespacing the synthetic IPs per site so one site's
     // primary server never becomes authoritative for another's hosts.
-    const std::string ip_prefix = "s" + std::to_string(site_index) + "/";
+    // Appended, not "s" + std::to_string(...): GCC 12's -O3 -Wrestrict
+    // misreads the insert at the front of a temporary string.
+    std::string ip_prefix = "s";
+    ip_prefix.append(std::to_string(site_index)).append("/");
     for (const auto& ip : site.origins.all_ips()) {
       for (const auto& host : site.origins.hosts_on_ip(ip)) {
         corpus.origins.add_host(host, ip_prefix + ip);

@@ -43,8 +43,14 @@ class Link {
   /// if the queue dropped the packet; a packet lost at random returns true
   /// and never fires. The delivery closure lives in the simulator's pooled
   /// event node, so a packet costs no heap allocation.
+  ///
+  /// The delivery waits in `lane`, which must carry only packets sent on
+  /// this link with this same `extra_delay`: departures never go backwards
+  /// (a packet starts when the link is free and no earlier than now), so
+  /// such packets arrive in the order they were sent (Simulator::Lane).
   template <typename F>
-  bool transmit(std::size_t bytes, Time extra_delay, F&& on_delivered) {
+  bool transmit(Simulator::Lane& lane, std::size_t bytes, Time extra_delay,
+                F&& on_delivered) {
     const Time arrival = enqueue(bytes, extra_delay);
     if (arrival == kQueueFull) return false;
     if (arrival == kRandomLoss) return true;  // consumed by the network
@@ -56,7 +62,7 @@ class Link {
     };
     static_assert(sizeof(deliver) <= detail::EventFn::kInlineSize,
                   "a packet's delivery closure must fit an event node");
-    sim_.schedule_at(arrival, std::move(deliver));
+    sim_.schedule_at(lane, arrival, std::move(deliver));
     return true;
   }
 
@@ -134,14 +140,17 @@ class Link {
 };
 
 /// One direction of a path: the shared access link plus path-specific extra
-/// propagation (distance to this origin's server).
+/// propagation (distance to this origin's server). Its packets arrive in
+/// the order they were sent, so one lane holds all of them.
 struct Route {
   Link* link = nullptr;
   Time extra_prop = 0;
 
   template <typename F>
-  bool transmit(std::size_t bytes, F&& on_delivered) const {
-    return link->transmit(bytes, extra_prop, std::forward<F>(on_delivered));
+  bool transmit(Simulator::Lane& lane, std::size_t bytes,
+                F&& on_delivered) const {
+    return link->transmit(lane, bytes, extra_prop,
+                          std::forward<F>(on_delivered));
   }
 };
 

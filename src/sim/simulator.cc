@@ -14,14 +14,14 @@ Simulator::EventNode* Simulator::allocate_node() {
       EventNode* node = &block[i];
       node->slot = static_cast<std::uint32_t>(nodes_.size());
       nodes_.push_back(node);
-      node->next_free = free_list_;
+      node->next = free_list_;
       free_list_ = node;
     }
     blocks_.push_back(std::move(block));
   }
   EventNode* node = free_list_;
-  free_list_ = node->next_free;
-  node->next_free = nullptr;
+  free_list_ = node->next;
+  node->next = nullptr;
   return node;
 }
 
@@ -30,8 +30,9 @@ void Simulator::release_node(EventNode* node) {
   // no-op for this node.
   node->pending = false;
   ++node->generation;  // invalidate outstanding EventIds for this node
+  node->lane = nullptr;
   node->fn.reset();
-  node->next_free = free_list_;
+  node->next = free_list_;
   free_list_ = node;
 }
 
@@ -69,22 +70,38 @@ bool Simulator::rearm(EventId id, Time t) {
 }
 
 bool Simulator::step(Time limit) {
-  while (!queue_.empty()) {
-    const QueueEntry top = queue_.top();
+  while (!heap_.empty()) {
+    const QueueEntry top = heap_.top();
     if (top.time > limit) return false;
-    queue_.pop();
     EventNode* node = top.node;
     // Superseded by an earlier rearm, or the node was cancelled (and maybe
     // recycled): seqs are never reused, so the entry no longer matches.
-    if (!node->pending || top.seq != node->entry_seq) continue;
-    if (top.seq != node->seq) {
-      // Re-armed later: move the entry to the event's position. This is
-      // queue upkeep, not an event: now() and the fire hook are untouched.
-      node->entry_time = node->time;
-      node->entry_seq = node->seq;
-      push_entry(node->time, node->seq, node);
-      continue;
+    const bool stale = !node->pending || top.seq != node->entry_seq;
+    // The node whose entry takes the top slot instead of a pop, if any.
+    EventNode* successor = nullptr;
+    if (!stale) {
+      if (Lane* lane = node->lane) {
+        // A lane's head: the next event in its lane takes the entry's slot.
+        successor = node->next;
+        lane->head_ = successor;
+        if (successor == nullptr) lane->tail_ = nullptr;
+      } else if (top.seq != node->seq) {
+        // Re-armed later: move the entry to the event's position. This is
+        // queue upkeep, not an event: now() and the fire hook are
+        // untouched.
+        node->entry_time = node->time;
+        node->entry_seq = node->seq;
+        successor = node;
+      }
     }
+    if (successor != nullptr) {
+      heap_.replace_top(
+          QueueEntry{successor->time, successor->seq, successor});
+      ++pushes_;
+    } else {
+      heap_.pop();
+    }
+    if (stale || successor == node) continue;
     // Firing: cancel() and rearm() of this event's id are no-ops from here
     // on (including from inside its own callback).
     node->pending = false;
@@ -108,7 +125,7 @@ void Simulator::run(Time deadline) {
 std::size_t Simulator::pooled_nodes() const noexcept {
   std::size_t n = 0;
   for (const EventNode* node = free_list_; node != nullptr;
-       node = node->next_free) {
+       node = node->next) {
     ++n;
   }
   return n;

@@ -8,28 +8,40 @@
 // executes tens of millions of events — so it is allocation-free in steady
 // state: callbacks live in fixed inline storage inside pooled event nodes
 // (an intrusive free list recycles nodes as they fire or are cancelled), and
-// the priority queue holds 24-byte {time, seq, node*} entries. Stale
-// EventIds (fired, cancelled, or recycled) are rejected via a per-node
-// generation tag packed into the id, so cancel() keeps its "any id is safe"
-// contract.
+// the event queue is a binary heap of 24-byte {time, seq, node*} entries.
+// Stale EventIds (fired, cancelled, or recycled) are rejected via a
+// per-node generation tag packed into the id, so cancel() keeps its "any id
+// is safe" contract.
+//
+// Most events are packets in flight, and those wait in lanes, not in the
+// heap. A lane is a FIFO of events owned by one producer that schedules
+// them in the order they fire: its times never go backwards, and sequence
+// numbers rise in scheduling order, so the lane is sorted by (time, seq).
+// Only the lane's head has a heap entry. When the head fires, its successor
+// takes the top slot with one sift-down (replace-top), instead of a pop and
+// a push. Every packet on one route crosses the same link, whose departures
+// never go backwards, plus the same fixed delay, so each route's arrivals
+// form such a FIFO (sim/link.h). Lane events cannot be cancelled or moved.
+// The firing order is the one the same events would have had in the heap.
 //
 // The heap is kept close to the live events. Cancellation is lazy (O(1)):
 // the node is recycled at once and its heap entry is discarded by sequence
 // number when it pops. A timer that moves on every ACK (TCP's RTO) is
 // re-armed in place instead: rearm() pushes a new entry only when the timer
-// moves earlier; a timer moved later keeps its queued entry, which is
-// re-pushed at the new position when it pops. Work that needs no callback
+// moves earlier; a timer moved later keeps its queued entry, which moves to
+// the new position (replace-top) when it pops. Work that needs no callback
 // of its own can take a sequence number with reserve_seq() and settle
 // lazily once has_passed() says its position in the order has gone by; the
 // link queue settles packet departures that way.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -89,10 +101,78 @@ class EventFn {
   void (*destroy_)(void*) = nullptr;
 };
 
+/// Binary min-heap ordered by `Entry::operator<`, with the replace-top that
+/// std::priority_queue lacks: one sift-down where a pop and a push would
+/// take two. push and pop are std::push_heap and std::pop_heap.
+template <typename Entry>
+class MinHeap {
+ public:
+  bool empty() const noexcept { return v_.empty(); }
+  std::size_t size() const noexcept { return v_.size(); }
+  const Entry& top() const noexcept { return v_.front(); }
+
+  // Inlined into every schedule_at, as std::priority_queue::push was: out
+  // of line, the call cost about a tenth of a heap-only dispatch
+  // (bench_micro_protocol's BM_SimDispatch).
+  [[gnu::always_inline]] void push(const Entry& e) {
+    v_.push_back(e);
+    std::push_heap(v_.begin(), v_.end(), Later{});
+  }
+
+  void pop() {
+    std::pop_heap(v_.begin(), v_.end(), Later{});
+    v_.pop_back();
+  }
+
+  /// pop() followed by push(e): the hole the top leaves moves down, the
+  /// earlier child rising into it, until `e` orders before both children.
+  /// A lane's next event usually stops within a level or two of the top.
+  void replace_top(const Entry& e) {
+    const Entry value = e;  // a copy: `e` may not alias the moved entries
+    Entry* const h = v_.data();
+    const std::size_t n = v_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && h[child + 1] < h[child]) ++child;
+      if (!(h[child] < value)) break;
+      h[hole] = h[child];
+      hole = child;
+    }
+    h[hole] = value;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      return b < a;
+    }
+  };
+
+  std::vector<Entry> v_;
+};
+
 }  // namespace detail
 
 class Simulator {
+  struct EventNode;
+
  public:
+  /// A FIFO of events whose times never go backwards, owned by the one
+  /// producer that schedules into it (see the file comment). Only its head
+  /// waits in the event heap. It must outlive its pending events' firing,
+  /// as the objects their callbacks reach must.
+  class Lane {
+   public:
+    Lane() = default;
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
+
+   private:
+    friend class Simulator;
+    EventNode* head_ = nullptr;  // has the lane's heap entry
+    EventNode* tail_ = nullptr;
+  };
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -112,6 +192,31 @@ class Simulator {
     push_entry(t, node->seq, node);
     return (static_cast<EventId>(node->generation) << 32) |
            static_cast<EventId>(node->slot + 1);
+  }
+
+  /// Schedule `fn` at absolute time `t` (clamped to now()) at the back of
+  /// `lane`. `t` must not be earlier than the time of the lane's last
+  /// pending event. The event fires at the place schedule_at(t, fn) would
+  /// have given it, but cannot be cancelled or re-armed.
+  template <typename F>
+  void schedule_at(Lane& lane, Time t, F&& fn) {
+    if (t < now_) t = now_;
+    assert((lane.tail_ == nullptr || lane.tail_->time <= t) &&
+           "lane events must be scheduled in time order");
+    EventNode* node = allocate_node();
+    node->fn.emplace(std::forward<F>(fn));
+    node->pending = true;
+    node->lane = &lane;
+    node->time = node->entry_time = t;
+    node->seq = node->entry_seq = next_seq_++;
+    ++pending_;
+    if (lane.tail_ == nullptr) {
+      lane.head_ = node;
+      push_entry(t, node->seq, node);
+    } else {
+      lane.tail_->next = node;
+    }
+    lane.tail_ = node;
   }
 
   /// Schedule `fn` `delay` after now().
@@ -157,9 +262,10 @@ class Simulator {
 
   std::size_t pending_events() const noexcept { return pending_; }
   std::uint64_t executed_events() const noexcept { return executed_; }
-  /// Entries pushed onto the event queue so far: one per schedule, plus
-  /// one per rearm() that moves a timer earlier and per re-push of a timer
-  /// moved later. With executed_events(), the queue work of a run.
+  /// Entries placed on the event queue so far, by a push or a replace-top:
+  /// one per scheduled event (a lane event's when it becomes its lane's
+  /// head), plus one per rearm() that moves a timer earlier and per move of
+  /// a timer moved later. With executed_events(), the queue work of a run.
   std::uint64_t queue_pushes() const noexcept { return pushes_; }
 
   /// Nodes currently on the free list (observability for pool tests).
@@ -180,11 +286,15 @@ class Simulator {
  private:
   struct EventNode {
     detail::EventFn fn;
-    EventNode* next_free = nullptr;  // intrusive free list link
+    // Intrusive link: the next node on the free list while pooled, the
+    // next event of its lane while pending in one.
+    EventNode* next = nullptr;
+    Lane* lane = nullptr;  // the lane it waits in, or null
     // While pending: the event fires at (time, seq). Its earliest entry in
-    // queue_ is (entry_time, entry_seq), never later than (time, seq); when
-    // that entry pops before (time, seq) is due, it is re-pushed there.
+    // heap_ is (entry_time, entry_seq), never later than (time, seq); when
+    // that entry reaches the top before (time, seq) is due, it moves there.
     // Other entries naming this node are superseded and discarded by seq.
+    // A lane event is never moved: its one entry is (time, seq).
     Time time = 0;
     Time entry_time = 0;
     std::uint64_t seq = 0;
@@ -198,9 +308,9 @@ class Simulator {
     Time time;
     std::uint64_t seq;  // FIFO among same-time events
     EventNode* node;
-    bool operator>(const QueueEntry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+    bool operator<(const QueueEntry& other) const noexcept {
+      if (time != other.time) return time < other.time;
+      return seq < other.seq;
     }
   };
 
@@ -209,7 +319,7 @@ class Simulator {
   /// The node `id` names if that event is pending, else nullptr.
   EventNode* pending_node(EventId id) const noexcept;
   void push_entry(Time t, std::uint64_t seq, EventNode* node) {
-    queue_.push(QueueEntry{t, seq, node});
+    heap_.push(QueueEntry{t, seq, node});
     ++pushes_;
   }
 
@@ -219,8 +329,7 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t pushes_ = 0;
   std::size_t pending_ = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      queue_;
+  detail::MinHeap<QueueEntry> heap_;
   // Pool backing storage: nodes are allocated in blocks and never freed
   // until the simulator dies; nodes_ maps slot → node for cancel().
   std::vector<std::unique_ptr<EventNode[]>> blocks_;

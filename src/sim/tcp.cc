@@ -115,10 +115,12 @@ void TcpConnection::SendBuffer::release_below(std::uint64_t acked) {
 TcpConnection::TcpConnection(Simulator& sim, TcpConfig /*unused*/, Route up,
                              Route down, Callbacks callbacks)
     : sim_(sim), callbacks_(std::move(callbacks)) {
-  up_.data_route = up;
-  up_.ack_route = down;
-  down_.data_route = down;
-  down_.ack_route = up;
+  up_path_.route = up;
+  down_path_.route = down;
+  up_.data_path = &up_path_;
+  up_.ack_path = &down_path_;
+  down_.data_path = &down_path_;
+  down_.ack_path = &up_path_;
 }
 
 void TcpConnection::connect() {
@@ -137,8 +139,8 @@ void TcpConnection::send_handshake_packet() {
   const bool upstream = (step % 2) == 0;  // client flights on even steps
   std::size_t bytes = kHeaderBytes;
   if (step >= 2) bytes += upstream ? kTlsClientFlight : kTlsServerFlight;
-  const Route& route = upstream ? up_.data_route : down_.data_route;
-  route.transmit(bytes, [this, step] { advance_handshake(step); });
+  Path& path = upstream ? up_path_ : down_path_;
+  path.transmit(bytes, [this, step] { advance_handshake(step); });
   sim_.cancel(handshake_timer_);
   handshake_timer_ = sim_.schedule_in(handshake_rto_, [this, step] {
     if (handshake_step_ != step) return;  // progressed meanwhile
@@ -251,10 +253,9 @@ void TcpConnection::transmit_segment(Side sender, std::uint64_t seq,
   } else if (is_retransmit && seq < h.sample_seq) {
     h.sample_sent_at = -1;  // invalidate sample spanning a retransmit
   }
-  h.data_route.transmit(len + kHeaderBytes,
-                        [this, sender, seq, len] {
-                          on_segment(sender, seq, len);
-                        });
+  h.data_path->transmit(len + kHeaderBytes, [this, sender, seq, len] {
+    on_segment(sender, seq, len);
+  });
   arm_rto(sender);
 }
 
@@ -300,7 +301,7 @@ void TcpConnection::send_ack(Side data_sender) {
   Half& h = half(data_sender);
   const std::uint64_t ack = h.rcv_nxt;
   h.last_ack_sent = ack;
-  h.ack_route.transmit(kHeaderBytes,
+  h.ack_path->transmit(kHeaderBytes,
                        [this, data_sender, ack] { on_ack(data_sender, ack); });
 }
 

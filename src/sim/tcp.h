@@ -31,6 +31,7 @@
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/link.h"
@@ -183,10 +184,23 @@ class TcpConnection {
     std::uint64_t end_seq_ = 0;  // one past the last byte written
   };
 
+  // One direction's route and the lane its packets wait in. Every packet
+  // on a route (data, ACKs and handshake flights alike) arrives in the
+  // order it was sent, so one lane per route holds them all.
+  struct Path {
+    Route route;
+    Simulator::Lane lane;
+
+    template <typename F>
+    void transmit(std::size_t bytes, F&& on_delivered) {
+      route.transmit(lane, bytes, std::forward<F>(on_delivered));
+    }
+  };
+
   // One direction of application data flow.
   struct Half {
-    Route data_route;   // carries data segments
-    Route ack_route;    // carries ACKs back to the sender
+    Path* data_path = nullptr;  // carries data segments
+    Path* ack_path = nullptr;   // carries ACKs back to the sender
     // --- sender state ---
     // Segments in flight carry only (seq, len); the receiver reads
     // delivered bytes from here. Only pieces below snd_una are released,
@@ -246,6 +260,8 @@ class TcpConnection {
 
   Simulator& sim_;
   Callbacks callbacks_;
+  Path up_path_;    // client → server packets
+  Path down_path_;  // server → client packets
   Half up_;    // client → server
   Half down_;  // server → client
   // The pieces of the current delivery, and the bytes of one that

@@ -172,7 +172,8 @@ void append_counter_map(std::string& out, const char* key,
     if (!first) out += ",";
     first = false;
     append_escaped(out, name);
-    out += ":" + std::to_string(count);
+    out += ':';
+    out += std::to_string(count);
   }
   out += "}";
 }

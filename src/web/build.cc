@@ -41,6 +41,15 @@ std::string filler_blob(std::size_t bytes, char tag) {
   return out;
 }
 
+/// "#<i>", the placeholder of paragraph i. Appended, not
+/// "#" + std::to_string(i): GCC 12's -O3 -Wrestrict misreads the insert at
+/// the front of a temporary string.
+std::string placeholder(int i) {
+  std::string out = "#";
+  out += std::to_string(i);
+  return out;
+}
+
 std::string exec_attr(double ms) {
   if (ms <= 0) return {};
   char buf[48];
@@ -256,7 +265,7 @@ Site build_site(PagePlan plan,
     const std::string cls =
         i == 0 ? "t" + std::to_string(i) + font_class : "t" + std::to_string(i);
     parts.push_back("<p class=\"" + cls + "\">");
-    parts.push_back("#" + std::to_string(i));  // paragraph placeholder
+    parts.push_back(placeholder(i));
     parts.push_back("</p>\n");
   }
   parts.push_back("</div>\n");
@@ -285,7 +294,7 @@ Site build_site(PagePlan plan,
   std::size_t mid_idx = 0;
   for (int i = plan.above_fold_text_blocks; i < n_par; ++i) {
     parts.push_back("<p class=\"t" + std::to_string(i) + "\">");
-    parts.push_back("#" + std::to_string(i));
+    parts.push_back(placeholder(i));
     parts.push_back("</p>\n");
     // Spread middle resources across paragraphs.
     const std::size_t target =

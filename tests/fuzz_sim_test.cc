@@ -92,6 +92,7 @@ TEST(FuzzSim, LinkByteConservationUnderRandomLoads) {
     config.queue_packets = r.range(1, 64);
     config.queue_capacity = r.range(1500, 64 * 1500);
     sim::Link link(sim, config, util::Rng(r.next()));
+    sim::Simulator::Lane lane;
 
     std::uint64_t delivered_cb = 0;
     std::uint64_t accepted = 0;
@@ -99,7 +100,7 @@ TEST(FuzzSim, LinkByteConservationUnderRandomLoads) {
     const std::size_t packets = load.range(1, 200);
     for (std::size_t j = 0; j < packets; ++j) {
       const auto bytes = static_cast<std::size_t>(load.range(40, 1500));
-      if (link.transmit(bytes, 0, [&delivered_cb] { ++delivered_cb; })) {
+      if (link.transmit(lane, bytes, 0, [&delivered_cb] { ++delivered_cb; })) {
         accepted += bytes;
       }
       // Occasionally let the queue drain part-way so arrival patterns mix

@@ -618,9 +618,9 @@ TEST(PageLoad, AllocationBudget) {
     std::size_t no_push, push_all, interleaved;
   };
   constexpr Budget kBudgets[] = {
-      {1, 1432, 1479, 1422},
-      {7, 1923, 1917, 1835},
-      {17, 15140, 15194, 14915},
+      {1, 1391, 1419, 1362},
+      {7, 1839, 1810, 1729},
+      {17, 14521, 14530, 14251},
   };
   for (const Budget& budget : kBudgets) {
     const auto site = web::make_w_site(budget.site).site;

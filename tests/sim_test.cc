@@ -3,6 +3,8 @@
 // recovery (content-verified), and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fuzz/invariants.h"
 #include "sim/conditions.h"
 #include "sim/link.h"
@@ -343,6 +345,139 @@ TEST(Simulator, SteadyStateSchedulesWithoutHeapAllocation) {
   EXPECT_EQ(fired, 19u * 64u);
 }
 
+// ------------------------------------------------------------------- lanes
+
+TEST(Simulator, LaneEventsFireInOrderBetweenHeapEvents) {
+  Simulator sim;
+  Simulator::Lane lane;
+  std::vector<int> order;
+  sim.schedule_at(lane, from_ms(10), [&] { order.push_back(1); });
+  sim.schedule_at(from_ms(10), [&] { order.push_back(2); });
+  sim.schedule_at(lane, from_ms(10), [&] { order.push_back(3); });
+  sim.schedule_at(lane, from_ms(20), [&] { order.push_back(5); });
+  sim.schedule_at(from_ms(15), [&] { order.push_back(4); });
+  EXPECT_EQ(sim.pending_events(), 5u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // One queue entry per event: a push for the lane's first event, then a
+  // replace-top as each of its heads fires.
+  EXPECT_EQ(sim.queue_pushes(), 5u);
+}
+
+// Events on a few lanes plus labelled heap timers that are armed,
+// re-armed and cancelled. With lanes off, the lane events are scheduled
+// with schedule_at instead; everything else is the same call sequence.
+// Firing events log their tag and may schedule more of either kind.
+class LaneBench {
+ public:
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kTimers = 6;
+
+  LaneBench(bool use_lanes, std::uint64_t seed)
+      : use_lanes_(use_lanes), rng_(seed) {}
+
+  // Lane `k`'s next event, `delta` after its last one (or after now(),
+  // whichever is later): ties within and across lanes are common.
+  void append(std::size_t k, Time delta) {
+    const Time at = std::max(sim.now(), last_[k]) + delta;
+    last_[k] = at;
+    auto fn = [this, tag = next_tag_++] { fire(tag); };
+    if (use_lanes_) {
+      sim.schedule_at(lanes_[k], at, fn);
+    } else {
+      sim.schedule_at(at, fn);
+    }
+  }
+  void arm(std::size_t label, Time at) {
+    EventId& id = ids_[label];
+    if (sim.rearm(id, at)) return;
+    id = sim.schedule_at(at, [this, label] {
+      fire(-1 - static_cast<int>(label));
+    });
+  }
+  void cancel(std::size_t label) { sim.cancel(ids_[label]); }
+
+  Simulator sim;
+  std::vector<std::pair<int, Time>> fired;
+
+ private:
+  void fire(int tag) {
+    fired.emplace_back(tag, sim.now());
+    if (rng_.bernoulli(0.3)) {
+      const std::size_t k = rng_.index(kLanes);
+      append(k, rng_.bernoulli(0.5) ? 0 : rng_.uniform_int(0, 30));
+    }
+    if (rng_.bernoulli(0.2)) {
+      arm(rng_.index(kTimers), sim.now() + rng_.uniform_int(0, 40));
+    }
+    if (rng_.bernoulli(0.05)) cancel(rng_.index(kTimers));
+  }
+
+  bool use_lanes_;
+  util::Rng rng_;
+  Simulator::Lane lanes_[kLanes];
+  Time last_[kLanes] = {};
+  int next_tag_ = 0;
+  EventId ids_[kTimers] = {};
+};
+
+TEST(Simulator, LanesMatchTheHeapOrder) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    LaneBench laned(/*use_lanes=*/true, seed);
+    LaneBench flat(/*use_lanes=*/false, seed);
+    util::Rng plan(seed * 104729);
+    const auto same = [&] {
+      return laned.fired == flat.fired &&
+             laned.sim.pending_events() == flat.sim.pending_events() &&
+             laned.sim.now() == flat.sim.now() &&
+             laned.sim.executed_events() == flat.sim.executed_events();
+    };
+    for (int op = 0; op < 400; ++op) {
+      const double pick = plan.next_double();
+      if (pick < 0.35) {
+        const std::size_t k = plan.index(LaneBench::kLanes);
+        const Time delta = plan.bernoulli(0.4) ? 0 : plan.uniform_int(0, 25);
+        laned.append(k, delta);
+        flat.append(k, delta);
+      } else if (pick < 0.5) {
+        const std::size_t label = plan.index(LaneBench::kTimers);
+        const Time at = laned.sim.now() + plan.uniform_int(0, 60);
+        laned.arm(label, at);
+        flat.arm(label, at);
+      } else if (pick < 0.55) {
+        const std::size_t label = plan.index(LaneBench::kTimers);
+        laned.cancel(label);
+        flat.cancel(label);
+      } else if (pick < 0.9) {
+        EXPECT_EQ(laned.sim.step(), flat.sim.step());
+      } else {
+        const Time deadline = laned.sim.now() + plan.uniform_int(0, 30);
+        laned.sim.run(deadline);
+        flat.sim.run(deadline);
+      }
+      ASSERT_TRUE(same()) << "seed " << seed << " op " << op;
+    }
+    while (laned.sim.step()) {
+      ASSERT_TRUE(flat.sim.step()) << "seed " << seed;
+      ASSERT_TRUE(same()) << "seed " << seed;
+    }
+    EXPECT_FALSE(flat.sim.step());
+    ASSERT_TRUE(same()) << "seed " << seed;
+    // Drained, every event has had exactly one queue entry either way.
+    EXPECT_EQ(laned.sim.queue_pushes(), flat.sim.queue_pushes());
+  }
+}
+
+#ifndef NDEBUG
+TEST(SimulatorDeathTest, LaneRejectsAnEventBeforeItsTail) {
+  Simulator sim;
+  Simulator::Lane lane;
+  sim.schedule_at(lane, from_ms(5), [] {});
+  EXPECT_DEATH(sim.schedule_at(lane, from_ms(4), [] {}), "time order");
+}
+#endif
+
 // -------------------------------------------------------------------- link
 
 TEST(Link, SerializationDelayMatchesRate) {
@@ -351,8 +486,9 @@ TEST(Link, SerializationDelayMatchesRate) {
   cfg.rate_bps = 8e6;  // 1 byte/us
   cfg.prop_delay = from_ms(10);
   Link link(sim, cfg, util::Rng(1));
+  Simulator::Lane lane;
   Time delivered_at = -1;
-  link.transmit(1000, 0, [&] { delivered_at = sim.now(); });
+  link.transmit(lane, 1000, 0, [&] { delivered_at = sim.now(); });
   sim.run();
   // 1000 bytes at 1 B/us = 1 ms serialization + 10 ms propagation.
   EXPECT_EQ(delivered_at, from_ms(11));
@@ -363,9 +499,10 @@ TEST(Link, BackToBackPacketsQueue) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;
   Link link(sim, cfg, util::Rng(1));
+  Simulator::Lane lane;
   std::vector<Time> deliveries;
   for (int i = 0; i < 3; ++i) {
-    link.transmit(1000, 0, [&] { deliveries.push_back(sim.now()); });
+    link.transmit(lane, 1000, 0, [&] { deliveries.push_back(sim.now()); });
   }
   sim.run();
   ASSERT_EQ(deliveries.size(), 3u);
@@ -380,10 +517,11 @@ TEST(Link, DropsWhenQueueFull) {
   cfg.rate_bps = 1e6;
   cfg.queue_capacity = 2500;
   Link link(sim, cfg, util::Rng(1));
+  Simulator::Lane lane;
   int delivered = 0;
-  EXPECT_TRUE(link.transmit(1500, 0, [&] { ++delivered; }));
-  EXPECT_TRUE(link.transmit(1000, 0, [&] { ++delivered; }));
-  EXPECT_FALSE(link.transmit(1500, 0, [&] { ++delivered; }));  // over cap
+  EXPECT_TRUE(link.transmit(lane, 1500, 0, [&] { ++delivered; }));
+  EXPECT_TRUE(link.transmit(lane, 1000, 0, [&] { ++delivered; }));
+  EXPECT_FALSE(link.transmit(lane, 1500, 0, [&] { ++delivered; }));  // over cap
   EXPECT_EQ(link.dropped_packets(), 1u);
   sim.run();
   EXPECT_EQ(delivered, 2);
@@ -400,11 +538,65 @@ TEST(Link, ExtraDelayAddsToPropagation) {
   cfg.rate_bps = 8e6;
   cfg.prop_delay = from_ms(2);
   Link link(sim, cfg, util::Rng(1));
+  Simulator::Lane lane;
   Time at = 0;
   Route route{&link, from_ms(23)};
-  route.transmit(1000, [&] { at = sim.now(); });
+  route.transmit(lane, 1000, [&] { at = sim.now(); });
   sim.run();
   EXPECT_EQ(at, from_ms(1 + 2 + 23));
+}
+
+// Two routes over one link, with different extra delays, each in its own
+// lane: a packet on the far route can arrive after later packets on the
+// near one, and the two lanes' arrivals still fire in (time, send order).
+TEST(Link, RoutesWithDifferentDelaysInterleaveInOrder) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // 1 byte/us
+  cfg.prop_delay = from_ms(2);
+  Link link(sim, cfg, util::Rng(1));
+  const Route near{&link, 0};
+  const Route far{&link, from_ms(3)};
+  Simulator::Lane near_lane;
+  Simulator::Lane far_lane;
+  util::Rng rng(7);
+  struct Sent {
+    Time arrival;
+    int index;
+  };
+  std::vector<Sent> expected;
+  std::vector<int> order;
+  std::vector<Time> times;
+  Time busy_until = 0;
+  for (int i = 0; i < 40; ++i) {
+    const bool on_far = rng.bernoulli(0.5);
+    const std::size_t bytes = rng.bernoulli(0.5) ? 1000 : 500;
+    busy_until += from_ms(static_cast<double>(bytes) / 1000);
+    expected.push_back(
+        {busy_until + cfg.prop_delay + (on_far ? far : near).extra_prop, i});
+    const auto deliver = [&, i] {
+      order.push_back(i);
+      times.push_back(sim.now());
+    };
+    if (on_far) {
+      far.transmit(far_lane, bytes, deliver);
+    } else {
+      near.transmit(near_lane, bytes, deliver);
+    }
+  }
+  sim.run();
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Sent& a, const Sent& b) {
+                     return a.arrival < b.arrival;
+                   });
+  ASSERT_EQ(order.size(), expected.size());
+  bool overtaken = false;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], expected[i].index) << "arrival " << i;
+    EXPECT_EQ(times[i], expected[i].arrival) << "arrival " << i;
+    if (i > 0 && order[i] < order[i - 1]) overtaken = true;
+  }
+  EXPECT_TRUE(overtaken) << "no far packet arrived behind a later near one";
 }
 
 // Departures have no events of their own; each settles at the place in
@@ -422,16 +614,17 @@ TEST(Link, DepartureSettlesAtItsPlaceInTheEventOrder) {
     cfg.prop_delay = from_ms(10);  // no arrival at 1 ms to settle it first
     cfg.queue_packets = 1;
     Link link(sim, cfg, util::Rng(1));
+    Simulator::Lane lane;
     bool accepted = false;
     std::size_t packets_after = 0;
     std::size_t bytes_after = 0;
     const auto probe = [&] {
-      accepted = link.transmit(500, 0, [] {});
+      accepted = link.transmit(lane, 500, 0, [] {});
       packets_after = link.queued_packets();
       bytes_after = link.queued_bytes();
     };
     if (probe_first) sim.schedule_at(from_ms(1), probe);
-    ASSERT_TRUE(link.transmit(1000, 0, [] {}));  // departs at 1 ms
+    ASSERT_TRUE(link.transmit(lane, 1000, 0, [] {}));  // departs at 1 ms
     if (!probe_first) sim.schedule_at(from_ms(1), probe);
     sim.run();
     if (probe_first) {
@@ -457,9 +650,10 @@ TEST(Link, TracedDeparturesKeepTheirTimes) {
   cfg.rate_bps = 8e6;
   cfg.prop_delay = from_ms(10);
   Link link(sim, cfg, util::Rng(1));
+  Simulator::Lane lane;
   link.set_trace(&recorder, 1);
-  link.transmit(1000, 0, [] {});
-  link.transmit(1000, 0, [] {});
+  link.transmit(lane, 1000, 0, [] {});
+  link.transmit(lane, 1000, 0, [] {});
   sim.run();
   std::vector<std::pair<Time, double>> depth;
   for (const auto& event : recorder.events()) {
